@@ -52,13 +52,14 @@ from .scalars import GaussRational, I, exact_div
 from .selftest import run_selftest
 from .witnesses import (
     Branch,
+    CheckReport,
     ConjugacyWitness,
-    WitnessReport,
     collapse_quaternion,
     conjugacy_witness,
     negator,
     negator_candidates,
     separator,
+    verify_negator,
     verify_witness,
 )
 
@@ -69,6 +70,7 @@ __all__ = [
     "Algebra",
     "AlgebraMismatch",
     "Branch",
+    "CheckReport",
     "Classification",
     "CommutantReport",
     "CompalgError",
@@ -91,7 +93,6 @@ __all__ = [
     "ParseError",
     "PreconditionViolation",
     "PrimeMismatch",
-    "WitnessReport",
     "ZeroElement",
     "check_counterexample",
     "classify",
@@ -112,6 +113,7 @@ __all__ = [
     "single_conjugator_search",
     "span_contains",
     "twisted_commutant_matrix",
+    "verify_negator",
     "verify_remark",
     "verify_witness",
 ]

@@ -12,11 +12,17 @@ import json
 import sys
 
 from .commutant import single_conjugator_search, verify_remark
-from .core import ALGEBRAS, sandwich
+from .core import ALGEBRAS
 from .errors import CompalgError, ConsistencyError
 from .parsing import ParseError, format_element, format_scalar, parse_element
 from .selftest import run_selftest
-from .witnesses import collapse_quaternion, conjugacy_witness, negator, verify_witness
+from .witnesses import (
+    collapse_quaternion,
+    conjugacy_witness,
+    negator,
+    verify_negator,
+    verify_witness,
+)
 
 
 def _scalar_json(x, complex_field):
@@ -44,11 +50,17 @@ def _witness_json(w, verified):
     return out
 
 
-def _emit(args, payload, human):
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(human)
+def _checks_json(report):
+    return [{"name": n, "ok": ok} for n, ok in report.checks]
+
+
+def _check_lines(report, indent=""):
+    return [f"{indent}{n}: {'ok' if ok else 'FAILED'}" for n, ok in report.checks]
+
+
+def _emit(args, payload, lines):
+    """Print the JSON payload or the human-readable lines."""
+    print(json.dumps(payload) if args.json else "\n".join(lines))
 
 
 def _parse(args, text):
@@ -57,97 +69,73 @@ def _parse(args, text):
 
 def _cmd_table(args):
     alg = ALGEBRAS[args.algebra]
-    if args.json:
-        payload = {
-            "algebra": alg.name,
-            "dim": alg.dim,
-            "labels": list(alg.labels()),
-            "table": [[list(entry) for entry in row] for row in alg.table],
-        }
-        print(json.dumps(payload))
-        return 0
     labels = alg.labels()
-    cells = []
-    for i in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            k, s = alg.table[i][j]
-            row.append(labels[k] if s == 1 else f"-{labels[k]}")
-        cells.append(row)
+    payload = {
+        "algebra": alg.name,
+        "dim": alg.dim,
+        "labels": list(labels),
+        "table": [[list(entry) for entry in row] for row in alg.table],
+    }
+    cells = [
+        [labels[k] if s == 1 else f"-{labels[k]}" for k, s in row] for row in alg.table
+    ]
     width = max(len(c) for row in cells for c in row) + 2
-    head = "".join(label.rjust(width) for label in labels)
-    print(" " * 4 + head)
+    lines = [" " * 4 + "".join(label.rjust(width) for label in labels)]
     for label, row in zip(labels, cells):
-        print(label.ljust(4) + "".join(c.rjust(width) for c in row))
+        lines.append(label.ljust(4) + "".join(c.rjust(width) for c in row))
+    _emit(args, payload, lines)
+    return 0
+
+
+def _emit_element(args, r):
+    _emit(args, _element_json(r), [format_element(r)])
+    return 0
+
+
+def _emit_scalar(args, alg, v):
+    payload = {"algebra": alg.name, "value": _scalar_json(v, alg.complex_field)}
+    _emit(args, payload, [format_scalar(v)])
     return 0
 
 
 def _cmd_mul(args):
-    a, b = _parse(args, args.a), _parse(args, args.b)
-    r = a * b
-    _emit(args, _element_json(r), format_element(r))
-    return 0
+    return _emit_element(args, _parse(args, args.a) * _parse(args, args.b))
 
 
 def _cmd_conj(args):
-    r = _parse(args, args.a).conjugate()
-    _emit(args, _element_json(r), format_element(r))
-    return 0
+    return _emit_element(args, _parse(args, args.a).conjugate())
 
 
 def _cmd_inv(args):
-    r = _parse(args, args.a).inverse()
-    _emit(args, _element_json(r), format_element(r))
-    return 0
+    return _emit_element(args, _parse(args, args.a).inverse())
 
 
 def _cmd_norm(args):
     a = _parse(args, args.a)
-    n = a.norm()
-    _emit(
-        args,
-        {"algebra": a.algebra.name, "value": _scalar_json(n, a.algebra.complex_field)},
-        format_scalar(n),
-    )
-    return 0
+    return _emit_scalar(args, a.algebra, a.norm())
 
 
 def _cmd_inner(args):
     a, b = _parse(args, args.a), _parse(args, args.b)
-    v = a.inner(b)
-    _emit(
-        args,
-        {"algebra": a.algebra.name, "value": _scalar_json(v, a.algebra.complex_field)},
-        format_scalar(v),
-    )
-    return 0
+    return _emit_scalar(args, a.algebra, a.inner(b))
 
 
 def _cmd_negate_witness(args):
     a = _parse(args, args.a)
     p = negator(a)
-    checks = [
-        ("norm(p) != 0", p.norm() != 0),
-        ("p a == -(a p)", p * a == -(a * p)),
-        ("p a p^-1 == -a", sandwich(p, a) == -a),
+    report = verify_negator(a, p)
+    payload = {
+        "a": _element_json(a),
+        "p": _element_json(p),
+        "checks": _checks_json(report),
+        "verified": report.ok,
+    }
+    lines = [
+        f"a = {format_element(a)}",
+        f"p = {format_element(p)}",
+        f"norm(p) = {format_scalar(p.norm())}",
     ]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "a": _element_json(a),
-                    "p": _element_json(p),
-                    "checks": [{"name": n, "ok": ok} for n, ok in checks],
-                    "verified": all(ok for _, ok in checks),
-                }
-            )
-        )
-        return 0
-    print(f"a = {format_element(a)}")
-    print(f"p = {format_element(p)}")
-    print(f"norm(p) = {format_scalar(p.norm())}")
-    for name, ok in checks:
-        print(f"{name}: {'ok' if ok else 'FAILED'}")
+    _emit(args, payload, lines + _check_lines(report))
     return 0
 
 
@@ -157,101 +145,91 @@ def _cmd_conjugate_witness(args):
     if a.algebra.dim == 4:
         w = collapse_quaternion(w)
     report = verify_witness(a, b, w)
-    if args.json:
-        print(json.dumps(_witness_json(w, report.ok)))
-        return 0
-    print(f"kind: {'single' if w.is_single else 'double'}")
-    print(f"branch: {w.branch.value}")
-    print(f"p = {format_element(w.p)}")
+    lines = [
+        f"kind: {'single' if w.is_single else 'double'}",
+        f"branch: {w.branch.value}",
+        f"p = {format_element(w.p)}",
+    ]
     if not w.is_single:
-        print(f"q = {format_element(w.q)}")
-    for name, ok in report.checks:
-        print(f"{name}: {'ok' if ok else 'FAILED'}")
+        lines.append(f"q = {format_element(w.q)}")
+    _emit(args, _witness_json(w, report.ok), lines + _check_lines(report))
     return 0
 
 
 def _cmd_commutant(args):
     a, b = _parse(args, args.a), _parse(args, args.b)
     report = single_conjugator_search(a, b)
-    if args.json:
-        payload = {
-            "algebra": a.algebra.name,
-            "a": _element_json(a),
-            "b": _element_json(b),
-            "nullity": report.nullity,
-            "basis": [_element_json(v) for v in report.nullspace_basis],
-            "gram": [
-                [_scalar_json(g, a.algebra.complex_field) for g in row]
-                for row in report.norm_gram
-            ],
-            "verdict": report.verdict,
-            "single": _element_json(report.single) if report.single else None,
-        }
-        print(json.dumps(payload))
-        return 0
-    print(f"solution space of p a = b p has dimension {report.nullity}")
+    payload = {
+        "algebra": a.algebra.name,
+        "a": _element_json(a),
+        "b": _element_json(b),
+        "nullity": report.nullity,
+        "basis": [_element_json(v) for v in report.nullspace_basis],
+        "gram": [
+            [_scalar_json(g, a.algebra.complex_field) for g in row]
+            for row in report.norm_gram
+        ],
+        "verdict": report.verdict,
+        "single": _element_json(report.single) if report.single else None,
+    }
+    lines = [f"solution space of p a = b p has dimension {report.nullity}"]
     for i, v in enumerate(report.nullspace_basis):
-        print(f"v{i + 1} = {format_element(v)}")
+        lines.append(f"v{i + 1} = {format_element(v)}")
     if report.nullity:
-        print("norm Gram matrix:")
+        lines.append("norm Gram matrix:")
         for row in report.norm_gram:
-            print("  [" + ", ".join(format_scalar(g) for g in row) + "]")
+            lines.append("  [" + ", ".join(format_scalar(g) for g in row) + "]")
     if report.single_exists:
-        print(f"verdict: single conjugator exists, p = {format_element(report.single)}")
+        lines.append(
+            f"verdict: single conjugator exists, p = {format_element(report.single)}"
+        )
     else:
-        print("verdict: no single conjugator (norm form vanishes on the solution space)")
+        lines.append(
+            "verdict: no single conjugator (norm form vanishes on the solution space)"
+        )
+    _emit(args, payload, lines)
     return 0
 
 
 def _cmd_verify_remark(args):
     report = verify_remark()
-    if args.json:
-        payload = {
-            "instances": [
-                {
-                    "algebra": inst.algebra_name,
-                    "checks": [{"name": n, "ok": ok} for n, ok in inst.checks],
-                    "ok": inst.ok,
-                }
-                for inst in report.instances
-            ],
-            "ok": report.ok,
-        }
-        print(json.dumps(payload))
-        return 0 if report.ok else 1
+    payload = {
+        "instances": [
+            {"algebra": inst.algebra_name, "checks": _checks_json(inst), "ok": inst.ok}
+            for inst in report.instances
+        ],
+        "ok": report.ok,
+    }
+    lines = []
     for inst in report.instances:
-        print(f"{inst.algebra_name}:")
-        for name, ok in inst.checks:
-            print(f"  {name}: {'ok' if ok else 'FAILED'}")
-    print("all checks passed" if report.ok else "SOME CHECKS FAILED")
+        lines += [f"{inst.algebra_name}:"] + _check_lines(inst, "  ")
+    lines.append("all checks passed" if report.ok else "SOME CHECKS FAILED")
+    _emit(args, payload, lines)
     return 0 if report.ok else 1
 
 
 def _cmd_selftest(args):
     result = run_selftest(samples=args.samples, seed=args.seed)
-    if args.json:
-        payload = {
-            "records": [
-                {
-                    "property": r.name,
-                    "algebra": r.algebra,
-                    "samples": r.samples,
-                    "ok": r.failure == "",
-                    "failure": r.failure,
-                }
-                for r in result.records
-            ],
-            "ok": result.ok,
-        }
-        print(json.dumps(payload))
-        return 0 if result.ok else 1
+    payload = {
+        "records": [
+            {
+                "property": r.name,
+                "algebra": r.algebra,
+                "samples": r.samples,
+                "ok": r.failure == "",
+                "failure": r.failure,
+            }
+            for r in result.records
+        ],
+        "ok": result.ok,
+    }
+    lines = []
     for r in result.records:
         status = "ok  " if r.failure == "" else "FAIL"
         line = f"{status} {r.name} [{r.algebra}] ({r.samples} samples)"
-        if r.failure:
-            line += f": {r.failure}"
-        print(line)
-    print(f"{'all properties hold' if result.ok else 'PROPERTY FAILURES'}")
+        lines.append(f"{line}: {r.failure}" if r.failure else line)
+    lines.append("all properties hold" if result.ok else "PROPERTY FAILURES")
+    _emit(args, payload, lines)
     return 0 if result.ok else 1
 
 

@@ -119,6 +119,26 @@ def build_doubled_table(qtable):
     return table
 
 
+def _check_norm_form(table, dim):
+    """Raise ConsistencyError unless a conj(b) + b conj(a) is a scalar for
+    all a, b: the unit squares to itself and commutes with every e_j, each
+    imaginary unit squares to a scalar, and distinct imaginary units
+    anticommute.  By bilinearity this makes the inner product the
+    metric-weighted dot product for every input."""
+    for i in range(dim):
+        for j in range(i, dim):
+            k, s = table[i][j]
+            if i == j:
+                ok = k == 0 and (i > 0 or s == 1)
+            else:
+                ok = table[j][i] == (k, s if i == 0 else -s)
+            if not ok:
+                raise ConsistencyError(
+                    f"units {i} and {j} break the norm form: "
+                    f"{table[i][j]} and {table[j][i]}"
+                )
+
+
 class Algebra:
     """One of the six algebras: dimension, scalar field, display conventions
     and the structure table.  Instances are immutable singletons."""
@@ -139,6 +159,7 @@ class Algebra:
         self.complex_field = complex_field
         self.primed = frozenset(primed)
         self.table = table
+        _check_norm_form(table, dim)
         # metric[k] = norm of the k-th basis unit: 1 for the unit,
         # -(sign of e_k^2) for the imaginary units
         self.metric = (1,) + tuple(-table[k][k][1] for k in range(1, dim))
@@ -227,6 +248,11 @@ class Element:
     # -- ring operations ----------------------------------------------------
 
     def _check_same(self, other):
+        if not (isinstance(self, Element) and isinstance(other, Element)):
+            raise AlgebraMismatch(
+                f"expected two elements, got {type(self).__name__} "
+                f"and {type(other).__name__}"
+            )
         if self.algebra is not other.algebra:
             raise AlgebraMismatch(
                 f"mixed algebras: {self.algebra.name} and {other.algebra.name}"
@@ -302,21 +328,16 @@ class Element:
         )
 
     def inner(self, other):
-        """Symmetric bilinear form: scalar part of (a conj(b) + b conj(a))/2.
+        """Symmetric bilinear form: scalar part of (a conj(b) + b conj(a))/2,
+        which is the metric-weighted dot product sum(metric[k] a_k b_k).
 
-        The nonscalar coefficients of the defining expression vanish
-        identically; that is asserted as a self-check of table symmetry.
+        ``Algebra`` checks once, at construction, that the nonscalar part of
+        a conj(b) + b conj(a) vanishes for every pair of basis units.
         """
         self._check_same(other)
-        s = self * other.conjugate()
-        if self.coeffs == other.coeffs:
-            combined, halve = s.coeffs, False
-        else:
-            t = other * self.conjugate()
-            combined = tuple(x + y for x, y in zip(s.coeffs, t.coeffs))
-            halve = True
-        assert all(c == 0 for c in combined[1:]), "inner product has a nonscalar part"
-        return exact_div(combined[0], 2) if halve else combined[0]
+        return sum(
+            g * x * y for g, x, y in zip(self.algebra.metric, self.coeffs, other.coeffs)
+        )
 
     def norm(self):
         """The quadratic norm N(a) = inner(a, a) = a * conj(a)."""
@@ -355,18 +376,19 @@ class Element:
 
 
 def sandwich(p, a):
-    """Conjugation (p*a)*p^-1; requires invertible p.
+    """Conjugation (p*a)*p^-1 = (p*a*conj(p)) / N(p); requires invertible p.
 
-    Equality with p*(a*p^-1) holds by alternativity and is asserted.
+    Equality with p*(a*p^-1) holds by alternativity; a failure raises
+    ConsistencyError.
     """
-    if p.algebra is not a.algebra:
-        raise AlgebraMismatch(f"mixed algebras: {p.algebra.name} and {a.algebra.name}")
+    Element._check_same(p, a)
     n = p.norm()
     if n == 0:
         raise NotInvertible(f"sandwich by {p!s}, which has zero norm")
     pc = p.conjugate()
     left = (p * a) * pc
-    assert left == p * (a * pc), "sandwich product is not well defined"
+    if left != p * (a * pc):
+        raise ConsistencyError("sandwich product is not well defined")
     return Element._raw(p.algebra, tuple(exact_div(c, n) for c in left.coeffs))
 
 

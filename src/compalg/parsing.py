@@ -56,6 +56,8 @@ _BASIS = "basis"
 _LPAREN = "lparen"
 _RPAREN = "rparen"
 _END = "end"
+# ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text):
@@ -67,14 +69,18 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
-            tokens.append((_INT, int(text[start:i]), start))
+            try:
+                value = int(text[start:i])
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise ParseError("integer literal too long", start) from None
+            tokens.append((_INT, value, start))
             continue
         if ch == "e":
-            if i + 1 >= n or not text[i + 1].isdigit():
+            if i + 1 >= n or text[i + 1] not in _DIGITS:
                 raise ParseError("expected a digit after 'e'", i)
             idx = int(text[i + 1])
             primed = i + 2 < n and text[i + 2] == "'"
@@ -261,11 +267,5 @@ def format_scalar(x):
     """Canonical text form of a bare scalar (norms, inner products)."""
     if x == 0:
         return "0"
-
-    class _Unit:
-        @staticmethod
-        def label(k):
-            return ""
-
-    sign, body = _term_text(0, x, _Unit)
+    sign, body = _term_text(0, x, None)
     return body if sign == "+" else f"-{body}"

@@ -161,12 +161,3 @@ def exact_div(x, y):
     if y == 0:
         raise ZeroDivisionError("division by zero")
     return _div(x, y)
-
-
-def is_zero(x):
-    return x == 0
-
-
-def scalar_conjugate(x):
-    """Complex conjugation; the identity on rationals."""
-    return x.conjugate()

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .commutant import single_conjugator_search, span_contains
 from .core import ALGEBRAS, sandwich
+from .errors import CompalgError
 from .parsing import format_element, parse_element
 from .sampling import (
     random_element,
@@ -19,7 +20,13 @@ from .sampling import (
     random_orthogonal_null_pair,
     random_pure_nonzero,
 )
-from .witnesses import collapse_quaternion, conjugacy_witness, negator, verify_witness
+from .witnesses import (
+    collapse_quaternion,
+    conjugacy_witness,
+    negator,
+    verify_negator,
+    verify_witness,
+)
 
 
 def _prop_composition(rng, alg, n):
@@ -76,8 +83,7 @@ def _prop_sandwich(rng, alg, n):
 def _prop_negator(rng, alg, n):
     for i in range(n):
         a = random_pure_nonzero(rng, alg)
-        p = negator(a)
-        if p.norm() == 0 or p * a != -(a * p) or sandwich(p, a) != -a:
+        if not verify_negator(a, negator(a)).ok:
             return f"sample {i}: negator postcondition fails"
     return None
 
@@ -179,7 +185,8 @@ class SelftestResult:
 
 
 def run_selftest(samples=100, seed=0):
-    """Run every property over every applicable algebra."""
+    """Run every property over every applicable algebra; a CompalgError
+    raised inside one property becomes that record's failure text."""
     records = []
     for name, applies, fn in PROPERTIES:
         for alg_name, alg in ALGEBRAS.items():
@@ -188,6 +195,9 @@ def run_selftest(samples=100, seed=0):
             # string seeding is platform-stable and independent of hash
             # randomization
             rng = random.Random(f"{seed}:{name}:{alg_name}")
-            failure = fn(rng, alg, samples)
+            try:
+                failure = fn(rng, alg, samples)
+            except CompalgError as exc:
+                failure = f"{type(exc).__name__}: {exc}"
             records.append(SelftestRecord(name, alg_name, samples, failure or ""))
     return SelftestResult(tuple(records))

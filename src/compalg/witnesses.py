@@ -18,8 +18,9 @@ Three building blocks:
       4. otherwise a, b are orthogonal null -> p = separator(a, b),
          q = p a p^-1 + b
 
-Every returned witness is re-verified by exact evaluation before being
-handed back; a failure raises ConsistencyError.
+Every returned witness or negator is re-verified by exact evaluation
+(``verify_witness``, ``verify_negator``, each returning a ``CheckReport``)
+before being handed back; a failure raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -106,16 +107,24 @@ def negator_candidates(a):
     return out
 
 
+def _require_pure_nonzero(what, *elements):
+    """Shared precondition guard: one algebra, pure, nonzero."""
+    first = elements[0]
+    if any(e.algebra is not first.algebra for e in elements):
+        raise AlgebraMismatch(f"{what} needs elements of one algebra")
+    if not all(e.is_pure for e in elements):
+        raise NotPure(f"{what} needs pure elements")
+    if any(e.is_zero for e in elements):
+        raise ZeroElement(f"{what} needs nonzero elements")
+
+
 def negator(a):
     """A pure invertible p with p*a = -a*p and p a p^-1 = -a."""
-    if not a.is_pure:
-        raise NotPure("negator needs a pure element")
-    if a.is_zero:
-        raise ZeroElement("negator needs a nonzero element")
+    _require_pure_nonzero("negator", a)
     for p in negator_candidates(a):
         if p.norm() == 0:
             continue
-        if p * a != -(a * p) or sandwich(p, a) != -a:
+        if not verify_negator(a, p).ok:
             raise ConsistencyError(f"negator candidate {p!s} fails for {a!s}")
         return p
     raise ConsistencyError(f"no negator candidate has nonzero norm for {a!s}")
@@ -129,13 +138,8 @@ def separator(a, b):
     disjoint-support case needs support on the positive-norm indices, which
     only null elements guarantee).
     """
-    if a.algebra is not b.algebra:
-        raise AlgebraMismatch("separator needs elements of one algebra")
+    _require_pure_nonzero("separator", a, b)
     alg = a.algebra
-    if not (a.is_pure and b.is_pure):
-        raise NotPure("separator needs pure elements")
-    if a.is_zero or b.is_zero:
-        raise ZeroElement("separator needs nonzero elements")
     if a.inner(b) != 0:
         raise PreconditionViolation("separator needs inner(a, b) = 0")
     na, nb = a.norm(), b.norm()
@@ -176,12 +180,7 @@ def conjugacy_witness(a, b, *, minimal=False):
     ``minimal=True`` a double witness is replaced by a single one whenever
     the twisted-commutant solver finds an invertible solution of p a = b p.
     """
-    if a.algebra is not b.algebra:
-        raise AlgebraMismatch("conjugacy needs elements of one algebra")
-    if not (a.is_pure and b.is_pure):
-        raise NotPure("conjugacy is defined for pure elements")
-    if a.is_zero or b.is_zero:
-        raise ZeroElement("conjugacy is defined for nonzero elements")
+    _require_pure_nonzero("conjugacy", a, b)
     if a.norm() != b.norm():
         raise NormMismatch(f"norm(a) = {a.norm()} differs from norm(b) = {b.norm()}")
 
@@ -226,9 +225,10 @@ def collapse_quaternion(w):
 
 
 @dataclass(frozen=True)
-class WitnessReport:
-    """Outcome of re-deriving every equation a witness claims."""
+class CheckReport:
+    """Named exact checks on one algebra; failures are report content."""
 
+    algebra_name: str
     checks: tuple
 
     @property
@@ -243,13 +243,13 @@ class WitnessReport:
 def verify_witness(a, b, w):
     """Re-check a witness by exact evaluation; failures are report content,
     never exceptions."""
-    checks = []
+    name = a.algebra.name
     if w.p.algebra is not a.algebra or a.algebra is not b.algebra or (
         w.q is not None and w.q.algebra is not a.algebra
     ):
-        return WitnessReport((("algebras match", False),))
+        return CheckReport(name, (("algebras match", False),))
     ok_p = w.p.norm() != 0
-    checks.append(("norm(p) != 0", ok_p))
+    checks = [("norm(p) != 0", ok_p)]
     if w.is_single:
         mapped = ok_p and sandwich(w.p, a) == b
         checks.append(("p a p^-1 == b", mapped))
@@ -260,4 +260,18 @@ def verify_witness(a, b, w):
         checks.append(("q is pure", w.q.is_pure))
         mapped = ok_p and ok_q and sandwich(w.q, sandwich(w.p, a)) == b
         checks.append(("q (p a p^-1) q^-1 == b", mapped))
-    return WitnessReport(tuple(checks))
+    return CheckReport(name, tuple(checks))
+
+
+def verify_negator(a, p):
+    """Re-check a negator p of a by exact evaluation: N(p) != 0,
+    p a == -(a p) and p a p^-1 == -a."""
+    ok_p = p.norm() != 0
+    return CheckReport(
+        a.algebra.name,
+        (
+            ("norm(p) != 0", ok_p),
+            ("p a == -(a p)", p * a == -(a * p)),
+            ("p a p^-1 == -a", ok_p and sandwich(p, a) == -a),
+        ),
+    )

@@ -9,6 +9,7 @@ between these and the library is what the structural tests assert.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import sympy
@@ -80,6 +81,23 @@ def oracle_norm(algebra_name, coeffs):
 
 def oracle_inner(algebra_name, c1, c2):
     return sum(g * x * y for g, x, y in zip(SIGNATURE[algebra_name], c1, c2))
+
+
+def grid_single_conjugator(algebra_name, basis):
+    """Coefficients t of the first point of the grid {0, 1, 2}^d, in
+    lexicographic order, where the norm of sum(t_r v_r) is nonzero; None
+    when the norm form vanishes on the whole grid.
+
+    The norm form restricted to span(basis) has degree two in each
+    parameter, so by the Combinatorial Nullstellensatz it vanishes on this
+    grid only if it vanishes identically.
+    """
+    d = len(basis)
+    gram = [[oracle_inner(algebra_name, u, v) for v in basis] for u in basis]
+    for t in itertools.product((0, 1, 2), repeat=d):
+        if sum(t[r] * t[s] * gram[r][s] for r in range(d) for s in range(d)) != 0:
+            return t
+    return None
 
 
 def to_sympy(x):

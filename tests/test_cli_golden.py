@@ -1,0 +1,116 @@
+"""Exact stdout and exit code of every subcommand, text and ``--json``.
+
+Each case's expected stdout is stored verbatim in ``tests/cli_golden/<case>.out``.
+The cases cover every ladder branch, both commutant verdicts (including a
+nullity-6 solution space whose witness needs two basis vectors), and the
+error paths that print nothing on stdout.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from compalg.cli import main
+
+GOLDEN = Path(__file__).parent / "cli_golden"
+
+OS_NULL_PAIR = ["4e1'+5e2+3e3'-5e4+4e5'+3e7'", "3e2+4e6+5e7'"]
+OC_PAIR_RULE = ["e1+e2+ie6+ie7", "-e1-e2-ie6-ie7"]
+
+CASES = {
+    "table-H": (["table", "--algebra", "H"], 0),
+    "table-Os": (["table", "--algebra", "Os"], 0),
+    "table-Os-json": (["table", "--algebra", "Os", "--json"], 0),
+    "mul-H": (["mul", "--algebra", "H", "e1", "e2"], 0),
+    "mul-Oc": (["mul", "--algebra", "Oc", "(1+2i)e1+1/2e2", "e3"], 0),
+    "mul-Oc-json": (["mul", "--algebra", "Oc", "--json", "(1+2i)e1+1/2e2", "e3"], 0),
+    "conj-H": (["conj", "--algebra", "H", "1+e1"], 0),
+    "conj-Hc-json": (["conj", "--algebra", "Hc", "--json", "(1-1i)+2ie3"], 0),
+    "inv-O": (["inv", "--algebra", "O", "1+e1-1/2e5"], 0),
+    "inv-Hc-json": (["inv", "--algebra", "Hc", "--json", "2+ie1"], 0),
+    "norm-Os": (["norm", "--algebra", "Os", OS_NULL_PAIR[0]], 0),
+    "norm-Hc": (["norm", "--algebra", "Hc", "(1+1i)e1+1/2e2"], 0),
+    "norm-O-json": (["norm", "--algebra", "O", "--json", "1/2-e3+2/3e7"], 0),
+    "norm-Oc-json": (["norm", "--algebra", "Oc", "--json", "(1+1i)e1+1/2e2"], 0),
+    "inner-Hs": (["inner", "--algebra", "Hs", "e1'", "e1'"], 0),
+    "inner-Oc": (["inner", "--algebra", "Oc", "(1+1i)e1+e2", "ie1-3e2"], 0),
+    "inner-O-json": (["inner", "--algebra", "O", "--json", "1+2e1", "1/3e1-e4"], 0),
+    "negate-witness-O": (["negate-witness", "--algebra", "O", "e1"], 0),
+    "negate-witness-Hs": (["negate-witness", "--algebra", "Hs", "e2"], 0),
+    "negate-witness-Oc": (["negate-witness", "--algebra", "Oc", "e1+ie2+e3"], 0),
+    "negate-witness-O-json": (["negate-witness", "--algebra", "O", "--json", "e3"], 0),
+    "negate-witness-Os-json": (
+        ["negate-witness", "--algebra", "Os", "--json", "e1'+e2"],
+        0,
+    ),
+    "conjugate-witness-H": (["conjugate-witness", "--algebra", "H", "e1", "e2"], 0),
+    "conjugate-witness-H-json": (
+        ["conjugate-witness", "--algebra", "H", "--json", "e1", "e2"],
+        0,
+    ),
+    "conjugate-witness-O-negate": (
+        ["conjugate-witness", "--algebra", "O", "--", "e1", "-e1"],
+        0,
+    ),
+    "conjugate-witness-Hs-collapse": (
+        ["conjugate-witness", "--algebra", "Hs", "--", "e2", "-e2"],
+        0,
+    ),
+    "conjugate-witness-Os-diff": (
+        ["conjugate-witness", "--algebra", "Os", "--", "e2", "-e2"],
+        0,
+    ),
+    "conjugate-witness-Os-null": (
+        ["conjugate-witness", "--algebra", "Os", *OS_NULL_PAIR],
+        0,
+    ),
+    "conjugate-witness-Os-null-json": (
+        ["conjugate-witness", "--algebra", "Os", "--json", *OS_NULL_PAIR],
+        0,
+    ),
+    "conjugate-witness-Os-minimal": (
+        ["conjugate-witness", "--algebra", "Os", "--minimal", "--", "e2", "-e2"],
+        0,
+    ),
+    "conjugate-witness-Os-minimal-json": (
+        ["conjugate-witness", "--algebra", "Os", "--minimal", "--json"]
+        + ["--", "e2", "-e2"],
+        0,
+    ),
+    "conjugate-witness-Oc-minimal": (
+        ["conjugate-witness", "--algebra", "Oc", "--minimal", "--", *OC_PAIR_RULE],
+        0,
+    ),
+    "commutant-H": (["commutant", "--algebra", "H", "e1", "e2"], 0),
+    "commutant-H-json": (["commutant", "--algebra", "H", "--json", "e1", "e2"], 0),
+    "commutant-H-nullity0": (["commutant", "--algebra", "H", "e1", "2e2"], 0),
+    "commutant-O-nullity6": (["commutant", "--algebra", "O", "--", "3e4", "-3e4"], 0),
+    "commutant-Oc-pair": (["commutant", "--algebra", "Oc", "--", *OC_PAIR_RULE], 0),
+    "commutant-Oc-pair-json": (
+        ["commutant", "--algebra", "Oc", "--json", "--", *OC_PAIR_RULE],
+        0,
+    ),
+    "commutant-Os-none": (["commutant", "--algebra", "Os", *OS_NULL_PAIR], 0),
+    "commutant-Os-none-json": (
+        ["commutant", "--algebra", "Os", "--json", *OS_NULL_PAIR],
+        0,
+    ),
+    "commutant-Os-nonpure": (
+        ["commutant", "--algebra", "Os", "--", "1+2e1'", "-2e1'-e3'+2e4+e5'+e6+2e7'"],
+        0,
+    ),
+    "verify-remark": (["verify-remark"], 0),
+    "verify-remark-json": (["verify-remark", "--json"], 0),
+    "selftest": (["selftest", "--samples", "3"], 0),
+    "selftest-json": (["selftest", "--samples", "3", "--json"], 0),
+    "error-norm-mismatch": (["conjugate-witness", "--algebra", "H", "e1", "2e2"], 2),
+    "error-prime": (["norm", "--algebra", "Os", "e1"], 2),
+    "error-not-invertible": (["inv", "--algebra", "Os", "e4+e5'"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_exact_stdout(case, capsys):
+    argv, code = CASES[case]
+    assert main(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()

@@ -6,19 +6,26 @@ from compalg import (
     ALGEBRAS,
     AlgebraMismatch,
     H,
+    Oc,
     Os,
     check_counterexample,
     counterexample_instances,
     nullspace,
+    parse_element,
     sandwich,
     single_conjugator_search,
     span_contains,
     twisted_commutant_matrix,
     verify_remark,
 )
-from compalg.sampling import random_element, random_invertible, random_pure_nonzero
+from compalg.sampling import (
+    random_element,
+    random_invertible,
+    random_null_pure,
+    random_pure_nonzero,
+)
 
-from helpers import same_span, sympy_nullity
+from helpers import grid_single_conjugator, same_span, sympy_nullity
 
 
 def test_matrix_of_zero_pair_is_zero():
@@ -158,3 +165,59 @@ def test_perturbed_instance_fails_span_check():
     # norms survive scaling: N(2b) = 4 N(b) = 0
     names = dict(report.checks)
     assert names["norm(a) = norm(b) = 0"]
+
+
+def _grid_pick(a, b):
+    report = single_conjugator_search(a, b)
+    basis = [v.coeffs for v in report.nullspace_basis]
+    t = grid_single_conjugator(a.algebra.name, basis)
+    if t is None:
+        return report.single, None
+    coeffs = [sum(tr * v[k] for tr, v in zip(t, basis)) for k in range(a.algebra.dim)]
+    return report.single, a.algebra.element(coeffs)
+
+
+def _commutant_pairs(alg, rng, count):
+    for i in range(count):
+        a = random_pure_nonzero(rng, alg, density=0.5, max_abs=3)
+        kind = i % 4
+        if kind == 0:
+            yield a, a
+        elif kind == 1:
+            yield a, sandwich(random_invertible(rng, alg, density=0.5, max_abs=2), a)
+        elif kind == 2 and not alg.is_division:
+            n = random_null_pure(rng, alg)
+            yield n, -n
+        else:
+            yield (
+                random_element(rng, alg, density=0.5, max_abs=2),
+                random_element(rng, alg, density=0.5, max_abs=2),
+            )
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_single_matches_grid_oracle_on_random_pairs(name):
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"grid:{name}")
+    for a, b in _commutant_pairs(alg, rng, 24):
+        found, oracle = _grid_pick(a, b)
+        assert found == oracle, (str(a), str(b))
+    # a == b == 1: the whole algebra solves p a = b p
+    found, oracle = _grid_pick(alg.one(), alg.one())
+    assert found == oracle == alg.basis(alg.dim - 1)
+
+
+@pytest.mark.parametrize(
+    "text_a,text_b",
+    [
+        ("e1+e2+ie6+ie7", "-e1-e2-ie6-ie7"),
+        ("e3+e5+ie6+ie7", "-e3-e5-ie6-ie7"),
+        ("ie2+ie4+e6+e7", "-ie2-ie4-e6-e7"),
+    ],
+)
+def test_single_matches_grid_oracle_when_last_diagonal_vanishes(text_a, text_b):
+    # nullity-6 Oc instances whose witness needs two basis vectors
+    a, b = parse_element(text_a, Oc), parse_element(text_b, Oc)
+    found, oracle = _grid_pick(a, b)
+    assert found == oracle
+    assert len([c for c in oracle.coeffs if c != 0]) > 1

@@ -111,6 +111,17 @@ def test_bilinearity_and_symmetry(name, data):
 
 
 @pytest.mark.parametrize("name", ALL)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inner_is_the_polarized_norm(name, data):
+    # the nonscalar part of a conj(b) + b conj(a) vanishes identically
+    a = data.draw(elements(name))
+    b = data.draw(elements(name))
+    one = ALGEBRAS[name].one()
+    assert a * b.conjugate() + b * a.conjugate() == 2 * a.inner(b) * one
+
+
+@pytest.mark.parametrize("name", ALL)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_inverse_roundtrip(name, data):

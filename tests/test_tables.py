@@ -3,7 +3,7 @@ product agrees with the independent pair-arithmetic oracle."""
 
 import pytest
 
-from compalg import ALGEBRAS, H, Hc, Hs, O, Oc, Os
+from compalg import ALGEBRAS, Algebra, H, Hc, Hs, O, Oc, Os
 from compalg.core import QUATERNION_TABLE, build_doubled_table
 from compalg.errors import ConsistencyError
 
@@ -93,6 +93,23 @@ def test_doubling_rejects_malformed_table():
     )
     with pytest.raises(ConsistencyError):
         build_doubled_table(bad)
+
+
+def _flip(table, at):
+    return tuple(
+        tuple((k, -s) if (i, j) == at else (k, s) for j, (k, s) in enumerate(row))
+        for i, row in enumerate(table)
+    )
+
+
+@pytest.mark.parametrize(
+    "at", [(i, j) for i in range(4) for j in range(4) if i != j or i == 0]
+)
+def test_algebra_rejects_a_table_whose_norm_form_breaks(at):
+    # inner() is the metric dot product only if a conj(b) + b conj(a) is
+    # always scalar; one flipped sign breaks that for some pair of units
+    with pytest.raises(ConsistencyError):
+        Algebra("bad", 4, False, (), _flip(QUATERNION_TABLE, at))
 
 
 @pytest.mark.parametrize("name", ALL)
