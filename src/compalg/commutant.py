@@ -17,11 +17,12 @@ though a double witness does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
-from .core import Element, Oc, Os, sandwich
+from .core import Element, Oc, Os, integer_form, rational, sandwich, scalar
 from .errors import AlgebraMismatch, CompalgError, ConsistencyError
-from .scalars import GaussRational, exact_div
+from .scalars import GaussRational
 from .witnesses import CheckReport, conjugacy_witness, verify_witness
 
 
@@ -44,25 +45,33 @@ def nullspace(matrix):
     Reduced row echelon form with leftmost-nonzero pivoting; one basis
     vector per free column, in increasing column order, each carrying 1 at
     its own free column and 0 at the others.  Empty list for full rank.
+
+    The elimination is fraction-free: each row is scaled to integer (over
+    Q(i), Gaussian-integer) entries, a row is cleared against the pivot row
+    as ``pivot * row - entry * pivot_row`` and divided by the gcd of its
+    integer parts, and only the back-substitution divides by the pivots.
     """
-    rows = [list(r) for r in matrix]
+    forms = [integer_form(r)[1] for r in matrix]
+    ncols = len(forms[0][0]) if forms else 0
+    if all(im is None for _, im in forms):
+        rows = [re for re, _ in forms]
+        zero, combine, quotient = 0, _combine, _quotient
+    else:
+        rows = [list(zip(re, im or [0] * ncols)) for re, im in forms]
+        zero, combine, quotient = (0, 0), _combine_gaussian, _quotient_gaussian
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if rows[i][c] != zero), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [exact_div(x, pivot) for x in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r and rows[i][c] != zero:
+                rows[i] = combine(rows[i], rows[r], c)
         pivots.append(c)
         r += 1
     free = [c for c in range(ncols) if c not in pivots]
@@ -71,9 +80,46 @@ def nullspace(matrix):
         v = [0] * ncols
         v[f] = 1
         for rr, c in enumerate(pivots):
-            v[c] = -rows[rr][f]
+            v[c] = quotient(rows[rr][f], rows[rr][c])
         basis.append(tuple(v))
     return basis
+
+
+def _combine(row, pivot_row, c):
+    """``p * row - f * pivot_row`` with p, f the column-c entries of
+    pivot_row and row over their gcd, so column c clears; the new row is
+    divided by the gcd of its entries."""
+    p, f = pivot_row[c], row[c]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    new = [p * x - f * y for x, y in zip(row, pivot_row)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def _combine_gaussian(row, pivot_row, c):
+    """``_combine`` over the Gaussian integers, entries as (re, im) pairs;
+    the divisors are gcds of all real and imaginary parts."""
+    (pr, pi), (fr, fi) = pivot_row[c], row[c]
+    g = gcd(pr, pi, fr, fi)
+    pr, pi, fr, fi = pr // g, pi // g, fr // g, fi // g
+    new = [
+        (pr * xr - pi * xi - fr * yr + fi * yi, pr * xi + pi * xr - fr * yi - fi * yr)
+        for (xr, xi), (yr, yi) in zip(row, pivot_row)
+    ]
+    g = gcd(*[t for x in new for t in x])
+    return [(xr // g, xi // g) for xr, xi in new] if g > 1 else new
+
+
+def _quotient(x, p):
+    """-x / p: the basis-vector entry at a pivot column with pivot p."""
+    return rational(-x, p)
+
+
+def _quotient_gaussian(x, p):
+    """-x / p over the Gaussian integers, as -x conj(p) / |p|^2."""
+    (xr, xi), (pr, pi) = x, p
+    return scalar(-(xr * pr + xi * pi), xr * pi - xi * pr, pr * pr + pi * pi)
 
 
 def span_contains(vectors, target):

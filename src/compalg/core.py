@@ -19,15 +19,35 @@ from the dim-4 ones through the doubling product
 with the index-6 unit fixed as -(e2*e4), so the derived units satisfy
 e5 = e1*e4, e6 = -e2*e4, e7 = e3*e4; the generated tables are cross-checked
 against those sign conventions at import time.
+
+Integer kernel
+--------------
+Products, inner products, norms, inverses and sandwiches never do
+arithmetic on ``Fraction`` or ``GaussRational`` objects.  Each operand is
+first written as integer numerators over one positive common denominator
+(``integer_form``): one vector over the rationals, a real and an imaginary
+vector over the Gaussian rationals.  One integer bilinear product, driven
+by the structure table, serves every product, the doubling above
+included; over the Gaussian rationals it runs three real products, not
+four.  Inner product and norm are the metric-weighted integer dot
+product.  Inverse and sandwich fold the norm into the common denominator,
+so every output coefficient is divided once, with one gcd.  The null
+space of ``commutant.nullspace`` uses the same integer form for
+fraction-free elimination.
+
+Their results are in normal form: a coefficient is an ``int`` when integral,
+otherwise a reduced ``Fraction``, and a ``GaussRational`` only when its
+imaginary part is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import AlgebraMismatch, ConsistencyError, NotInvertible
-from .scalars import RATIONAL_TYPES, GaussRational, exact_div
+from .scalars import RATIONAL_TYPES, GaussRational
 
 # dim-4 tables: table[i][j] = (k, sign) meaning e_i * e_j = sign * e_k.
 # Quaternions: e1^2 = e2^2 = e3^2 = -1, e1 e2 = e3 = -e2 e1 (cyclically).
@@ -48,18 +68,139 @@ SPLIT_QUATERNION_TABLE = (
 )
 
 
-def _mul4(table, u, v):
-    out = [0, 0, 0, 0]
-    for i, x in enumerate(u):
-        if x == 0:
-            continue
-        row = table[i]
-        for j, y in enumerate(v):
-            if y == 0:
-                continue
-            k, s = row[j]
-            out[k] += s * x * y
+# -- integer kernel ------------------------------------------------------------
+#
+# A vector in integer form is a pair (re, im) of int lists, im None when
+# every imaginary part is zero; with a positive common denominator den it
+# stands for the coefficients (re[k] + im[k] i) / den.
+
+
+def integer_form(coeffs):
+    """``(den, (re, im))``: the integer numerators of exact scalars over
+    their least common denominator."""
+    if all(type(c) is int for c in coeffs):
+        return 1, (list(coeffs), None)
+    re = [c.re if isinstance(c, GaussRational) else c for c in coeffs]
+    im = [c.im if isinstance(c, GaussRational) else 0 for c in coeffs]
+    if not any(im):
+        den = lcm(*[x.denominator for x in re])
+        return den, (_numerators(re, den), None)
+    den = lcm(*[x.denominator for x in re], *[x.denominator for x in im])
+    return den, (_numerators(re, den), _numerators(im, den))
+
+
+def _numerators(xs, den):
+    return [x.numerator * (den // x.denominator) for x in xs]
+
+
+def rational(n, d):
+    """The normal form of n/d for ints n, d != 0: an int when integral,
+    else a reduced Fraction."""
+    if d == 1:
+        return n
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
+
+
+def scalar(re, im, d):
+    """The normal form of (re + im i)/d: a rational when im is zero, else a
+    GaussRational with normal-form parts."""
+    if not im:
+        return rational(re, d)
+    return GaussRational._make(rational(re, d), rational(im, d))
+
+
+def _bilinear(table, u, v):
+    """The table product of two int vectors, skipping zero coefficients."""
+    out = [0] * len(u)
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    for x, row in zip(u, table):
+        if x:
+            for j, y in nonzero:
+                k, s = row[j]
+                if s > 0:
+                    out[k] += x * y
+                else:
+                    out[k] -= x * y
     return out
+
+
+def _product(table, u, v):
+    """The product of two integer-form vectors.  With imaginary parts on
+    both sides it takes three real products, not four:
+    re = ur vr - ui vi and im = (ur + ui)(vr + vi) - ur vr - ui vi."""
+    ur, ui = u
+    vr, vi = v
+    re = _bilinear(table, ur, vr)
+    if ui is None and vi is None:
+        return re, None
+    if ui is None:
+        im = _bilinear(table, ur, vi)
+    elif vi is None:
+        im = _bilinear(table, ui, vr)
+    else:
+        t = _bilinear(table, ui, vi)
+        s = _bilinear(table, _sum(ur, ui), _sum(vr, vi))
+        im = [z - x - y for x, y, z in zip(re, t, s)]
+        re = [x - y for x, y in zip(re, t)]
+    return re, (im if any(im) else None)
+
+
+def _sum(u, v):
+    return [x + y for x, y in zip(u, v)]
+
+
+def _dot(metric, u, v):
+    """Metric-weighted dot product of two integer-form vectors, as a
+    Gaussian integer (re, im)."""
+    ur, ui = u
+    vr, vi = v
+    re = _metric_dot(metric, ur, vr)
+    if ui is None and vi is None:
+        return re, 0
+    if ui is None:
+        return re, _metric_dot(metric, ur, vi)
+    if vi is None:
+        return re, _metric_dot(metric, ui, vr)
+    t = _metric_dot(metric, ui, vi)
+    return re - t, _metric_dot(metric, _sum(ur, ui), _sum(vr, vi)) - re - t
+
+
+def _metric_dot(metric, x, y):
+    return sum(g * a * b for g, a, b in zip(metric, x, y))
+
+
+def _conj(u):
+    re, im = u
+    re = [re[0]] + [-x for x in re[1:]]
+    return re, None if im is None else [im[0]] + [-x for x in im[1:]]
+
+
+def _element(algebra, u, den):
+    """The element with coefficients u / den for an int den != 0, each
+    coefficient normalised once."""
+    re, im = u
+    if im is None:
+        coeffs = tuple(re) if den == 1 else tuple(rational(x, den) for x in re)
+    else:
+        coeffs = tuple(scalar(x, y, den) for x, y in zip(re, im))
+    return Element._raw(algebra, coeffs)
+
+
+def _divided(algebra, u, m, den):
+    """The element u / (m den) for a nonzero Gaussian integer m = (mr, mi)
+    and an int den != 0."""
+    mr, mi = m
+    if mi:
+        # multiply through by conj(m): the divisor becomes |m|^2 den
+        re, im = u
+        im = im or [0] * len(re)
+        u = (
+            [x * mr + y * mi for x, y in zip(re, im)],
+            [y * mr - x * mi for x, y in zip(re, im)],
+        )
+        mr = mr * mr + mi * mi
+    return _element(algebra, u, mr * den)
 
 
 def _conj4(u):
@@ -82,6 +223,9 @@ def build_doubled_table(qtable):
     basis unit or the doubled-basis sign conventions do not come out, which
     would signal a transcription bug in the dim-4 table or the packing.
     """
+    def mul(u, v):
+        return _bilinear(qtable, u, v)
+
     rows = []
     for i in range(8):
         u = [0] * 8
@@ -92,8 +236,8 @@ def build_doubled_table(qtable):
             v = [0] * 8
             v[j] = 1
             m2, n2 = _split_halves(v)
-            m = [a - b for a, b in zip(_mul4(qtable, m1, m2), _mul4(qtable, _conj4(n2), n1))]
-            n = [a + b for a, b in zip(_mul4(qtable, n1, _conj4(m2)), _mul4(qtable, n2, m1))]
+            m = [a - b for a, b in zip(mul(m1, m2), mul(_conj4(n2), n1))]
+            n = [a + b for a, b in zip(mul(n1, _conj4(m2)), mul(n2, m1))]
             w = _join_halves(m, n)
             nonzero = [(k, c) for k, c in enumerate(w) if c != 0]
             if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
@@ -214,7 +358,7 @@ class Element:
             )
         ok = algebra.scalar_types
         for c in coeffs:
-            if not isinstance(c, ok):
+            if not isinstance(c, ok) or isinstance(c, bool):
                 raise TypeError(
                     f"coefficient {c!r} is not a valid {algebra.name} scalar"
                 )
@@ -293,23 +437,9 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            algebra = self.algebra
-            table = algebra.table
-            coeffs_b = other.coeffs
-            out = [0] * algebra.dim
-            for i, x in enumerate(self.coeffs):
-                if x == 0:
-                    continue
-                row = table[i]
-                for j, y in enumerate(coeffs_b):
-                    if y == 0:
-                        continue
-                    k, s = row[j]
-                    if s == 1:
-                        out[k] = out[k] + x * y
-                    else:
-                        out[k] = out[k] - x * y
-            return Element._raw(algebra, tuple(out))
+            da, u = integer_form(self.coeffs)
+            db, v = integer_form(other.coeffs)
+            return _element(self.algebra, _product(self.algebra.table, u, v), da * db)
         if isinstance(other, self.algebra.scalar_types):
             return Element._raw(self.algebra, tuple(c * other for c in self.coeffs))
         return NotImplemented
@@ -329,27 +459,36 @@ class Element:
 
     def inner(self, other):
         """Symmetric bilinear form: scalar part of (a conj(b) + b conj(a))/2,
-        which is the metric-weighted dot product sum(metric[k] a_k b_k).
+        which is the metric-weighted dot product sum(metric[k] a_k b_k),
+        taken over the integer numerators and divided once.
 
         ``Algebra`` checks once, at construction, that the nonscalar part of
         a conj(b) + b conj(a) vanishes for every pair of basis units.
         """
         self._check_same(other)
-        return sum(
-            g * x * y for g, x, y in zip(self.algebra.metric, self.coeffs, other.coeffs)
-        )
+        da, u = integer_form(self.coeffs)
+        db, v = integer_form(other.coeffs)
+        return scalar(*_dot(self.algebra.metric, u, v), da * db)
 
     def norm(self):
         """The quadratic norm N(a) = inner(a, a) = a * conj(a)."""
-        return self.inner(self)
+        d, u = integer_form(self.coeffs)
+        return scalar(*_dot(self.algebra.metric, u, u), d * d)
 
     def inverse(self):
-        """conj(a) / N(a); raises NotInvertible when the norm vanishes."""
-        n = self.norm()
-        if n == 0:
+        """conj(a) / N(a); raises NotInvertible when the norm vanishes.
+
+        With a = u / d and N(a) = m / d^2 this is conj(u) d / m."""
+        d, u = integer_form(self.coeffs)
+        m = _dot(self.algebra.metric, u, u)
+        if m == (0, 0):
             raise NotInvertible(f"{self!s} has zero norm")
-        c = self.conjugate()
-        return Element._raw(self.algebra, tuple(exact_div(x, n) for x in c.coeffs))
+        re, im = _conj(u)
+        if d != 1:
+            re = [x * d for x in re]
+            if im is not None:
+                im = [x * d for x in im]
+        return _divided(self.algebra, (re, im), m, 1)
 
     # -- comparisons ----------------------------------------------------------
 
@@ -378,18 +517,23 @@ class Element:
 def sandwich(p, a):
     """Conjugation (p*a)*p^-1 = (p*a*conj(p)) / N(p); requires invertible p.
 
-    Equality with p*(a*p^-1) holds by alternativity; a failure raises
-    ConsistencyError.
+    With p = u / d, a = v / e and N(p) = m / d^2 the result is
+    (u v conj(u)) / (e m): d cancels and each coefficient is divided once.
+    Equality with p*(a*p^-1) holds by alternativity; it is re-checked on
+    the integer numerators and a failure raises ConsistencyError.
     """
     Element._check_same(p, a)
-    n = p.norm()
-    if n == 0:
+    alg = p.algebra
+    _, u = integer_form(p.coeffs)
+    e, v = integer_form(a.coeffs)
+    m = _dot(alg.metric, u, u)
+    if m == (0, 0):
         raise NotInvertible(f"sandwich by {p!s}, which has zero norm")
-    pc = p.conjugate()
-    left = (p * a) * pc
-    if left != p * (a * pc):
+    uc = _conj(u)
+    left = _product(alg.table, _product(alg.table, u, v), uc)
+    if left != _product(alg.table, u, _product(alg.table, v, uc)):
         raise ConsistencyError("sandwich product is not well defined")
-    return Element._raw(p.algebra, tuple(exact_div(c, n) for c in left.coeffs))
+    return _divided(alg, left, m, e)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ _HASH_IMAG = sys.hash_info.imag
 
 
 def _check_rational(x, what="value"):
-    if not isinstance(x, RATIONAL_TYPES):
+    if not isinstance(x, RATIONAL_TYPES) or isinstance(x, bool):
         raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
     return x
 

@@ -5,6 +5,11 @@ than the library: quaternion products are explicit component formulas (not
 table lookups), dim-8 products go through literal pair arithmetic, norms
 are hard-coded signature sums, and null spaces come from sympy.  Agreement
 between these and the library is what the structural tests assert.
+
+``scalar_mul``, ``scalar_inverse``, ``scalar_sandwich`` and
+``rref_nullspace`` are the per-scalar ``Fraction``/``GaussRational``
+routes the library took before its fraction-free integer kernel; the
+kernel must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 
 import sympy
 
-from compalg import GaussRational
+from compalg import GaussRational, exact_div
 
 # signature of the norm form per algebra, unit first
 SIGNATURE = {
@@ -81,6 +86,83 @@ def oracle_norm(algebra_name, coeffs):
 
 def oracle_inner(algebra_name, c1, c2):
     return sum(g * x * y for g, x, y in zip(SIGNATURE[algebra_name], c1, c2))
+
+
+def scalar_mul(algebra, c1, c2):
+    """Table product with one scalar multiply-add per pair of nonzero
+    coefficients."""
+    out = [0] * algebra.dim
+    for i, x in enumerate(c1):
+        if x == 0:
+            continue
+        row = algebra.table[i]
+        for j, y in enumerate(c2):
+            if y == 0:
+                continue
+            k, s = row[j]
+            out[k] = out[k] + x * y if s == 1 else out[k] - x * y
+    return tuple(out)
+
+
+def _conj(coeffs):
+    return (coeffs[0],) + tuple(-c for c in coeffs[1:])
+
+
+def scalar_inverse(algebra, coeffs):
+    """conj(a) / N(a), divided coefficient by coefficient."""
+    n = oracle_norm(algebra.name, coeffs)
+    return tuple(exact_div(c, n) for c in _conj(coeffs))
+
+
+def scalar_sandwich(algebra, p, a):
+    """(p a) conj(p) / N(p) through ``scalar_mul``."""
+    n = oracle_norm(algebra.name, p)
+    left = scalar_mul(algebra, scalar_mul(algebra, p, a), _conj(p))
+    return tuple(exact_div(c, n) for c in left)
+
+
+def rref_nullspace(matrix):
+    """Canonical null-space basis by Gauss-Jordan elimination on exact
+    scalars: every pivot row is divided through by its pivot."""
+    rows = [list(r) for r in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot = rows[r][c]
+        rows[r] = [exact_div(x, pivot) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for rr, c in enumerate(pivots):
+            v[c] = -rows[rr][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def is_normal(x):
+    """True for a scalar in normal form: an int when integral, a reduced
+    Fraction otherwise, and a GaussRational only with a nonzero imaginary
+    part and normal-form parts."""
+    if type(x) is GaussRational:
+        return x.im != 0 and is_normal(x.re) and is_normal(x.im)
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 def grid_single_conjugator(algebra_name, basis):

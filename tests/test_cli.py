@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from compalg.cli import main
+from compalg import H, Hc
+from compalg.cli import _element_json, main
 
 
 def run(capsys, *argv):
@@ -179,3 +180,12 @@ def test_element_json_roundtrip(capsys):
     rebuilt = alg.element(coeffs)
     direct = parse_element("(1+2i)e1+1/2e2", alg) * parse_element("e3", alg)
     assert rebuilt == direct
+
+
+def test_element_json_renders_numbers_never_bools():
+    # H.element([True, 0, 0, 0]) used to reach the JSON as "True"
+    for alg in (H, Hc):
+        with pytest.raises(TypeError):
+            _element_json(alg.element([True, 0, 0, 0]))
+    assert _element_json(H.element([1, 0, 0, 0]))["coeffs"] == ["1", "0", "0", "0"]
+    assert _element_json(Hc.element([1, 0, 0, 0]))["coeffs"][0] == ["1", "0"]

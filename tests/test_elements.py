@@ -28,6 +28,18 @@ def test_construction_validates():
     Oc.element([GaussRational(1, 1), 0, Fraction(1, 2), 0, 0, 0, 0, 1])
 
 
+def test_construction_rejects_bool():
+    # bool is an int subclass; True must not pass for the scalar 1
+    with pytest.raises(TypeError):
+        H.element([True, 0, 0, 0])
+    with pytest.raises(TypeError):
+        Oc.element([0] * 7 + [False])
+    with pytest.raises(TypeError):
+        GaussRational(True, 0)
+    with pytest.raises(TypeError):
+        GaussRational(0, False)
+
+
 def test_add_sub_neg_scalar():
     a = H.element([1, 2, 0, 0])
     b = H.element([0, 1, 1, 0])
