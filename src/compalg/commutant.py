@@ -22,7 +22,7 @@ from typing import Optional
 
 from .core import Element, Oc, Os, integer_form, rational, sandwich, scalar
 from .errors import AlgebraMismatch, CompalgError, ConsistencyError
-from .scalars import GaussRational
+from .scalars import I
 from .witnesses import CheckReport, conjugacy_witness, verify_witness
 
 
@@ -191,10 +191,6 @@ def single_conjugator_search(a, b):
     return CommutantReport(a, b, matrix, basis, gram, single)
 
 
-def _gr(re, im):
-    return GaussRational(re, im)
-
-
 # Golden counterexample instances: equal-norm null pure pairs that are
 # conjugate only through a double sandwich.  Each entry carries the pair
 # (a, b) and a spanning pair of the twisted commutant for cross-checking.
@@ -210,11 +206,11 @@ _COUNTEREXAMPLES = (
     ),
     (
         Oc,
-        (0, _gr(0, 4), 5, _gr(0, 3), -5, _gr(0, 4), 0, _gr(0, 3)),
-        (0, 0, 3, 0, 0, 0, 4, _gr(0, 5)),
+        (0, 4 * I, 5, 3 * I, -5, 4 * I, 0, 3 * I),
+        (0, 0, 3, 0, 0, 0, 4, 5 * I),
         (
-            (0, 104, _gr(0, -40), 3, _gr(0, 165), 132, 0, 24),
-            (0, _gr(0, -46), -8, _gr(0, 3), 75, _gr(0, -60), 6, 0),
+            (0, 104, -40 * I, 3, 165 * I, 132, 0, 24),
+            (0, -46 * I, -8, 3 * I, 75, -60 * I, 6, 0),
         ),
     ),
 )

@@ -20,31 +20,35 @@ with the index-6 unit fixed as -(e2*e4), so the derived units satisfy
 e5 = e1*e4, e6 = -e2*e4, e7 = e3*e4; the generated tables are cross-checked
 against those sign conventions at import time.
 
-Integer kernel
---------------
-Products, inner products, norms, inverses and sandwiches never do
-arithmetic on ``Fraction`` or ``GaussRational`` objects.  Each operand is
-first written as integer numerators over one positive common denominator
-(``integer_form``): one vector over the rationals, a real and an imaginary
-vector over the Gaussian rationals.  One integer bilinear product, driven
-by the structure table, serves every product, the doubling above
+Storage and integer kernel
+--------------------------
+An ``Element`` stores one form only: integer numerators over one positive
+common denominator ``den``, as ``num = (re, im)``, a real and an imaginary
+numerator tuple, ``im`` None when every imaginary part is zero.  The form
+is canonical, ``gcd(den, all numerators) == 1``, so equality and hashing
+compare the tuples.  ``Element.__init__`` builds it from exact scalars
+(``integer_form``); every operation builds it from integer results through
+one normaliser, which divides out one gcd.  No operation does arithmetic on
+``Fraction`` or ``GaussRational`` objects.  One integer bilinear product,
+driven by the structure table, serves every product, the doubling above
 included; over the Gaussian rationals it runs three real products, not
-four.  Inner product and norm are the metric-weighted integer dot
-product.  Inverse and sandwich fold the norm into the common denominator,
-so every output coefficient is divided once, with one gcd.  The null
-space of ``commutant.nullspace`` uses the same integer form for
-fraction-free elimination.
+four.  Inner product and norm are the metric-weighted integer dot product.
+Inverse and sandwich fold the norm into the common denominator.  Sums,
+negation and conjugation are integer vector operations, and a scalar
+operand is lifted once onto the unit.  The null space of
+``commutant.nullspace`` uses the same integer form for fraction-free
+elimination.
 
-Their results are in normal form: a coefficient is an ``int`` when integral,
-otherwise a reduced ``Fraction``, and a ``GaussRational`` only when its
-imaginary part is nonzero.
+``coeffs`` is a read-only view of the stored form, always in normal form: a
+coefficient is an ``int`` when integral, otherwise a reduced ``Fraction``,
+and a ``GaussRational`` only when its imaginary part is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import AlgebraMismatch, ConsistencyError, NotInvertible
 from .scalars import RATIONAL_TYPES, GaussRational
@@ -70,27 +74,25 @@ SPLIT_QUATERNION_TABLE = (
 
 # -- integer kernel ------------------------------------------------------------
 #
-# A vector in integer form is a pair (re, im) of int lists, im None when
-# every imaginary part is zero; with a positive common denominator den it
+# A vector in integer form is a pair (re, im) of int sequences, im None
+# when every imaginary part is zero; with a common denominator den it
 # stands for the coefficients (re[k] + im[k] i) / den.
 
 
 def integer_form(coeffs):
-    """``(den, (re, im))``: the integer numerators of exact scalars over
-    their least common denominator."""
+    """``(den, (re, im))``: the integer numerator tuples of exact scalars
+    over their least common denominator, which leaves gcd(den, all
+    numerators) == 1."""
     if all(type(c) is int for c in coeffs):
-        return 1, (list(coeffs), None)
+        return 1, (tuple(coeffs), None)
     re = [c.re if isinstance(c, GaussRational) else c for c in coeffs]
     im = [c.im if isinstance(c, GaussRational) else 0 for c in coeffs]
-    if not any(im):
-        den = lcm(*[x.denominator for x in re])
-        return den, (_numerators(re, den), None)
-    den = lcm(*[x.denominator for x in re], *[x.denominator for x in im])
-    return den, (_numerators(re, den), _numerators(im, den))
+    den = lcm(*[x.denominator for x in re + im])
+    return den, (_numerators(re, den), _numerators(im, den) if any(im) else None)
 
 
 def _numerators(xs, den):
-    return [x.numerator * (den // x.denominator) for x in xs]
+    return tuple([x.numerator * (den // x.denominator) for x in xs])
 
 
 def rational(n, d):
@@ -150,6 +152,17 @@ def _sum(u, v):
     return [x + y for x, y in zip(u, v)]
 
 
+def _lincomb(x, u, y, v):
+    """x u + y v for ints x, y and integer-form vectors u, v; with y = 0
+    this scales u."""
+    (ur, ui), (vr, vi) = u, v
+    re = [x * p + y * q for p, q in zip(ur, vr)]
+    if ui is None and vi is None:
+        return re, None
+    zero = (0,) * len(ur)
+    return re, [x * p + y * q for p, q in zip(ui or zero, vi or zero)]
+
+
 def _dot(metric, u, v):
     """Metric-weighted dot product of two integer-form vectors, as a
     Gaussian integer (re, im)."""
@@ -176,15 +189,22 @@ def _conj(u):
     return re, None if im is None else [im[0]] + [-x for x in im[1:]]
 
 
-def _element(algebra, u, den):
-    """The element with coefficients u / den for an int den != 0, each
-    coefficient normalised once."""
+def _normal(algebra, u, den):
+    """The element u / den in canonical form, for an integer-form vector u
+    and an int den != 0: one gcd is divided out and den turns positive."""
     re, im = u
-    if im is None:
-        coeffs = tuple(re) if den == 1 else tuple(rational(x, den) for x in re)
-    else:
-        coeffs = tuple(scalar(x, y, den) for x, y in zip(re, im))
-    return Element._raw(algebra, coeffs)
+    g = gcd(den, *re, *(im or ()))
+    if den < 0:
+        g = -g
+    self = object.__new__(Element)
+    self.algebra = algebra
+    self.den = den // g
+    self.num = (
+        tuple([x // g for x in re]),
+        tuple([x // g for x in im]) if im and any(im) else None,
+    )
+    self._coeffs = None
+    return self
 
 
 def _divided(algebra, u, m, den):
@@ -200,7 +220,7 @@ def _divided(algebra, u, m, den):
             [y * mr - x * mi for x, y in zip(re, im)],
         )
         mr = mr * mr + mi * mi
-    return _element(algebra, u, mr * den)
+    return _normal(algebra, u, mr * den)
 
 
 def _conj4(u):
@@ -332,10 +352,10 @@ class Algebra:
             raise ValueError(f"basis index {k} out of range for {self.name}")
         coeffs = [0] * self.dim
         coeffs[k] = 1
-        return Element._raw(self, tuple(coeffs))
+        return _normal(self, (coeffs, None), 1)
 
     def zero(self):
-        return Element._raw(self, (0,) * self.dim)
+        return _normal(self, ((0,) * self.dim, None), 1)
 
     def one(self):
         return self.basis(0)
@@ -345,10 +365,11 @@ class Algebra:
 
 
 class Element:
-    """An element of one of the six algebras: an algebra plus an exact
-    coefficient vector.  Immutable; all arithmetic returns new elements."""
+    """An element of one of the six algebras: the algebra plus the canonical
+    integer form ``num / den`` of its coefficients.  Immutable; all
+    arithmetic returns new elements."""
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "den", "num", "_coeffs")
 
     def __init__(self, algebra, coeffs):
         coeffs = tuple(coeffs)
@@ -363,31 +384,37 @@ class Element:
                     f"coefficient {c!r} is not a valid {algebra.name} scalar"
                 )
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.den, self.num = integer_form(coeffs)
+        self._coeffs = None
 
-    @classmethod
-    def _raw(cls, algebra, coeffs):
-        # internal fast path: coefficients already known to be field-closed
-        self = object.__new__(cls)
-        self.algebra = algebra
-        self.coeffs = coeffs
-        return self
+    @property
+    def coeffs(self):
+        """The exact coefficient vector in normal form, derived once."""
+        if self._coeffs is None:
+            (re, im), d = self.num, self.den
+            if im is None:
+                self._coeffs = re if d == 1 else tuple(rational(x, d) for x in re)
+            else:
+                self._coeffs = tuple(scalar(x, y, d) for x, y in zip(re, im))
+        return self._coeffs
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return self.num[1] is None and not any(self.num[0])
 
     @property
     def is_pure(self):
-        return self.coeffs[0] == 0
+        re, im = self.num
+        return re[0] == 0 and (im is None or im[0] == 0)
 
     def scalar_part(self):
         return self.coeffs[0]
 
     def pure_part(self):
-        return Element._raw(self.algebra, (0,) + self.coeffs[1:])
+        re, im = self.num
+        return _normal(self.algebra, ((0,) + re[1:], im and (0,) + im[1:]), self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -402,60 +429,52 @@ class Element:
                 f"mixed algebras: {self.algebra.name} and {other.algebra.name}"
             )
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as an element of this algebra, a field scalar lifted onto
+        the unit; None for anything else."""
         if isinstance(other, Element):
             self._check_same(other)
-            return Element._raw(
-                self.algebra, tuple(x + y for x, y in zip(self.coeffs, other.coeffs))
-            )
+            return other
         if isinstance(other, self.algebra.scalar_types):
-            return Element._raw(
-                self.algebra, (self.coeffs[0] + other,) + self.coeffs[1:]
-            )
-        return NotImplemented
+            return Element(self.algebra, (other,) + (0,) * (self.algebra.dim - 1))
+        return None
+
+    def _plus(self, other, sign):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        u = _lincomb(other.den, self.num, sign * self.den, other.num)
+        return _normal(self.algebra, u, self.den * other.den)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Element):
-            self._check_same(other)
-            return Element._raw(
-                self.algebra, tuple(x - y for x, y in zip(self.coeffs, other.coeffs))
-            )
-        if isinstance(other, self.algebra.scalar_types):
-            return Element._raw(
-                self.algebra, (self.coeffs[0] - other,) + self.coeffs[1:]
-            )
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Element._raw(self.algebra, tuple(-c for c in self.coeffs))
+        return _normal(self.algebra, _lincomb(-1, self.num, 0, self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, Element):
-            self._check_same(other)
-            da, u = integer_form(self.coeffs)
-            db, v = integer_form(other.coeffs)
-            return _element(self.algebra, _product(self.algebra.table, u, v), da * db)
-        if isinstance(other, self.algebra.scalar_types):
-            return Element._raw(self.algebra, tuple(c * other for c in self.coeffs))
-        return NotImplemented
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        u = _product(self.algebra.table, self.num, other.num)
+        return _normal(self.algebra, u, self.den * other.den)
 
-    def __rmul__(self, other):
-        if isinstance(other, self.algebra.scalar_types):
-            return Element._raw(self.algebra, tuple(other * c for c in self.coeffs))
-        return NotImplemented
+    # field scalars are central
+    __rmul__ = __mul__
 
     # -- involution, norm, inverse ------------------------------------------
 
     def conjugate(self):
         """Negate every imaginary coefficient, keep the scalar part."""
-        return Element._raw(
-            self.algebra, (self.coeffs[0],) + tuple(-c for c in self.coeffs[1:])
-        )
+        return _normal(self.algebra, _conj(self.num), self.den)
 
     def inner(self, other):
         """Symmetric bilinear form: scalar part of (a conj(b) + b conj(a))/2,
@@ -466,41 +485,33 @@ class Element:
         a conj(b) + b conj(a) vanishes for every pair of basis units.
         """
         self._check_same(other)
-        da, u = integer_form(self.coeffs)
-        db, v = integer_form(other.coeffs)
-        return scalar(*_dot(self.algebra.metric, u, v), da * db)
+        m = _dot(self.algebra.metric, self.num, other.num)
+        return scalar(*m, self.den * other.den)
 
     def norm(self):
         """The quadratic norm N(a) = inner(a, a) = a * conj(a)."""
-        d, u = integer_form(self.coeffs)
-        return scalar(*_dot(self.algebra.metric, u, u), d * d)
+        return self.inner(self)
 
     def inverse(self):
         """conj(a) / N(a); raises NotInvertible when the norm vanishes.
 
         With a = u / d and N(a) = m / d^2 this is conj(u) d / m."""
-        d, u = integer_form(self.coeffs)
+        d, u = self.den, self.num
         m = _dot(self.algebra.metric, u, u)
         if m == (0, 0):
             raise NotInvertible(f"{self!s} has zero norm")
-        re, im = _conj(u)
-        if d != 1:
-            re = [x * d for x in re]
-            if im is not None:
-                im = [x * d for x in im]
-        return _divided(self.algebra, (re, im), m, 1)
+        return _divided(self.algebra, _lincomb(d, _conj(u), 0, u), m, 1)
 
     # -- comparisons ----------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Element):
-            return self.algebra is other.algebra and all(
-                x == y for x, y in zip(self.coeffs, other.coeffs)
-            )
+            same = self.algebra is other.algebra
+            return same and self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.algebra.name, tuple(hash(c) for c in self.coeffs)))
+        return hash((self.algebra.name, self.den, self.num))
 
     def __bool__(self):
         return not self.is_zero
@@ -524,8 +535,7 @@ def sandwich(p, a):
     """
     Element._check_same(p, a)
     alg = p.algebra
-    _, u = integer_form(p.coeffs)
-    e, v = integer_form(a.coeffs)
+    u, e, v = p.num, a.den, a.num
     m = _dot(alg.metric, u, u)
     if m == (0, 0):
         raise NotInvertible(f"sandwich by {p!s}, which has zero norm")
@@ -582,5 +592,5 @@ def embed_in_cayley(a):
     """Embed a dim-4 element into its dim-8 extension (identity on dim 8)."""
     if a.algebra.dim == 8:
         return a
-    target = CAYLEY_EXTENSION[a.algebra]
-    return Element._raw(target, a.coeffs + (0,) * 4)
+    (re, im), pad = a.num, (0,) * 4
+    return _normal(CAYLEY_EXTENSION[a.algebra], (re + pad, im and im + pad), a.den)

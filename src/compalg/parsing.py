@@ -221,10 +221,6 @@ def parse_element(text, algebra):
     return _Parser(_tokenize(text), algebra).parse()
 
 
-def _rat(x):
-    return str(x)
-
-
 def _term_text(k, c, algebra):
     # returns (sign char, body without sign)
     label = algebra.label(k) if k else ""
@@ -233,15 +229,15 @@ def _term_text(k, c, algebra):
         sign = "-" if re < 0 else "+"
         mag = -re if re < 0 else re
         if k == 0:
-            return sign, _rat(mag)
-        return sign, label if mag == 1 else f"{_rat(mag)}{label}"
+            return sign, str(mag)
+        return sign, label if mag == 1 else f"{mag}{label}"
     if re == 0:
         sign = "-" if im < 0 else "+"
         mag = -im if im < 0 else im
-        body = "i" if mag == 1 else f"{_rat(mag)}i"
+        body = "i" if mag == 1 else f"{mag}i"
         return sign, body if k == 0 else f"{body}{label}"
     # two nonzero parts: parenthesize, imaginary magnitude always explicit
-    inner = f"{_rat(re)}{'+' if im > 0 else '-'}{_rat(-im if im < 0 else im)}i"
+    inner = f"{re}{'+' if im > 0 else '-'}{-im if im < 0 else im}i"
     return "+", f"({inner}){label}"
 
 

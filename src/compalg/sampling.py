@@ -39,13 +39,6 @@ def random_element(rng, algebra, density=0.75, max_abs=6, frac_prob=0.1):
     return Element(algebra, coeffs)
 
 
-def random_nonzero(rng, algebra, **kw):
-    while True:
-        a = random_element(rng, algebra, **kw)
-        if not a.is_zero:
-            return a
-
-
 def random_pure_nonzero(rng, algebra, **kw):
     while True:
         a = random_element(rng, algebra, **kw)
@@ -55,8 +48,10 @@ def random_pure_nonzero(rng, algebra, **kw):
 
 
 def random_invertible(rng, algebra, pure=False, **kw):
+    # a zero draw has norm 0, so it is drawn again
+    draw = random_pure_nonzero if pure else random_element
     while True:
-        a = random_pure_nonzero(rng, algebra, **kw) if pure else random_nonzero(rng, algebra, **kw)
+        a = draw(rng, algebra, **kw)
         if a.norm() != 0:
             return a
 

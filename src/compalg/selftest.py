@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .commutant import single_conjugator_search, span_contains
 from .core import ALGEBRAS, sandwich
-from .errors import CompalgError
+from .errors import CompalgError, PreconditionViolation
 from .parsing import format_element, parse_element
 from .sampling import (
     random_element,
@@ -187,6 +187,8 @@ class SelftestResult:
 def run_selftest(samples=100, seed=0):
     """Run every property over every applicable algebra; a CompalgError
     raised inside one property becomes that record's failure text."""
+    if samples < 1:
+        raise PreconditionViolation(f"selftest needs samples >= 1, got {samples}")
     records = []
     for name, applies, fn in PROPERTIES:
         for alg_name, alg in ALGEBRAS.items():

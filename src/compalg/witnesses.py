@@ -100,7 +100,7 @@ def negator_candidates(a):
         coeffs = [0] * alg.dim
         coeffs[i] = c[j]
         coeffs[j] = -c[i]
-        out.append(Element._raw(alg, tuple(coeffs)))
+        out.append(Element(alg, coeffs))
     if alg is Hs and c[1] == 0 and c[3] == 0:
         # split quaternions: when only e2 survives, e1' anticommutes with a
         out.append(alg.basis(1))

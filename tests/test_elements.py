@@ -38,6 +38,14 @@ def test_construction_rejects_bool():
         GaussRational(True, 0)
     with pytest.raises(TypeError):
         GaussRational(0, False)
+    # nor as a scalar operand
+    a = H.element([1, 0, 0, 0])
+    with pytest.raises(TypeError):
+        a + True
+    with pytest.raises(TypeError):
+        True * a
+    with pytest.raises(TypeError):
+        a * False
 
 
 def test_add_sub_neg_scalar():

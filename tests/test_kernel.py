@@ -2,7 +2,8 @@
 
 Products, inner products, norms, inverses and sandwiches on all six
 algebras must equal the component-formula oracles and the per-scalar
-table loop exactly, and come back in normal form; ``nullspace`` must
+table loop exactly, and come back in normal form; so must the linear
+operations against coefficient-wise scalar arithmetic.  ``nullspace`` must
 return the very vectors of the Gauss-Jordan oracle, in the same order.
 """
 
@@ -11,7 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from compalg import ALGEBRAS, GaussRational, nullspace, sandwich, twisted_commutant_matrix
+from compalg import (
+    ALGEBRAS,
+    GaussRational,
+    embed_in_cayley,
+    nullspace,
+    sandwich,
+    twisted_commutant_matrix,
+)
 
 from helpers import (
     is_normal,
@@ -107,6 +115,62 @@ def test_inverse_and_sandwich_match_oracles(name):
         assert all(is_normal(c) for c in inv + got)
         checked += 1
     assert checked > len(pairs) // 2
+
+
+def _scalars(alg, b):
+    """Field scalars for the scalar operands: two of b's coefficients, and
+    values written outside normal form."""
+    out = list(b.coeffs[:2]) + [Fraction(4, 2), -3, Fraction(-5, 6)]
+    if alg.complex_field:
+        out += [GaussRational(Fraction(-7, 3), 0), GaussRational(1, -2)]
+    return out
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_linear_operations_match_scalar_arithmetic(name):
+    alg, pairs = _operands(name)
+    for a, b in pairs:
+        x, y = a.coeffs, b.coeffs
+        cases = [
+            (a + b, [p + q for p, q in zip(x, y)]),
+            (a - b, [p - q for p, q in zip(x, y)]),
+            (-a, [-p for p in x]),
+            (a.conjugate(), [x[0]] + [-p for p in x[1:]]),
+            (a.pure_part(), [0] + list(x[1:])),
+            (embed_in_cayley(a), list(x) + [0] * (8 - alg.dim)),
+        ]
+        for s in _scalars(alg, b):
+            cases += [
+                (a + s, [x[0] + s] + list(x[1:])),
+                (s + a, [s + x[0]] + list(x[1:])),
+                (a - s, [x[0] - s] + list(x[1:])),
+                (s - a, [s - x[0]] + [-p for p in x[1:]]),
+                (a * s, [p * s for p in x]),
+                (s * a, [s * p for p in x]),
+            ]
+        for got, want in cases:
+            assert got.coeffs == tuple(want)
+            assert all(is_normal(c) for c in got.coeffs)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_non_normal_input_has_normal_twin(name):
+    alg = ALGEBRAS[name]
+    q, i, pad = Fraction(-7, 3), GaussRational(0, 1), [0] * (alg.dim - 2)
+    twins = [
+        ([Fraction(2, 1), 0] + pad, [2, 0] + pad),
+        ([Fraction(6, 3), Fraction(1, 2)] + pad, [2, Fraction(1, 2)] + pad),
+    ]
+    if alg.complex_field:
+        twins += [
+            ([GaussRational(q, 0)] * alg.dim, [q] * alg.dim),
+            ([GaussRational(3, 0), i] + pad, [3, i] + pad),
+        ]
+    for raw, normal in twins:
+        a, b = alg.element(raw), alg.element(normal)
+        assert a == b and hash(a) == hash(b)
+        assert a.coeffs == tuple(normal)
+        assert all(is_normal(c) for c in a.coeffs)
 
 
 def _matrix(rng, nrows, ncols, rank, complex_field, bits):

@@ -79,6 +79,14 @@ def test_hostile_literals_exit_2_without_traceback(text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_selftest_without_samples_exits_2(samples):
+    proc = run_cli("selftest", "--samples", samples)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 GRAMMAR = "0123456789ei'+-/() " + "²٣١"
 
 
