@@ -7,6 +7,17 @@ single conjugator) exists: the restricted form is given by the Gram matrix
 of the inner product on a null-space basis, and it vanishes identically
 exactly when no solution has nonzero norm.
 
+The pipeline is integer-native.  The matrix of p -> p*a - b*p, the left
+multiplication by a minus the right multiplication by b, is read off the
+structure table and the stored integer forms of a and b, as integer (over
+Q(i), Gaussian-integer) rows over one denominator.  Fraction-free
+Gauss-Jordan elimination clears it; back-substitution writes each basis
+entry as integers over the pivot (over Q(i), over its squared absolute
+value), and each basis element is built from those quotients, reduced by
+integer gcds and put over the lcm of their denominators, without a
+``Fraction``.  ``twisted_commutant_matrix`` and ``nullspace`` are
+exact-scalar views of the same code.
+
 ``verify_remark`` re-derives the two built-in counterexample instances:
 equal-norm pairs of null pure elements, one in the split octonions and one
 in the complex octonions, whose twisted commutant is two-dimensional with
@@ -17,11 +28,20 @@ though a double witness does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
-from .core import Element, Oc, Os, integer_form, rational, sandwich, scalar
-from .errors import AlgebraMismatch, CompalgError, ConsistencyError
+from .core import (
+    Element,
+    Oc,
+    Os,
+    _coefficients,
+    _normal,
+    integer_form,
+    sandwich,
+    scalar,
+)
+from .errors import CompalgError, ConsistencyError
 from .scalars import I
 from .witnesses import CheckReport, conjugacy_witness, verify_witness
 
@@ -29,14 +49,43 @@ from .witnesses import CheckReport, conjugacy_witness, verify_witness
 def twisted_commutant_matrix(a, b):
     """The matrix of p -> p*a - b*p in coordinates: column j holds the
     coefficient vector of e_j*a - b*e_j."""
-    if a.algebra is not b.algebra:
-        raise AlgebraMismatch("twisted commutant needs elements of one algebra")
-    alg = a.algebra
-    cols = []
-    for j in range(alg.dim):
-        e = alg.basis(j)
-        cols.append((e * a - b * e).coeffs)
-    return tuple(tuple(cols[j][i] for j in range(alg.dim)) for i in range(alg.dim))
+    den, rows = _matrix_form(a, b)
+    return tuple(_coefficients(row, den) for row in rows)
+
+
+def _matrix_form(a, b):
+    """``(den, rows)``: the matrix of p -> p*a - b*p as integer-form rows
+    over one denominator, built from the structure table.
+
+    With a = u / d and b = v / e, column j of row k holds s u_i e from
+    e_j e_i = s e_k and -s v_i d from e_i e_j = s e_k, over d e.
+    """
+    Element._check_same(a, b)
+    table = a.algebra.table
+    (ur, ui), (vr, vi) = a.num, b.num
+    d, e = a.den, b.den
+    re = _twisted(table, ur, e, vr, d)
+    if ui is None and vi is None:
+        return d * e, [(row, None) for row in re]
+    zero = (0,) * len(ur)
+    im = _twisted(table, ui or zero, e, vi or zero, d)
+    return d * e, [(x, y if any(y) else None) for x, y in zip(re, im)]
+
+
+def _twisted(table, u, e, v, d):
+    """Integer rows of L_u e - R_v d for int vectors u, v."""
+    n = len(u)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        x, y = u[i] * e, v[i] * d
+        if x:
+            for j in range(n):
+                k, s = table[j][i]
+                rows[k][j] += x if s > 0 else -x
+        if y:
+            for j, (k, s) in enumerate(table[i]):
+                rows[k][j] -= y if s > 0 else -y
+    return rows
 
 
 def nullspace(matrix):
@@ -45,20 +94,37 @@ def nullspace(matrix):
     Reduced row echelon form with leftmost-nonzero pivoting; one basis
     vector per free column, in increasing column order, each carrying 1 at
     its own free column and 0 at the others.  Empty list for full rank.
-
-    The elimination is fraction-free: each row is scaled to integer (over
-    Q(i), Gaussian-integer) entries, a row is cleared against the pivot row
-    as ``pivot * row - entry * pivot_row`` and divided by the gcd of its
-    integer parts, and only the back-substitution divides by the pivots.
     """
     forms = [integer_form(r)[1] for r in matrix]
     ncols = len(forms[0][0]) if forms else 0
-    if all(im is None for _, im in forms):
-        rows = [re for re, _ in forms]
-        zero, combine, quotient = 0, _combine, _quotient
-    else:
+    basis = []
+    for f, quotients in _nullspace_form(forms, ncols):
+        v = [0] * ncols
+        v[f] = 1
+        for c, x, y, d in quotients:
+            v[c] = scalar(x, y, d)
+        basis.append(tuple(v))
+    return basis
+
+
+def _nullspace_form(forms, ncols):
+    """The canonical null-space basis of a matrix given as integer-form
+    rows: one ``(f, quotients)`` per free column f.  The basis vector is 1
+    at f, (x + y i) / d at c for each (c, x, y, d) in quotients, with ints
+    x, y and d > 0, and 0 elsewhere.
+
+    The elimination is fraction-free: a row is cleared against the pivot
+    row as ``pivot * row - entry * pivot_row`` and divided by the gcd of
+    its integer parts.  Back-substitution writes each entry -x / pivot as
+    integers, over Q(i) as -x conj(pivot) / |pivot|^2.
+    """
+    gaussian = any(im is not None for _, im in forms)
+    if gaussian:
         rows = [list(zip(re, im or [0] * ncols)) for re, im in forms]
-        zero, combine, quotient = (0, 0), _combine_gaussian, _quotient_gaussian
+        zero, combine = (0, 0), _combine_gaussian
+    else:
+        rows = [re for re, _ in forms]
+        zero, combine = 0, _combine
     nrows = len(rows)
     pivots = []
     r = 0
@@ -74,15 +140,50 @@ def nullspace(matrix):
                 rows[i] = combine(rows[i], rows[r], c)
         pivots.append(c)
         r += 1
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for rr, c in enumerate(pivots):
-            v[c] = quotient(rows[rr][f], rows[rr][c])
-        basis.append(tuple(v))
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        quotients = []
+        for row, c in zip(rows, pivots):
+            x, p = row[f], row[c]
+            if x == zero:
+                continue
+            if gaussian:
+                (xr, xi), (pr, pi) = x, p
+                x, y, d = -(xr * pr + xi * pi), xr * pi - xi * pr, pr * pr + pi * pi
+            else:
+                x, y, d = (-x, 0, p) if p > 0 else (x, 0, -p)
+            quotients.append((c, x, y, d))
+        basis.append((f, quotients))
     return basis
+
+
+def _basis_element(algebra, f, quotients):
+    """A basis vector of ``_nullspace_form`` as an element: each quotient in
+    lowest terms, over the lcm of their denominators, which is then the
+    canonical denominator."""
+    reduced = []
+    for c, x, y, d in quotients:
+        g = gcd(x, y, d)
+        reduced.append((c, x // g, y // g, d // g))
+    den = lcm(*[d for *_, d in reduced])
+    re = [0] * algebra.dim
+    im = [0] * algebra.dim
+    re[f] = den
+    for c, x, y, d in reduced:
+        re[c] = x * (den // d)
+        im[c] = y * (den // d)
+    return _normal(algebra, (re, im), den)
+
+
+def _primitive(u):
+    """An integer-form vector divided by the gcd of all its parts."""
+    re, im = u
+    g = gcd(*re, *(im or ()))
+    if g > 1:
+        return [x // g for x in re], im and [x // g for x in im]
+    return u
 
 
 def _combine(row, pivot_row, c):
@@ -111,17 +212,6 @@ def _combine_gaussian(row, pivot_row, c):
     return [(xr // g, xi // g) for xr, xi in new] if g > 1 else new
 
 
-def _quotient(x, p):
-    """-x / p: the basis-vector entry at a pivot column with pivot p."""
-    return rational(-x, p)
-
-
-def _quotient_gaussian(x, p):
-    """-x / p over the Gaussian integers, as -x conj(p) / |p|^2."""
-    (xr, xi), (pr, pi) = x, p
-    return scalar(-(xr * pr + xi * pi), xr * pi - xi * pr, pr * pr + pi * pi)
-
-
 def span_contains(vectors, target):
     """Exact membership of ``target`` in the span of ``vectors``."""
     if all(c == 0 for c in target):
@@ -141,10 +231,14 @@ class CommutantReport:
 
     a: Element
     b: Element
-    matrix: tuple
     nullspace_basis: tuple
     norm_gram: tuple
     single: Optional[Element]
+
+    @property
+    def matrix(self):
+        """The matrix of p -> p*a - b*p, derived on access."""
+        return twisted_commutant_matrix(self.a, self.b)
 
     @property
     def nullity(self):
@@ -170,11 +264,17 @@ def single_conjugator_search(a, b):
     point of {0, 1, 2}^d, in lexicographic order, at which the norm is
     nonzero.  The p found is verified to conjugate a onto b.
     """
+    _, rows = _matrix_form(a, b)
     alg = a.algebra
-    matrix = twisted_commutant_matrix(a, b)
-    vectors = nullspace(matrix)
-    basis = tuple(Element(alg, v) for v in vectors)
-    gram = tuple(tuple(vi.inner(vj) for vj in basis) for vi in basis)
+    # rows divided by their content are no wider than the coefficient rows
+    rows = [_primitive(u) for u in rows]
+    basis = tuple(_basis_element(alg, *v) for v in _nullspace_form(rows, alg.dim))
+    # the inner product is symmetric: fill the upper triangle and mirror it
+    gram = [[None] * len(basis) for _ in basis]
+    for i, vi in enumerate(basis):
+        for j in range(i, len(basis)):
+            gram[i][j] = gram[j][i] = vi.inner(basis[j])
+    gram = tuple(map(tuple, gram))
 
     single = None
     nonzero = [(i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x]
@@ -188,7 +288,7 @@ def single_conjugator_search(a, b):
             raise ConsistencyError(
                 "invertible commutant solution fails to conjugate a onto b"
             )
-    return CommutantReport(a, b, matrix, basis, gram, single)
+    return CommutantReport(a, b, basis, gram, single)
 
 
 # Golden counterexample instances: equal-norm null pure pairs that are

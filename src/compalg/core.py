@@ -34,10 +34,10 @@ driven by the structure table, serves every product, the doubling above
 included; over the Gaussian rationals it runs three real products, not
 four.  Inner product and norm are the metric-weighted integer dot product.
 Inverse and sandwich fold the norm into the common denominator.  Sums,
-negation and conjugation are integer vector operations, and a scalar
-operand is lifted once onto the unit.  The null space of
-``commutant.nullspace`` uses the same integer form for fraction-free
-elimination.
+negation and conjugation are integer vector operations; a field scalar
+operand is written in integer form once, so a scalar product scales the
+numerators and a scalar sum changes index 0 only.  ``commutant`` builds
+its matrix, null space and basis on the same integer form.
 
 ``coeffs`` is a read-only view of the stored form, always in normal form: a
 coefficient is an ``int`` when integral, otherwise a reduced ``Fraction``,
@@ -98,7 +98,7 @@ def _numerators(xs, den):
 def rational(n, d):
     """The normal form of n/d for ints n, d != 0: an int when integral,
     else a reduced Fraction."""
-    if d == 1:
+    if d == 1 or not n:
         return n
     q = Fraction(n, d)
     return q.numerator if q.denominator == 1 else q
@@ -153,8 +153,7 @@ def _sum(u, v):
 
 
 def _lincomb(x, u, y, v):
-    """x u + y v for ints x, y and integer-form vectors u, v; with y = 0
-    this scales u."""
+    """x u + y v for ints x, y and integer-form vectors u, v."""
     (ur, ui), (vr, vi) = u, v
     re = [x * p + y * q for p, q in zip(ur, vr)]
     if ui is None and vi is None:
@@ -193,18 +192,42 @@ def _normal(algebra, u, den):
     """The element u / den in canonical form, for an integer-form vector u
     and an int den != 0: one gcd is divided out and den turns positive."""
     re, im = u
+    if im is not None and not any(im):
+        im = None
     g = gcd(den, *re, *(im or ()))
-    if den < 0:
-        g = -g
+    if g != 1 or den < 0:
+        if den < 0:
+            g = -g
+        den //= g
+        re = [x // g for x in re]
+        im = im and [x // g for x in im]
     self = object.__new__(Element)
     self.algebra = algebra
-    self.den = den // g
-    self.num = (
-        tuple([x // g for x in re]),
-        tuple([x // g for x in im]) if im and any(im) else None,
-    )
+    self.den = den
+    self.num = (tuple(re), None if im is None else tuple(im))
     self._coeffs = None
     return self
+
+
+def _coefficients(u, den):
+    """The exact scalars (re[k] + im[k] i) / den of an integer-form vector,
+    in normal form."""
+    re, im = u
+    if im is None:
+        return tuple(re) if den == 1 else tuple(rational(x, den) for x in re)
+    return tuple(scalar(x, y, den) for x, y in zip(re, im))
+
+
+def _scaled(u, m):
+    """The integer-form vector u times the Gaussian integer m = (mr, mi)."""
+    (re, im), (mr, mi) = u, m
+    if not mi:
+        return [x * mr for x in re], im and [x * mr for x in im]
+    im = im or [0] * len(re)
+    return (
+        [x * mr - y * mi for x, y in zip(re, im)],
+        [x * mi + y * mr for x, y in zip(re, im)],
+    )
 
 
 def _divided(algebra, u, m, den):
@@ -213,12 +236,7 @@ def _divided(algebra, u, m, den):
     mr, mi = m
     if mi:
         # multiply through by conj(m): the divisor becomes |m|^2 den
-        re, im = u
-        im = im or [0] * len(re)
-        u = (
-            [x * mr + y * mi for x, y in zip(re, im)],
-            [y * mr - x * mi for x, y in zip(re, im)],
-        )
+        u = _scaled(u, (mr, -mi))
         mr = mr * mr + mi * mi
     return _normal(algebra, u, mr * den)
 
@@ -391,11 +409,7 @@ class Element:
     def coeffs(self):
         """The exact coefficient vector in normal form, derived once."""
         if self._coeffs is None:
-            (re, im), d = self.num, self.den
-            if im is None:
-                self._coeffs = re if d == 1 else tuple(rational(x, d) for x in re)
-            else:
-                self._coeffs = tuple(scalar(x, y, d) for x, y in zip(re, im))
+            self._coeffs = _coefficients(self.num, self.den)
         return self._coeffs
 
     # -- predicates ---------------------------------------------------------
@@ -429,22 +443,37 @@ class Element:
                 f"mixed algebras: {self.algebra.name} and {other.algebra.name}"
             )
 
-    def _operand(self, other):
-        """other as an element of this algebra, a field scalar lifted onto
-        the unit; None for anything else."""
-        if isinstance(other, Element):
-            self._check_same(other)
-            return other
-        if isinstance(other, self.algebra.scalar_types):
-            return Element(self.algebra, (other,) + (0,) * (self.algebra.dim - 1))
-        return None
+    def _scalar_form(self, other):
+        """A field scalar as ``(den, (re, im))``, ints over a positive
+        denominator; None for anything else."""
+        if type(other) is int:
+            return 1, (other, 0)
+        if not isinstance(other, self.algebra.scalar_types):
+            return None
+        if isinstance(other, bool):
+            raise TypeError(
+                f"coefficient {other!r} is not a valid {self.algebra.name} scalar"
+            )
+        den, ((re,), im) = integer_form((other,))
+        return den, (re, im[0] if im else 0)
 
     def _plus(self, other, sign):
-        other = self._operand(other)
-        if other is None:
+        d, u = self.den, self.num
+        if isinstance(other, Element):
+            self._check_same(other)
+            u = _lincomb(other.den, u, sign * d, other.num)
+            return _normal(self.algebra, u, d * other.den)
+        s = self._scalar_form(other)
+        if s is None:
             return NotImplemented
-        u = _lincomb(other.den, self.num, sign * self.den, other.num)
-        return _normal(self.algebra, u, self.den * other.den)
+        # a scalar moves index 0 only
+        e, (sr, si) = s
+        re, im = _scaled(u, (e, 0))
+        re[0] += sign * sr * d
+        if si:
+            im = im or [0] * len(re)
+            im[0] += sign * si * d
+        return _normal(self.algebra, (re, im), d * e)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -458,14 +487,18 @@ class Element:
         return (-self).__add__(other)
 
     def __neg__(self):
-        return _normal(self.algebra, _lincomb(-1, self.num, 0, self.num), self.den)
+        return _normal(self.algebra, _scaled(self.num, (-1, 0)), self.den)
 
     def __mul__(self, other):
-        other = self._operand(other)
-        if other is None:
+        if isinstance(other, Element):
+            self._check_same(other)
+            u = _product(self.algebra.table, self.num, other.num)
+            return _normal(self.algebra, u, self.den * other.den)
+        s = self._scalar_form(other)
+        if s is None:
             return NotImplemented
-        u = _product(self.algebra.table, self.num, other.num)
-        return _normal(self.algebra, u, self.den * other.den)
+        e, m = s
+        return _normal(self.algebra, _scaled(self.num, m), self.den * e)
 
     # field scalars are central
     __rmul__ = __mul__
@@ -500,7 +533,7 @@ class Element:
         m = _dot(self.algebra.metric, u, u)
         if m == (0, 0):
             raise NotInvertible(f"{self!s} has zero norm")
-        return _divided(self.algebra, _lincomb(d, _conj(u), 0, u), m, 1)
+        return _divided(self.algebra, _scaled(_conj(u), (d, 0)), m, 1)
 
     # -- comparisons ----------------------------------------------------------
 

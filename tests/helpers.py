@@ -9,7 +9,9 @@ between these and the library is what the structural tests assert.
 ``scalar_mul``, ``scalar_inverse``, ``scalar_sandwich`` and
 ``rref_nullspace`` are the per-scalar ``Fraction``/``GaussRational``
 routes the library took before its fraction-free integer kernel; the
-kernel must agree with them exactly.
+kernel must agree with them exactly.  ``product_commutant_matrix`` builds
+the twisted-commutant matrix from element products, column by column, as
+the library did before it read the matrix off the structure table.
 """
 
 from __future__ import annotations
@@ -154,6 +156,14 @@ def rref_nullspace(matrix):
             v[c] = -rows[rr][f]
         basis.append(tuple(v))
     return basis
+
+
+def product_commutant_matrix(a, b):
+    """The matrix of p -> p*a - b*p: column j holds the coefficients of
+    e_j*a - b*e_j, from two element products."""
+    alg = a.algebra
+    cols = [(alg.basis(j) * a - b * alg.basis(j)).coeffs for j in range(alg.dim)]
+    return tuple(tuple(col[i] for col in cols) for i in range(alg.dim))
 
 
 def is_normal(x):

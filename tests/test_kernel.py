@@ -4,7 +4,9 @@ Products, inner products, norms, inverses and sandwiches on all six
 algebras must equal the component-formula oracles and the per-scalar
 table loop exactly, and come back in normal form; so must the linear
 operations against coefficient-wise scalar arithmetic.  ``nullspace`` must
-return the very vectors of the Gauss-Jordan oracle, in the same order.
+return the very vectors of the Gauss-Jordan oracle, in the same order, and
+the twisted-commutant matrix, basis and Gram matrix of
+``single_conjugator_search`` must equal those built from element products.
 """
 
 import random
@@ -18,6 +20,7 @@ from compalg import (
     embed_in_cayley,
     nullspace,
     sandwich,
+    single_conjugator_search,
     twisted_commutant_matrix,
 )
 
@@ -26,6 +29,7 @@ from helpers import (
     oracle_inner,
     oracle_mul,
     oracle_norm,
+    product_commutant_matrix,
     rref_nullspace,
     scalar_inverse,
     scalar_mul,
@@ -222,3 +226,50 @@ def test_commutant_nullspace_equals_gauss_jordan(name):
         for x, y in ((a.pure_part(), b.pure_part()), (a, a)):
             m = twisted_commutant_matrix(x, y)
             assert nullspace(m) == rref_nullspace(m)
+
+
+def _commutant_pairs(name):
+    """Operands of p a = b p: int, Fraction and 256-bit entries, each as
+    (a, a), (a, b), (b, a), (a, r a r^-1) and against zero; over Q(i) also
+    a real operand against a non-real one, both ways round."""
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"commutant-kernel:{name}")
+
+    def draw(bits, fraction):
+        coeffs = [rng.randint(-(2**bits), 2**bits) for _ in range(alg.dim)]
+        if fraction:
+            coeffs = [Fraction(c, rng.randint(1, 2**bits)) for c in coeffs]
+        return alg.element(coeffs)
+
+    zero = alg.zero()
+    pairs = [(zero, zero)]
+    for bits, fraction in ((3, False), (3, True), (256, False), (256, True)):
+        a, b, r = draw(bits, fraction).pure_part(), draw(bits, fraction), draw(3, False)
+        pairs += [(a, a), (a, b), (b, a), (a, zero), (zero, b)]
+        if r.norm() != 0:
+            pairs.append((a, sandwich(r, a)))
+    if alg.complex_field:
+        i = GaussRational(0, 1)
+        real = draw(3, True).pure_part()
+        r = draw(3, False) + i * draw(3, False)
+        for nonreal in (sandwich(r, real), real * i + draw(3, False)):
+            pairs += [(real, nonreal), (nonreal, real)]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_commutant_matches_product_oracle(name):
+    alg = ALGEBRAS[name]
+    nullities = set()
+    for a, b in _commutant_pairs(name):
+        m = product_commutant_matrix(a, b)
+        got = twisted_commutant_matrix(a, b)
+        assert got == m
+        assert all(is_normal(x) for row in got for x in row)
+        report = single_conjugator_search(a, b)
+        assert report.matrix == got
+        assert report.nullspace_basis == tuple(alg.element(v) for v in rref_nullspace(m))
+        basis = report.nullspace_basis
+        assert report.norm_gram == tuple(tuple(u.inner(v) for v in basis) for u in basis)
+        nullities.add(report.nullity)
+    assert {0, 2, alg.dim} <= nullities

@@ -23,6 +23,8 @@ from compalg import (
     ParseError,
     parse_element,
     sandwich,
+    single_conjugator_search,
+    twisted_commutant_matrix,
     verify_remark,
 )
 from compalg.cli import main
@@ -113,6 +115,13 @@ def test_non_ascii_digits_are_rejected(text):
 def test_sandwich_rejects_non_elements(p, a):
     with pytest.raises(AlgebraMismatch):
         sandwich(p, a)
+
+
+@pytest.mark.parametrize("solve", [single_conjugator_search, twisted_commutant_matrix])
+@pytest.mark.parametrize("a,b", [(H.basis(1), 3), (3, H.basis(1))])
+def test_commutant_rejects_non_elements(solve, a, b):
+    with pytest.raises(AlgebraMismatch):
+        solve(a, b)
 
 
 def test_selftest_records_a_raising_property(monkeypatch, capsys):
