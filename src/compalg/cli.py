@@ -14,7 +14,7 @@ import sys
 from .commutant import single_conjugator_search, verify_remark
 from .core import ALGEBRAS
 from .errors import CompalgError, ConsistencyError
-from .parsing import ParseError, format_element, format_scalar, parse_element
+from .parsing import format_element, format_scalar, parse_element
 from .selftest import run_selftest
 from .witnesses import (
     collapse_quaternion,
@@ -301,9 +301,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3

@@ -16,10 +16,18 @@ labels accumulate by addition.  ``format_element`` emits the canonical
 form: terms in index order, zero terms omitted, unit coefficients elided,
 complex coefficients with two nonzero parts parenthesized; parsing a
 canonical form and formatting it again is the identity.
+
+Parsing runs in two phases: one regular expression splits the whole text
+into tokens, then a recursive-descent parser reads the token list.  The
+split fixes which error is reported: a lexical error (an unexpected
+character, 'e' without a digit, an over-long integer) anywhere in the text
+comes before any syntax error, so ``e1 e2 $`` reports the '$' at 6 rather
+than the missing '+' at 3.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .core import Element
@@ -47,57 +55,32 @@ class IndexOutOfRange(ParseError):
     """A basis index the algebra does not have."""
 
 
-_INT = "int"
-_SLASH = "slash"
-_PLUS = "plus"
-_MINUS = "minus"
-_IMAG = "imag"
-_BASIS = "basis"
-_LPAREN = "lparen"
-_RPAREN = "rparen"
-_END = "end"
-# ASCII only: str.isdigit also accepts superscripts and other scripts' digits
-_DIGITS = frozenset("0123456789")
+# ASCII digits only: \d would also accept other scripts' digits.  Bare 'e'
+# and any other character are lexical errors.
+_TOKEN = re.compile(r"\s+|([0-9]+)|e([0-9])('?)|([-+/()i])|(e)|(.)", re.S)
 
 
 def _tokenize(text):
+    """Token list of ``(kind, value, position)`` ending in an ``end`` token;
+    a kind is the symbol character itself, ``int`` or ``basis``."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
+    for m in _TOKEN.finditer(text):
+        digits, index, prime, symbol, bare_e, other = m.groups()
+        pos = m.start()
+        if digits:
             try:
-                value = int(text[start:i])
+                tokens.append(("int", int(digits), pos))
             except ValueError:  # longer than the interpreter's int-string limit
-                raise ParseError("integer literal too long", start) from None
-            tokens.append((_INT, value, start))
-            continue
-        if ch == "e":
-            if i + 1 >= n or text[i + 1] not in _DIGITS:
-                raise ParseError("expected a digit after 'e'", i)
-            idx = int(text[i + 1])
-            primed = i + 2 < n and text[i + 2] == "'"
-            tokens.append((_BASIS, (idx, primed), i))
-            i += 3 if primed else 2
-            continue
-        if ch == "i":
-            tokens.append((_IMAG, None, i))
-            i += 1
-            continue
-        simple = {"/": _SLASH, "+": _PLUS, "-": _MINUS, "(": _LPAREN, ")": _RPAREN}
-        if ch in simple:
-            tokens.append((simple[ch], None, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append((_END, None, n))
+                raise ParseError("integer literal too long", pos) from None
+        elif index:
+            tokens.append(("basis", (int(index), bool(prime)), pos))
+        elif symbol:
+            tokens.append((symbol, None, pos))
+        elif bare_e:
+            raise ParseError("expected a digit after 'e'", pos)
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", pos)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -107,53 +90,44 @@ class _Parser:
         self.pos = 0
         self.algebra = algebra
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
+    def accept(self, kind):
+        """Consume and return the next token if it is of ``kind``."""
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            return None
         self.pos += 1
         return tok
 
-    def expect(self, kind, what):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
+    def expect(self, what, kind):
+        tok = self.accept(kind)
+        if tok is None:
+            raise ParseError(f"expected {what}", self.tokens[self.pos][2])
         return tok
+
+    def plus_or_minus(self, what):
+        """Consume the next token, which must be '+' or '-', and return it."""
+        return "-" if self.accept("-") else self.expect(what, "+")[0]
 
     def parse(self):
         coeffs = [0] * self.algebra.dim
-        sign = 1
-        if self.peek()[0] == _MINUS:
-            self.take()
-            sign = -1
+        sign = "-" if self.accept("-") else "+"
         while True:
             index, value = self.term()
-            coeffs[index] = coeffs[index] + (value if sign == 1 else -value)
-            kind, _, pos = self.take()
-            if kind == _END:
-                break
-            if kind == _PLUS:
-                sign = 1
-            elif kind == _MINUS:
-                sign = -1
-            else:
-                raise ParseError("expected '+', '-' or end of expression", pos)
-        return Element(self.algebra, coeffs)
+            coeffs[index] = coeffs[index] + (value if sign == "+" else -value)
+            if self.accept("end"):
+                return Element(self.algebra, coeffs)
+            sign = self.plus_or_minus("'+', '-' or end of expression")
 
     def term(self):
-        kind, _, pos = self.peek()
-        if kind == _BASIS:
-            return self.basis(), 1
-        if kind in (_INT, _IMAG, _LPAREN):
-            value = self.scalar()
-            if self.peek()[0] == _BASIS:
-                return self.basis(), value
-            return 0, value
-        raise ParseError("expected a term", pos)
+        tok = self.accept("basis")
+        if tok:
+            return self.basis(tok), 1
+        value = self.scalar()
+        tok = self.accept("basis")
+        return (self.basis(tok) if tok else 0), value
 
-    def basis(self):
-        _, (idx, primed), pos = self.take()
+    def basis(self, tok):
+        _, (idx, primed), pos = tok
         if not 1 <= idx < self.algebra.dim:
             raise IndexOutOfRange(
                 f"basis index {idx} not available in {self.algebra.name}", pos
@@ -166,54 +140,35 @@ class _Parser:
         return idx
 
     def scalar(self):
-        kind, _, pos = self.peek()
-        if kind == _IMAG:
-            self.take()
-            return self.imaginary(1, pos)
-        if kind == _INT:
-            value = self.rational()
-            if self.peek()[0] == _IMAG:
-                _, _, ipos = self.take()
-                return self.imaginary(value, ipos)
-            return value
-        if kind == _LPAREN:
-            self.take()
-            negative = False
-            if self.peek()[0] == _MINUS:
-                self.take()
-                negative = True
-            re = self.rational()
-            if negative:
-                re = -re
-            op, _, oppos = self.take()
-            if op not in (_PLUS, _MINUS):
-                raise ParseError("expected '+' or '-' inside parentheses", oppos)
-            im = self.rational()
-            _, _, ipos = self.expect(_IMAG, "'i'")
-            self.expect(_RPAREN, "')'")
-            if not self.algebra.complex_field:
-                raise ImaginaryScalarInRealAlgebra(
-                    f"'i' is not allowed in {self.algebra.name}", ipos
-                )
-            return GaussRational(re, im if op == _PLUS else -im)
-        raise ParseError("expected a scalar", pos)
+        if self.accept("("):
+            negative = self.accept("-")
+            real = self.rational()
+            op = self.plus_or_minus("'+' or '-' inside parentheses")
+            imag = self.rational()
+            pos = self.expect("'i'", "i")[2]
+            self.expect("')'", ")")
+            real = -real if negative else real
+            return self.gaussian(real, imag if op == "+" else -imag, pos)
+        value = 1 if self.tokens[self.pos][0] == "i" else self.rational("a term")
+        tok = self.accept("i")
+        return self.gaussian(0, value, tok[2]) if tok else value
 
-    def imaginary(self, magnitude, pos):
+    def gaussian(self, real, imag, pos):
+        """The scalar real + imag*i; the 'i' at ``pos`` needs a complex algebra."""
         if not self.algebra.complex_field:
             raise ImaginaryScalarInRealAlgebra(
                 f"'i' is not allowed in {self.algebra.name}", pos
             )
-        return GaussRational(0, magnitude)
+        return GaussRational(real, imag)
 
-    def rational(self):
-        _, num, _ = self.expect(_INT, "an integer")
-        if self.peek()[0] == _SLASH:
-            self.take()
-            _, den, dpos = self.expect(_INT, "a positive denominator")
-            if den == 0:
-                raise ParseError("zero denominator", dpos)
-            return Fraction(num, den)
-        return num
+    def rational(self, what="an integer"):
+        num = self.expect(what, "int")[1]
+        if not self.accept("/"):
+            return num
+        _, den, pos = self.expect("a positive denominator", "int")
+        if den == 0:
+            raise ParseError("zero denominator", pos)
+        return Fraction(num, den)
 
 
 def parse_element(text, algebra):

@@ -108,10 +108,9 @@ def negator_candidates(a):
 
 
 def _require_pure_nonzero(what, *elements):
-    """Shared precondition guard: one algebra, pure, nonzero."""
-    first = elements[0]
-    if any(e.algebra is not first.algebra for e in elements):
-        raise AlgebraMismatch(f"{what} needs elements of one algebra")
+    """Shared precondition guard: elements of one algebra, pure, nonzero."""
+    for e in elements:  # the first against itself rejects a lone non-element
+        Element._check_same(elements[0], e)
     if not all(e.is_pure for e in elements):
         raise NotPure(f"{what} needs pure elements")
     if any(e.is_zero for e in elements):
@@ -266,6 +265,7 @@ def verify_witness(a, b, w):
 def verify_negator(a, p):
     """Re-check a negator p of a by exact evaluation: N(p) != 0,
     p a == -(a p) and p a p^-1 == -a."""
+    Element._check_same(a, p)
     ok_p = p.norm() != 0
     return CheckReport(
         a.algebra.name,

@@ -12,6 +12,10 @@ routes the library took before its fraction-free integer kernel; the
 kernel must agree with them exactly.  ``product_commutant_matrix`` builds
 the twisted-commutant matrix from element products, column by column, as
 the library did before it read the matrix off the structure table.
+``reference_parse`` is the character-loop lexer and recursive-descent
+parser the library used before its one-regex lexer; ``parse_element`` must
+give the same element, or raise the same error class with the same message
+and position, on every input.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from fractions import Fraction
 
 import sympy
 
-from compalg import GaussRational, exact_div
+from compalg import (
+    Element,
+    GaussRational,
+    ImaginaryScalarInRealAlgebra,
+    IndexOutOfRange,
+    ParseError,
+    PrimeMismatch,
+    exact_div,
+)
 
 # signature of the norm form per algebra, unit first
 SIGNATURE = {
@@ -156,6 +168,180 @@ def rref_nullspace(matrix):
             v[c] = -rows[rr][f]
         basis.append(tuple(v))
     return basis
+
+
+_INT = "int"
+_SLASH = "slash"
+_PLUS = "plus"
+_MINUS = "minus"
+_IMAG = "imag"
+_BASIS = "basis"
+_LPAREN = "lparen"
+_RPAREN = "rparen"
+_END = "end"
+# ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
+
+
+def _tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _DIGITS:
+            start = i
+            while i < n and text[i] in _DIGITS:
+                i += 1
+            try:
+                value = int(text[start:i])
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise ParseError("integer literal too long", start) from None
+            tokens.append((_INT, value, start))
+            continue
+        if ch == "e":
+            if i + 1 >= n or text[i + 1] not in _DIGITS:
+                raise ParseError("expected a digit after 'e'", i)
+            idx = int(text[i + 1])
+            primed = i + 2 < n and text[i + 2] == "'"
+            tokens.append((_BASIS, (idx, primed), i))
+            i += 3 if primed else 2
+            continue
+        if ch == "i":
+            tokens.append((_IMAG, None, i))
+            i += 1
+            continue
+        simple = {"/": _SLASH, "+": _PLUS, "-": _MINUS, "(": _LPAREN, ")": _RPAREN}
+        if ch in simple:
+            tokens.append((simple[ch], None, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append((_END, None, n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, algebra):
+        self.tokens = tokens
+        self.pos = 0
+        self.algebra = algebra
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.take()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}", tok[2])
+        return tok
+
+    def parse(self):
+        coeffs = [0] * self.algebra.dim
+        sign = 1
+        if self.peek()[0] == _MINUS:
+            self.take()
+            sign = -1
+        while True:
+            index, value = self.term()
+            coeffs[index] = coeffs[index] + (value if sign == 1 else -value)
+            kind, _, pos = self.take()
+            if kind == _END:
+                break
+            if kind == _PLUS:
+                sign = 1
+            elif kind == _MINUS:
+                sign = -1
+            else:
+                raise ParseError("expected '+', '-' or end of expression", pos)
+        return Element(self.algebra, coeffs)
+
+    def term(self):
+        kind, _, pos = self.peek()
+        if kind == _BASIS:
+            return self.basis(), 1
+        if kind in (_INT, _IMAG, _LPAREN):
+            value = self.scalar()
+            if self.peek()[0] == _BASIS:
+                return self.basis(), value
+            return 0, value
+        raise ParseError("expected a term", pos)
+
+    def basis(self):
+        _, (idx, primed), pos = self.take()
+        if not 1 <= idx < self.algebra.dim:
+            raise IndexOutOfRange(
+                f"basis index {idx} not available in {self.algebra.name}", pos
+            )
+        if primed != (idx in self.algebra.primed):
+            label = self.algebra.label(idx)
+            raise PrimeMismatch(
+                f"index {idx} must be written {label} in {self.algebra.name}", pos
+            )
+        return idx
+
+    def scalar(self):
+        kind, _, pos = self.peek()
+        if kind == _IMAG:
+            self.take()
+            return self.imaginary(1, pos)
+        if kind == _INT:
+            value = self.rational()
+            if self.peek()[0] == _IMAG:
+                _, _, ipos = self.take()
+                return self.imaginary(value, ipos)
+            return value
+        if kind == _LPAREN:
+            self.take()
+            negative = False
+            if self.peek()[0] == _MINUS:
+                self.take()
+                negative = True
+            re = self.rational()
+            if negative:
+                re = -re
+            op, _, oppos = self.take()
+            if op not in (_PLUS, _MINUS):
+                raise ParseError("expected '+' or '-' inside parentheses", oppos)
+            im = self.rational()
+            _, _, ipos = self.expect(_IMAG, "'i'")
+            self.expect(_RPAREN, "')'")
+            if not self.algebra.complex_field:
+                raise ImaginaryScalarInRealAlgebra(
+                    f"'i' is not allowed in {self.algebra.name}", ipos
+                )
+            return GaussRational(re, im if op == _PLUS else -im)
+        raise ParseError("expected a scalar", pos)
+
+    def imaginary(self, magnitude, pos):
+        if not self.algebra.complex_field:
+            raise ImaginaryScalarInRealAlgebra(
+                f"'i' is not allowed in {self.algebra.name}", pos
+            )
+        return GaussRational(0, magnitude)
+
+    def rational(self):
+        _, num, _ = self.expect(_INT, "an integer")
+        if self.peek()[0] == _SLASH:
+            self.take()
+            _, den, dpos = self.expect(_INT, "a positive denominator")
+            if den == 0:
+                raise ParseError("zero denominator", dpos)
+            return Fraction(num, den)
+        return num
+
+
+def reference_parse(text, algebra):
+    """``parse_element`` through the reference lexer and parser."""
+    return _Parser(_tokenize(text), algebra).parse()
 
 
 def product_commutant_matrix(a, b):

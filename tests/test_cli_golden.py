@@ -1,9 +1,10 @@
 """Exact stdout and exit code of every subcommand, text and ``--json``.
 
-Each case's expected stdout is stored verbatim in ``tests/cli_golden/<case>.out``.
-The cases cover every ladder branch, both commutant verdicts (including a
-nullity-6 solution space whose witness needs two basis vectors), and the
-error paths that print nothing on stdout.
+Each case's expected stdout is stored verbatim in ``tests/cli_golden/<case>.out``,
+and for the error cases the expected stderr in ``<case>.err``.  The cases
+cover every ladder branch, both commutant verdicts (including a nullity-6
+solution space whose witness needs two basis vectors), and the error paths,
+one per parse error message, that print nothing on stdout.
 """
 
 from pathlib import Path
@@ -106,6 +107,18 @@ CASES = {
     "error-norm-mismatch": (["conjugate-witness", "--algebra", "H", "e1", "2e2"], 2),
     "error-prime": (["norm", "--algebra", "Os", "e1"], 2),
     "error-not-invertible": (["inv", "--algebra", "Os", "e4+e5'"], 2),
+    "error-parse-character": (["norm", "--algebra", "H", "e1 ? e2"], 2),
+    "error-parse-e-digit": (["norm", "--algebra", "H", "1+e"], 2),
+    "error-parse-term": (["mul", "--algebra", "H", "e1", "e1++e2"], 2),
+    "error-parse-continue": (["norm", "--algebra", "H", "e1 e2"], 2),
+    "error-parse-integer": (["norm", "--algebra", "Hc", "(1+i)e1"], 2),
+    "error-parse-denominator": (["norm", "--algebra", "H", "1/-2e1"], 2),
+    "error-parse-zero-denominator": (["norm", "--algebra", "H", "1/0"], 2),
+    "error-parse-paren-sign": (["norm", "--algebra", "Hc", "(1 2i)"], 2),
+    "error-parse-imaginary-unit": (["norm", "--algebra", "Hc", "(1+2)"], 2),
+    "error-parse-rparen": (["inner", "--algebra", "Hc", "e1", "(1+2i"], 2),
+    "error-index": (["norm", "--algebra", "H", "e5"], 2),
+    "error-imaginary": (["norm", "--algebra", "O", "4i"], 2),
 }
 
 
@@ -113,4 +126,8 @@ CASES = {
 def test_exact_stdout(case, capsys):
     argv, code = CASES[case]
     assert main(argv) == code
-    assert capsys.readouterr().out == (GOLDEN / f"{case}.out").read_text()
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"{case}.out").read_text()
+    expected_err = GOLDEN / f"{case}.err"
+    if expected_err.exists():
+        assert err == expected_err.read_text()

@@ -20,6 +20,7 @@ from compalg import (
     parse_element,
 )
 from compalg.sampling import random_element
+from helpers import reference_parse
 
 GOLDEN_STRINGS = [
     ("Os", "4e1'+5e2+3e3'-5e4+4e5'+3e7'", (0, 4, 5, 3, -5, 4, 0, 3)),
@@ -144,3 +145,52 @@ def test_roundtrip_random_elements(name):
         text = format_element(a)
         assert parse_element(text, alg) == a
         assert format_element(parse_element(text, alg)) == text
+
+
+# Fragments for the differential test: the grammar alphabet, whole basis
+# labels, whitespace that str.isspace accepts (the \x1c-\x1f separators
+# and \x85 included), and characters the grammar rejects although
+# str.isdigit calls some of them digits (superscripts, Arabic-Indic and
+# fullwidth digits).
+_FRAGMENTS = (
+    *"0123456789ei'+-/() ",
+    *("e1", "e2", "e3'", "e5'", "e7", "e0", "e9", "1/2", "(1+2i)", "(-3-1/2i)"),
+    *"\t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000",
+    *"²٣１$Eé",
+)
+# a 4301-digit literal is past the default int-string limit of Python 3.11+
+_LONG_LITERALS = ("1" * 5000, "7" * 4301, "9" * 4300, "0" * 5000)
+
+
+def _differential_text(rng):
+    kind = rng.random()
+    if kind < 0.45:
+        return "".join(rng.choice(_FRAGMENTS) for _ in range(rng.randint(0, 10)))
+    source = ALGEBRAS[rng.choice(sorted(ALGEBRAS))]
+    text = format_element(random_element(rng, source, frac_prob=0.3))
+    if kind < 0.6:
+        return text
+    if kind < 0.98:
+        k = rng.randint(0, len(text))
+        cut = k + rng.randint(0, 1)
+        return text[:k] + rng.choice(("", *_FRAGMENTS)) + text[cut:]
+    literal = rng.choice(_LONG_LITERALS)
+    return rng.choice((f"{literal}e1", f"1/{literal}", f"({literal}+1i)", literal))
+
+
+def _outcome(parse, text, alg):
+    try:
+        return parse(text, alg)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_parse_matches_reference_parser(name):
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"differential:{name}")
+    for _ in range(4000):
+        text = _differential_text(rng)
+        assert _outcome(parse_element, text, alg) == _outcome(
+            reference_parse, text, alg
+        ), text

@@ -20,11 +20,16 @@ from compalg import (
     ConsistencyError,
     Element,
     H,
+    O,
     ParseError,
+    conjugacy_witness,
+    negator,
     parse_element,
     sandwich,
+    separator,
     single_conjugator_search,
     twisted_commutant_matrix,
+    verify_negator,
     verify_remark,
 )
 from compalg.cli import main
@@ -122,6 +127,26 @@ def test_sandwich_rejects_non_elements(p, a):
 def test_commutant_rejects_non_elements(solve, a, b):
     with pytest.raises(AlgebraMismatch):
         solve(a, b)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (negator, (3,)),
+        (separator, (H.basis(1), 3)),
+        (conjugacy_witness, (3, H.basis(1))),
+        (verify_negator, (H.basis(1), 3)),
+    ],
+)
+def test_witnesses_reject_non_elements(fn, args):
+    with pytest.raises(AlgebraMismatch, match="expected two elements"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("fn", [separator, conjugacy_witness, verify_negator])
+def test_witnesses_reject_mixed_algebras(fn):
+    with pytest.raises(AlgebraMismatch, match="mixed algebras: H and O"):
+        fn(H.basis(1), O.basis(1))
 
 
 def test_selftest_records_a_raising_property(monkeypatch, capsys):
