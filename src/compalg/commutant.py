@@ -9,14 +9,14 @@ exactly when no solution has nonzero norm.
 
 The pipeline is integer-native.  The matrix of p -> p*a - b*p, the left
 multiplication by a minus the right multiplication by b, is read off the
-structure table and the stored integer forms of a and b, as integer (over
-Q(i), Gaussian-integer) rows over one denominator.  Fraction-free
-Gauss-Jordan elimination clears it; back-substitution writes each basis
-entry as integers over the pivot (over Q(i), over its squared absolute
-value), and each basis element is built from those quotients, reduced by
-integer gcds and put over the lcm of their denominators, without a
-``Fraction``.  ``twisted_commutant_matrix`` and ``nullspace`` are
-exact-scalar views of the same code.
+structure table and the stored integer forms of a and b, as rows in
+core's integer form ``(re, im)`` over one denominator.  One fraction-free
+Gauss-Jordan elimination, ``_nullspace_form``, divides each row by its
+content and clears it with Gaussian-integer multipliers (a real row is
+the ``im is None`` case); one back-substitution writes each basis vector
+in canonical integer form, without a ``Fraction``.  The search builds its
+basis elements from those forms, and ``twisted_commutant_matrix`` and
+``nullspace`` are exact-scalar views of the same code.
 
 ``verify_remark`` re-derives the two built-in counterexample instances:
 equal-norm pairs of null pure elements, one in the split octonions and one
@@ -39,7 +39,6 @@ from .core import (
     _normal,
     integer_form,
     sandwich,
-    scalar,
 )
 from .errors import CompalgError, ConsistencyError
 from .scalars import I
@@ -95,86 +94,64 @@ def nullspace(matrix):
     vector per free column, in increasing column order, each carrying 1 at
     its own free column and 0 at the others.  Empty list for full rank.
     """
-    forms = [integer_form(r)[1] for r in matrix]
-    ncols = len(forms[0][0]) if forms else 0
-    basis = []
-    for f, quotients in _nullspace_form(forms, ncols):
-        v = [0] * ncols
-        v[f] = 1
-        for c, x, y, d in quotients:
-            v[c] = scalar(x, y, d)
-        basis.append(tuple(v))
-    return basis
+    rows = [integer_form(r)[1] for r in matrix]
+    ncols = len(rows[0][0]) if rows else 0
+    return [_coefficients(u, den) for den, u in _nullspace_form(rows, ncols)]
 
 
-def _nullspace_form(forms, ncols):
+def _nullspace_form(rows, ncols):
     """The canonical null-space basis of a matrix given as integer-form
-    rows: one ``(f, quotients)`` per free column f.  The basis vector is 1
-    at f, (x + y i) / d at c for each (c, x, y, d) in quotients, with ints
-    x, y and d > 0, and 0 elsewhere.
+    rows ``(re, im)``: one canonical ``(den, (re, im))`` per free column,
+    the vector that is 1 at that column and 0 at the other free ones.
 
-    The elimination is fraction-free: a row is cleared against the pivot
-    row as ``pivot * row - entry * pivot_row`` and divided by the gcd of
-    its integer parts.  Back-substitution writes each entry -x / pivot as
-    integers, over Q(i) as -x conj(pivot) / |pivot|^2.
+    The elimination is fraction-free: each row is divided by its content,
+    and a row is cleared against the pivot row as ``pivot * row - entry *
+    pivot_row`` with Gaussian-integer multipliers (a real row has im None).
+    Back-substitution writes each entry -x / pivot in lowest terms, over
+    Q(i) as -x conj(pivot) / |pivot|^2 when the pivot is not real, and puts
+    the vector over the lcm of those denominators, which leaves it canonical.
     """
-    gaussian = any(im is not None for _, im in forms)
-    if gaussian:
-        rows = [list(zip(re, im or [0] * ncols)) for re, im in forms]
-        zero, combine = (0, 0), _combine_gaussian
-    else:
-        rows = [re for re, _ in forms]
-        zero, combine = 0, _combine
+    rows = [_primitive(u) for u in rows]
     nrows = len(rows)
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != zero), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            re, im = rows[pr]
+            if re[c] or im and im[c]:
+                break
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                rows[i] = combine(rows[i], rows[r], c)
+        for i, (re, im) in enumerate(rows):
+            if i != r and (re[c] or im and im[c]):
+                rows[i] = _combine(rows[i], rows[r], c)
         pivots.append(c)
-        r += 1
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        quotients = []
-        for row, c in zip(rows, pivots):
-            x, p = row[f], row[c]
-            if x == zero:
+        re, im, dens = [0] * ncols, [0] * ncols, [1] * ncols
+        for (xr, xi), c in zip(rows, pivots):
+            x, p = xr[f], xr[c]
+            y, q = (xi[f], xi[c]) if xi else (0, 0)
+            if not (x or y):
                 continue
-            if gaussian:
-                (xr, xi), (pr, pi) = x, p
-                x, y, d = -(xr * pr + xi * pi), xr * pi - xi * pr, pr * pr + pi * pi
+            if q:
+                x, y, p = -(x * p + y * q), x * q - y * p, p * p + q * q
             else:
-                x, y, d = (-x, 0, p) if p > 0 else (x, 0, -p)
-            quotients.append((c, x, y, d))
-        basis.append((f, quotients))
+                x, y = -x, -y
+            g = gcd(x, y, p)
+            re[c], im[c], dens[c] = x // g, y // g, p // g
+        den = lcm(*dens)
+        scale = [den // d for d in dens]
+        re = [x * m for x, m in zip(re, scale)]
+        re[f] = den
+        im = [y * m for y, m in zip(im, scale)] if any(im) else None
+        basis.append((den, (re, im)))
     return basis
-
-
-def _basis_element(algebra, f, quotients):
-    """A basis vector of ``_nullspace_form`` as an element: each quotient in
-    lowest terms, over the lcm of their denominators, which is then the
-    canonical denominator."""
-    reduced = []
-    for c, x, y, d in quotients:
-        g = gcd(x, y, d)
-        reduced.append((c, x // g, y // g, d // g))
-    den = lcm(*[d for *_, d in reduced])
-    re = [0] * algebra.dim
-    im = [0] * algebra.dim
-    re[f] = den
-    for c, x, y, d in reduced:
-        re[c] = x * (den // d)
-        im[c] = y * (den // d)
-    return _normal(algebra, (re, im), den)
 
 
 def _primitive(u):
@@ -187,29 +164,25 @@ def _primitive(u):
 
 
 def _combine(row, pivot_row, c):
-    """``p * row - f * pivot_row`` with p, f the column-c entries of
-    pivot_row and row over their gcd, so column c clears; the new row is
-    divided by the gcd of its entries."""
-    p, f = pivot_row[c], row[c]
-    g = gcd(p, f)
-    p, f = p // g, f // g
-    new = [p * x - f * y for x, y in zip(row, pivot_row)]
-    g = gcd(*new)
-    return [x // g for x in new] if g > 1 else new
-
-
-def _combine_gaussian(row, pivot_row, c):
-    """``_combine`` over the Gaussian integers, entries as (re, im) pairs;
-    the divisors are gcds of all real and imaginary parts."""
-    (pr, pi), (fr, fi) = pivot_row[c], row[c]
-    g = gcd(pr, pi, fr, fi)
-    pr, pi, fr, fi = pr // g, pi // g, fr // g, fi // g
-    new = [
-        (pr * xr - pi * xi - fr * yr + fi * yi, pr * xi + pi * xr - fr * yi - fi * yr)
-        for (xr, xi), (yr, yi) in zip(row, pivot_row)
-    ]
-    g = gcd(*[t for x in new for t in x])
-    return [(xr // g, xi // g) for xr, xi in new] if g > 1 else new
+    """``p * row - f * pivot_row`` with p, f the Gaussian-integer column-c
+    entries of pivot_row and row over the gcd of their parts, so column c
+    clears; the new row is divided by its content."""
+    (xr, xi), (yr, yi) = row, pivot_row
+    p, f = yr[c], xr[c]
+    if xi is None and yi is None:
+        g = gcd(p, f)
+        p, f = p // g, f // g
+        new = [p * x - f * y for x, y in zip(xr, yr)]
+        g = gcd(*new)
+        return [x // g for x in new] if g > 1 else new, None
+    zero = (0,) * len(xr)
+    xi, yi = xi or zero, yi or zero
+    q, h = yi[c], xi[c]
+    g = gcd(p, q, f, h)
+    p, q, f, h = p // g, q // g, f // g, h // g
+    re = [p * a - q * b - f * s + h * t for a, b, s, t in zip(xr, xi, yr, yi)]
+    im = [p * b + q * a - f * t - h * s for a, b, s, t in zip(xr, xi, yr, yi)]
+    return _primitive((re, im if any(im) else None))
 
 
 def span_contains(vectors, target):
@@ -266,9 +239,7 @@ def single_conjugator_search(a, b):
     """
     _, rows = _matrix_form(a, b)
     alg = a.algebra
-    # rows divided by their content are no wider than the coefficient rows
-    rows = [_primitive(u) for u in rows]
-    basis = tuple(_basis_element(alg, *v) for v in _nullspace_form(rows, alg.dim))
+    basis = tuple(_normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim))
     # the inner product is symmetric: fill the upper triangle and mirror it
     gram = [[None] * len(basis) for _ in basis]
     for i, vi in enumerate(basis):

@@ -216,11 +216,17 @@ def conjugacy_witness(a, b, *, minimal=False):
 def collapse_quaternion(w):
     """Merge a double witness over an associative (dim-4) algebra into the
     single witness q*p; singles pass through unchanged."""
+    _check_witness(w)
     if w.p.algebra.dim != 4:
         raise AlgebraMismatch("collapse applies to the dim-4 algebras only")
     if w.is_single:
         return w
     return ConjugacyWitness.single(w.q * w.p, Branch.ASSOCIATIVE_COLLAPSE)
+
+
+def _check_witness(w):
+    if not isinstance(w, ConjugacyWitness):
+        raise AlgebraMismatch(f"expected a witness, got {type(w).__name__}")
 
 
 @dataclass(frozen=True)
@@ -241,7 +247,10 @@ class CheckReport:
 
 def verify_witness(a, b, w):
     """Re-check a witness by exact evaluation; failures are report content,
-    never exceptions."""
+    never exceptions; only a non-element or non-witness operand raises."""
+    for e in (a, b):  # each against itself: mixed algebras are report content
+        Element._check_same(e, e)
+    _check_witness(w)
     name = a.algebra.name
     if w.p.algebra is not a.algebra or a.algebra is not b.algebra or (
         w.q is not None and w.q.algebra is not a.algebra

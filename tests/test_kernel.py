@@ -17,6 +17,7 @@ import pytest
 from compalg import (
     ALGEBRAS,
     GaussRational,
+    I,
     embed_in_cayley,
     nullspace,
     sandwich,
@@ -197,6 +198,13 @@ def _matrices(complex_field):
         ((1, 2, 3), (1, 2, 3), (0, 0, 0), (4, 5, 6)),
         ((0, 0, 0, 0), (2**300, -(2**299), 3, Fraction(1, 2**257)), (0, 0, 0, 0)),
     ]
+    if complex_field:
+        out += [
+            ((-2, 1, 0), (I, 3, 1 + I)),  # a negative real pivot above a non-real row
+            ((1 + I, 2 + 2 * I, 3), (1, 2, 3 - 3 * I)),
+            ((1, 2, 3, 4), (2, 4, 6, 8), (I, 0, 0, 1)),  # a real block
+            ((2 * I, 4 * I, -I),),
+        ]
     for _ in range(60):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rank = rng.randint(1, min(nrows, ncols))

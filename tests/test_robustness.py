@@ -22,6 +22,7 @@ from compalg import (
     H,
     O,
     ParseError,
+    collapse_quaternion,
     conjugacy_witness,
     negator,
     parse_element,
@@ -31,6 +32,7 @@ from compalg import (
     twisted_commutant_matrix,
     verify_negator,
     verify_remark,
+    verify_witness,
 )
 from compalg.cli import main
 
@@ -129,6 +131,9 @@ def test_commutant_rejects_non_elements(solve, a, b):
         solve(a, b)
 
 
+WITNESS = conjugacy_witness(H.basis(1), H.basis(2))
+
+
 @pytest.mark.parametrize(
     "fn,args",
     [
@@ -136,10 +141,20 @@ def test_commutant_rejects_non_elements(solve, a, b):
         (separator, (H.basis(1), 3)),
         (conjugacy_witness, (3, H.basis(1))),
         (verify_negator, (H.basis(1), 3)),
+        (verify_witness, (3, H.basis(2), WITNESS)),
+        (verify_witness, (H.basis(1), 3, WITNESS)),
     ],
 )
 def test_witnesses_reject_non_elements(fn, args):
     with pytest.raises(AlgebraMismatch, match="expected two elements"):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn,args", [(verify_witness, (H.basis(1), H.basis(2), 3)), (collapse_quaternion, (3,))]
+)
+def test_witness_checks_reject_non_witnesses(fn, args):
+    with pytest.raises(AlgebraMismatch, match="expected a witness, got int"):
         fn(*args)
 
 
@@ -169,6 +184,20 @@ def test_selftest_records_a_raising_property(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == len(baseline.records) + 1
     assert "PROPERTY FAILURES" in out
+
+
+def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):
+    # the search's always-on check: a single that fails to conjugate a onto b
+    a, b = H.basis(1), H.basis(2)
+    assert single_conjugator_search(a, b).single_exists
+    monkeypatch.setattr(compalg.commutant, "sandwich", lambda p, x: x)
+    with pytest.raises(ConsistencyError, match="fails to conjugate a onto b"):
+        single_conjugator_search(a, b)
+
+    assert main(["commutant", "--algebra", "H", "e1", "e2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure:")
+    assert "Traceback" not in err
 
 
 def test_counterexample_check_lets_bugs_propagate(monkeypatch):
