@@ -18,6 +18,12 @@ in canonical integer form, without a ``Fraction``.  The search builds its
 basis elements from those forms, and ``twisted_commutant_matrix`` and
 ``nullspace`` are exact-scalar views of the same code.
 
+For pure a, b of equal norm the search first writes the solution space
+down in closed form, from s = a + b and t = s*a, which always solve the
+equation; it does so only under a certificate that they span it (a proof
+in dim 4, a rank modulo a prime in dim 8), and reduces them to exactly the
+elimination's basis.  Every other case takes the elimination.
+
 ``verify_remark`` re-derives the two built-in counterexample instances:
 equal-norm pairs of null pure elements, one in the split octonions and one
 in the complex octonions, whose twisted commutant is two-dimensional with
@@ -36,7 +42,11 @@ from .core import (
     Oc,
     Os,
     _coefficients,
+    _divided,
+    _dot,
+    _lincomb,
     _normal,
+    _product,
     integer_form,
     sandwich,
 )
@@ -185,6 +195,93 @@ def _combine(row, pivot_row, c):
     return _primitive((re, im if any(im) else None))
 
 
+# The rank certificate works in F_Q: Q is prime, Q = 1 (mod 4), Q < 2^61,
+# and _I_MOD_Q^2 = -1 (mod Q), so i -> _I_MOD_Q makes Z[i] -> F_Q a ring
+# homomorphism.
+_Q = 2305843009213693921
+_I_MOD_Q = 583529827753931384
+
+
+def _rank_mod_q(rows, keep):
+    """The rank in F_Q of the submatrix of integer-form rows on the rows and
+    columns in ``keep``.  A nonzero minor mod Q is a nonzero minor over
+    Z[i], so this never exceeds the rank over Q(i) of the whole matrix."""
+    m = []
+    for k in keep:
+        re, im = rows[k]
+        if im is None:
+            m.append([re[j] % _Q for j in keep])
+        else:
+            m.append([(re[j] + _I_MOD_Q * im[j]) % _Q for j in keep])
+    rank = 0
+    # clear column 0 against a pivot row, fraction-free, then drop the pivot
+    # row and column 0
+    while m and m[0]:
+        for i, row in enumerate(m):
+            if row[0]:
+                break
+        else:
+            m = [row[1:] for row in m]
+            continue
+        pivot = m.pop(i)
+        p, tail = pivot[0], pivot[1:]
+        for i, row in enumerate(m):
+            f, rest = row[0], row[1:]
+            m[i] = [(p * x - f * y) % _Q for x, y in zip(rest, tail)] if f else rest
+        rank += 1
+    return rank
+
+
+def _closed_form(a, b, rows):
+    """The canonical null-space basis of p*a = b*p built from s = a + b and
+    t = s*a, or None without a certificate that they span it (see
+    ``single_conjugator_search``).  ``rows`` is None in dim 4, else the
+    integer rows of ``_matrix_form``."""
+    alg = a.algebra
+    (d, u), (e, v) = (a.den, a.num), (b.den, b.num)
+    if not (a.is_pure and b.is_pure):
+        return None
+    (nr, ni), (mr, mi) = _dot(alg.metric, u, u), _dot(alg.metric, v, v)
+    if nr * e * e != mr * d * d or ni * e * e != mi * d * d:
+        return None
+    s = _lincomb(e, u, d, v)  # (a + b) d e
+    s = _primitive((s[0], s[1] if s[1] and any(s[1]) else None))
+    if _last(s) < 0:  # b = -a
+        return None
+    if rows is None and _dot(alg.metric, s, s) == (0, 0):
+        return None
+    t = _primitive(_product(alg.table, s, u))
+    f2 = max(_last(s), _last(t))
+    if _entry(s, f2) == (0, 0):
+        s, t = t, s
+    else:
+        t = _combine(t, s, f2)
+    f1 = _last(t)
+    if f1 < 0:
+        return None
+    if rows is not None:
+        keep = [k for k in range(alg.dim) if k != f1 and k != f2]
+        if _rank_mod_q(rows, keep) != alg.dim - 2:
+            return None
+    s = _combine(s, t, f1)
+    return _divided(alg, t, _entry(t, f1), 1), _divided(alg, s, _entry(s, f2), 1)
+
+
+def _entry(u, k):
+    """Entry k of an integer-form vector as a Gaussian integer (re, im)."""
+    re, im = u
+    return re[k], im[k] if im else 0
+
+
+def _last(u):
+    """The largest index of a nonzero entry of u; -1 for the zero vector."""
+    re, im = u
+    for k in reversed(range(len(re))):
+        if re[k] or im and im[k]:
+            return k
+    return -1
+
+
 def span_contains(vectors, target):
     """Exact membership of ``target`` in the span of ``vectors``."""
     if all(c == 0 for c in target):
@@ -236,10 +333,46 @@ def single_conjugator_search(a, b):
     index above r where g_rs != 0, so N(p) = 2 g_rs.  This is the first
     point of {0, 1, 2}^d, in lexicographic order, at which the norm is
     nonzero.  The p found is verified to conjugate a onto b.
+
+    Closed form.  For pure a, b with N(a) = N(b), let s = a + b and t =
+    s*a.  Then s*a = a^2 + b*a = b*a + b^2 = b*s, since x^2 = -N(x) for
+    pure x, and (s*a)*a = -N(a) s = b*(s*a) by alternativity: both solve
+    the equation, and they span the solutions exactly when the nullity is
+    2.  That is never taken on trust:
+    - dim 4: N(s) != 0 proves it.  The quaternion algebras are
+      associative, so b = s a s^-1 and p*a = b*p becomes (s^-1 p) a = a
+      (s^-1 p): the solutions are s times the centralizer of a.  For pure
+      x, y the commutator x y - y x is a cross product with nonzero
+      structure constants, zero only for dependent x, y, so the
+      centralizer of a pure a != 0 is span{1, a}, null a included.
+    - dim 8: no proof is known.  The certificate is the rank, in F_Q with
+      i -> _I_MOD_Q, of the matrix without the rows and columns f1, f2
+      below.  A nonzero minor mod Q is a nonzero minor over Z[i], so a
+      rank of dim - 2 bounds the nullity by 2, and the independent s, t
+      make it exactly 2.  N(s) may vanish.  Columns f1 and f2 are
+      combinations of the others by the two solutions, and so are rows
+      f1 and f2, because p -> p*a - b*p is skew for the norm form (<x a,
+      y> = <x, y conj(a)>): the submatrix has the rank of the matrix.
+    The elimination's basis vector for a free column f is the solution
+    that is 1 at f and 0 at the other free columns, and the free columns
+    are the last-nonzero positions of the solution space.  So, with f2
+    the largest index where s or t is nonzero, f2 is cleared from the
+    other vector, whose last nonzero index is f1, then f1 from the first,
+    and each is divided by its own entry: the same basis, from the right.
+    Without a certificate, when s = 0 (b = -a), or when s and t are
+    dependent, the fraction-free elimination runs (in dim 8 on the rows
+    already built).
     """
-    _, rows = _matrix_form(a, b)
+    Element._check_same(a, b)
     alg = a.algebra
-    basis = tuple(_normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim))
+    rows = None if alg.dim == 4 else _matrix_form(a, b)[1]
+    basis = _closed_form(a, b, rows)
+    if basis is None:
+        if rows is None:
+            rows = _matrix_form(a, b)[1]
+        basis = tuple(
+            _normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim)
+        )
     # the inner product is symmetric: fill the upper triangle and mirror it
     gram = [[None] * len(basis) for _ in basis]
     for i, vi in enumerate(basis):

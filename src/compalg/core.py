@@ -100,8 +100,7 @@ def rational(n, d):
     else a reduced Fraction."""
     if d == 1 or not n:
         return n
-    q = Fraction(n, d)
-    return q.numerator if q.denominator == 1 else q
+    return Fraction(n, d) if n % d else n // d
 
 
 def scalar(re, im, d):

@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
+import compalg.commutant
 from compalg import (
     ALGEBRAS,
     AlgebraMismatch,
+    GaussRational,
     H,
     Oc,
     Os,
@@ -24,6 +28,7 @@ from compalg.sampling import (
     random_null_pure,
     random_pure_nonzero,
 )
+from compalg.cli import main
 
 from helpers import grid_single_conjugator, same_span, sympy_nullity
 
@@ -221,3 +226,157 @@ def test_single_matches_grid_oracle_when_last_diagonal_vanishes(text_a, text_b):
     found, oracle = _grid_pick(a, b)
     assert found == oracle
     assert len([c for c in oracle.coeffs if c != 0]) > 1
+
+
+# -- closed form against forced elimination ------------------------------------
+
+
+def _fingerprint(report):
+    """Everything a report shows, down to each basis vector's integer form."""
+    return repr((report, [(v.den, v.num) for v in report.nullspace_basis]))
+
+
+def _both_paths(monkeypatch, a, b):
+    """Whether the closed form answered the search of (a, b), after checking
+    that its report equals the one from forced elimination."""
+    closed_form = compalg.commutant._closed_form
+    answered = []
+
+    def spy(*args):
+        basis = closed_form(*args)
+        answered.append(basis is not None)
+        return basis
+
+    monkeypatch.setattr(compalg.commutant, "_closed_form", spy)
+    fast = single_conjugator_search(a, b)
+    monkeypatch.setattr(compalg.commutant, "_closed_form", lambda *args: None)
+    slow = single_conjugator_search(a, b)
+    monkeypatch.setattr(compalg.commutant, "_closed_form", closed_form)
+    assert _fingerprint(fast) == _fingerprint(slow), (str(a), str(b))
+    return answered == [True], slow.nullity
+
+
+def _big(rng, alg):
+    """A pure element with coefficients of about 256 bits, non-real over Q(i)."""
+
+    def c():
+        x = rng.randint(-(2**260), 2**260)
+        if alg.complex_field:
+            return GaussRational(x, rng.randint(-(2**256), 2**256))
+        return x
+
+    return alg.element([0] + [c() for _ in range(alg.dim - 1)])
+
+
+def _differential_pairs(alg, rng):
+    """(kind, a, b): conjugate pairs with int, Fraction, Gaussian and 256-bit
+    coefficients, a chain of fractional conjugations, b = -a, null a against
+    its multiples and conjugates, and pairs whose nullity is dim."""
+
+    def conj(x, **kw):
+        return sandwich(random_invertible(rng, alg, max_abs=2, **kw), x)
+
+    pairs = []
+    for frac_prob in (0, 0.5):
+        for _ in range(6):
+            a = random_pure_nonzero(rng, alg, max_abs=3, frac_prob=frac_prob)
+            pairs.append(("conj", a, conj(a, frac_prob=frac_prob)))
+    for _ in range(2):
+        a = _big(rng, alg)
+        pairs.append(("big", a, conj(a)))
+    a = b = random_pure_nonzero(rng, alg, max_abs=5, frac_prob=0.5)
+    for _ in range(6):
+        b = conj(b, frac_prob=0.5)
+    pairs += [("deep", a, b), ("neg", a, -a), ("neg", b, -b)]
+    if not alg.is_division:
+        for _ in range(3):
+            n = random_null_pure(rng, alg)
+            pairs += [
+                ("null", n, 2 * n),
+                ("null", n, Fraction(-1, 3) * n),
+                ("null", n, n),
+                ("null", n, conj(n)),
+            ]
+    pairs += [("whole", alg.zero(), alg.zero()), ("whole", alg.one(), alg.one())]
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_closed_form_matches_forced_elimination(monkeypatch, name):
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"closed-form:{name}")
+    nullities = set()
+    for kind, a, b in _differential_pairs(alg, rng):
+        closed, nullity = _both_paths(monkeypatch, a, b)
+        nullities.add(nullity)
+        if closed:
+            assert nullity == 2
+        if kind in ("neg", "whole") or nullity != 2:
+            assert not closed, (kind, str(a), str(b))
+        if alg.dim == 4 and kind not in ("neg", "whole"):
+            # the proof: N(a + b) != 0 is all it takes in dim 4
+            assert closed == ((a + b).norm() != 0), (kind, str(a), str(b))
+        if alg.is_division and kind in ("conj", "big", "deep") and b != -a:
+            assert closed, (kind, str(a), str(b))
+    assert alg.dim in nullities
+    if alg.dim == 8:
+        assert 6 in nullities
+    if name in ("Os", "Oc"):
+        assert 4 in nullities
+
+
+def test_closed_form_answers_deep_oc_pairs_and_golden_instances(monkeypatch):
+    rng = random.Random("closed-form:deep-Oc")
+    for _ in range(3):
+        a = b = random_invertible(rng, Oc, pure=True, max_abs=5, frac_prob=0.5)
+        for _ in range(20):
+            b = sandwich(random_invertible(rng, Oc, max_abs=5, frac_prob=0.5), b)
+        assert b.den.bit_length() > 256
+        assert _both_paths(monkeypatch, a, b) == (True, 2)
+    for _, a, b, _ in counterexample_instances():
+        # N(a + b) = 0 here: only the rank certificate covers them
+        assert (a + b).norm() == 0
+        assert _both_paths(monkeypatch, a, b) == (True, 2)
+
+
+def test_rank_certificate_prime():
+    q, i = compalg.commutant._Q, compalg.commutant._I_MOD_Q
+    assert sympy.isprime(q) and q % 4 == 1 and q < 2**61
+    assert (i * i + 1) % q == 0
+
+
+def test_unlucky_prime_takes_the_elimination(monkeypatch, capsys):
+    cm = compalg.commutant
+    rng = random.Random("unlucky-prime")
+    pairs = [(a, b) for _, a, b, _ in counterexample_instances()]
+    for name in ("O", "Os", "Oc"):
+        alg = ALGEBRAS[name]
+        a = random_pure_nonzero(rng, alg, max_abs=3, frac_prob=0.5)
+        pairs.append((a, sandwich(random_invertible(rng, alg, max_abs=2), a)))
+    cli_cases = [
+        ("Os", ["4e1'+5e2+3e3'-5e4+4e5'+3e7'", "3e2+4e6+5e7'"]),
+        ("Oc", ["--json", "e1+ie2", "e3+ie4"]),
+        ("O", ["e1+2e5", "2e3-e6"]),
+    ]
+    for name, args in cli_cases:
+        alg = ALGEBRAS[name]
+        pairs.append(tuple(parse_element(x, alg) for x in args[-2:]))
+
+    def outcomes():
+        reports = [_fingerprint(single_conjugator_search(a, b)) for a, b in pairs]
+        runs = []
+        for name, args in cli_cases:
+            code = main(["commutant", "--algebra", name, *args])
+            runs.append((code, capsys.readouterr()))
+        return reports, runs
+
+    def answered():
+        forms = [cm._closed_form(a, b, cm._matrix_form(a, b)[1]) for a, b in pairs]
+        return [basis is not None for basis in forms]
+
+    assert all(answered())
+    lucky = outcomes()
+    # the 6 x 6 submatrix comes out one short of rank dim - 2
+    monkeypatch.setattr(cm, "_rank_mod_q", lambda rows, keep: 5)
+    assert not any(answered())
+    assert outcomes() == lucky

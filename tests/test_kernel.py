@@ -24,6 +24,7 @@ from compalg import (
     single_conjugator_search,
     twisted_commutant_matrix,
 )
+from compalg.core import rational
 
 from helpers import (
     is_normal,
@@ -176,6 +177,16 @@ def test_non_normal_input_has_normal_twin(name):
         assert a == b and hash(a) == hash(b)
         assert a.coeffs == tuple(normal)
         assert all(is_normal(c) for c in a.coeffs)
+
+
+@pytest.mark.parametrize(
+    "n,d,value",
+    [(12, 12, 1), (-6, 3, -2), (6, -4, Fraction(-3, 2)), (0, 12, 0), (5, 1, 5)],
+)
+def test_rational_is_in_normal_form(n, d, value):
+    x = rational(n, d)
+    assert x == value
+    assert type(x) is type(value)
 
 
 def _matrix(rng, nrows, ncols, rank, complex_field, bits):

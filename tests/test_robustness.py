@@ -190,6 +190,16 @@ def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):
     # the search's always-on check: a single that fails to conjugate a onto b
     a, b = H.basis(1), H.basis(2)
     assert single_conjugator_search(a, b).single_exists
+    # the basis comes from the closed form, not the elimination
+    closed_form = compalg.commutant._closed_form
+    answered = []
+
+    def spy(*args):
+        basis = closed_form(*args)
+        answered.append(basis is not None)
+        return basis
+
+    monkeypatch.setattr(compalg.commutant, "_closed_form", spy)
     monkeypatch.setattr(compalg.commutant, "sandwich", lambda p, x: x)
     with pytest.raises(ConsistencyError, match="fails to conjugate a onto b"):
         single_conjugator_search(a, b)
@@ -198,6 +208,7 @@ def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal consistency failure:")
     assert "Traceback" not in err
+    assert answered == [True, True]
 
 
 def test_counterexample_check_lets_bugs_propagate(monkeypatch):
