@@ -241,16 +241,14 @@ def _closed_form(a, b, rows):
     (d, u), (e, v) = (a.den, a.num), (b.den, b.num)
     if not (a.is_pure and b.is_pure):
         return None
-    (nr, ni), (mr, mi) = _dot(alg.metric, u, u), _dot(alg.metric, v, v)
+    (nr, ni), (mr, mi) = _dot(alg.dot, u, u), _dot(alg.dot, v, v)
     if nr * e * e != mr * d * d or ni * e * e != mi * d * d:
         return None
     s = _lincomb(e, u, d, v)  # (a + b) d e
     s = _primitive((s[0], s[1] if s[1] and any(s[1]) else None))
     if _last(s) < 0:  # b = -a
         return None
-    if rows is None and _dot(alg.metric, s, s) == (0, 0):
-        return None
-    t = _primitive(_product(alg.table, s, u))
+    t = _primitive(_product(alg.mul, s, u))
     f2 = max(_last(s), _last(t))
     if _entry(s, f2) == (0, 0):
         s, t = t, s
@@ -339,12 +337,12 @@ def single_conjugator_search(a, b):
     pure x, and (s*a)*a = -N(a) s = b*(s*a) by alternativity: both solve
     the equation, and they span the solutions exactly when the nullity is
     2.  That is never taken on trust:
-    - dim 4: N(s) != 0 proves it.  The quaternion algebras are
-      associative, so b = s a s^-1 and p*a = b*p becomes (s^-1 p) a = a
-      (s^-1 p): the solutions are s times the centralizer of a.  For pure
-      x, y the commutator x y - y x is a cross product with nonzero
-      structure constants, zero only for dependent x, y, so the
-      centralizer of a pure a != 0 is span{1, a}, null a included.
+    - dim 4: the independent s, t prove it.  p -> p*a - b*p is skew
+      for the nondegenerate norm form (<x a, y> = -<x, y a> and <b x, y>
+      = -<x, b y> for pure a, b), so its rank is even and the nullity is
+      0, 2 or 4.  Nullity 4 makes the map zero: p = 1 gives a = b, and
+      then a commutes with every p, so the pure a is 0, which s != 0
+      excludes.  No matrix is built.
     - dim 8: no proof is known.  The certificate is the rank, in F_Q with
       i -> _I_MOD_Q, of the matrix without the rows and columns f1, f2
       below.  A nonzero minor mod Q is a nonzero minor over Z[i], so a

@@ -29,15 +29,19 @@ is canonical, ``gcd(den, all numerators) == 1``, so equality and hashing
 compare the tuples.  ``Element.__init__`` builds it from exact scalars
 (``integer_form``); every operation builds it from integer results through
 one normaliser, which divides out one gcd.  No operation does arithmetic on
-``Fraction`` or ``GaussRational`` objects.  One integer bilinear product,
-driven by the structure table, serves every product, the doubling above
-included; over the Gaussian rationals it runs three real products, not
-four.  Inner product and norm are the metric-weighted integer dot product.
-Inverse and sandwich fold the norm into the common denominator.  Sums,
-negation and conjugation are integer vector operations; a field scalar
-operand is written in integer form once, so a scalar product scales the
-numerators and a scalar sum changes index 0 only.  ``commutant`` builds
-its matrix, null space and basis on the same integer form.
+``Fraction`` or ``GaussRational`` objects.  Every product, the doubling
+above included, runs one integer bilinear kernel per distinct structure
+table (``Algebra.mul``): it is compiled once from the table into
+straight-line code, one signed sum of ``u_i * v_j`` per output index, with
+no loop and no table lookup per call.  Over the Gaussian rationals a
+product takes three real products, not four.  Inner product and norm are
+the metric-weighted integer dot product, compiled the same way from the
+metric (``Algebra.dot``).  Inverse and sandwich fold the norm into the
+common denominator.  Sums, negation and conjugation are integer vector
+operations; a field scalar operand is written in integer form once, so a
+scalar product scales the numerators and a scalar sum changes index 0
+only.  ``commutant`` builds its matrix, null space and basis on the same
+integer form.
 
 ``coeffs`` is a read-only view of the stored form, always in normal form: a
 coefficient is an ``int`` when integral, otherwise a reduced ``Fraction``,
@@ -47,6 +51,7 @@ and a ``GaussRational`` only when its imaginary part is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -111,37 +116,59 @@ def scalar(re, im, d):
     return GaussRational._make(rational(re, d), rational(im, d))
 
 
-def _bilinear(table, u, v):
-    """The table product of two int vectors, skipping zero coefficients."""
-    out = [0] * len(u)
-    nonzero = [(j, y) for j, y in enumerate(v) if y]
-    for x, row in zip(u, table):
-        if x:
-            for j, y in nonzero:
-                k, s = row[j]
-                if s > 0:
-                    out[k] += x * y
-                else:
-                    out[k] -= x * y
-    return out
+@cache
+def _table_product(table):
+    """The bilinear product of a structure table as one compiled function
+    of two int vectors: ``out[k]`` is the signed sum of ``u_i * v_j`` over
+    the entries e_i e_j = +-e_k, one straight-line expression per k.  The
+    source is generated from the table's shape and signs alone, once per
+    distinct table (equal tables share the function)."""
+    sums = [""] * len(table)
+    for i, row in enumerate(table):
+        for j, (k, s) in enumerate(row):
+            sums[k] += f" {'-' if s < 0 else '+'} u{i}*v{j}"
+    # lstrip drops a leading plus; a leading minus stays, as unary minus
+    sums = ", ".join(t.lstrip(" +") for t in sums)
+    return _compiled("product", len(table), f"[{sums}]")
 
 
-def _product(table, u, v):
-    """The product of two integer-form vectors.  With imaginary parts on
-    both sides it takes three real products, not four:
+@cache
+def _metric_dot_kernel(metric):
+    """The metric-weighted dot product sum(metric[k] u_k v_k) as one
+    compiled straight-line function of two int vectors; the metric entries
+    are the norms +-1 of the basis units."""
+    terms = [f" {'-' if g < 0 else '+'} u{k}*v{k}" for k, g in enumerate(metric)]
+    return _compiled("dot", len(metric), "".join(terms).lstrip(" +"))
+
+
+def _compiled(name, n, expression):
+    """``def name(u, v)``: unpack two length-n vectors into u0.., v0.. and
+    return ``expression``."""
+    u = ", ".join(f"u{i}" for i in range(n))
+    v = ", ".join(f"v{i}" for i in range(n))
+    source = f"def {name}(u, v):\n    {u}, = u\n    {v}, = v\n    return {expression}\n"
+    namespace = {}
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _product(mul, u, v):
+    """The product of two integer-form vectors under the table kernel
+    ``mul``.  With imaginary parts on both sides it takes three real
+    products, not four:
     re = ur vr - ui vi and im = (ur + ui)(vr + vi) - ur vr - ui vi."""
     ur, ui = u
     vr, vi = v
-    re = _bilinear(table, ur, vr)
+    re = mul(ur, vr)
     if ui is None and vi is None:
         return re, None
     if ui is None:
-        im = _bilinear(table, ur, vi)
+        im = mul(ur, vi)
     elif vi is None:
-        im = _bilinear(table, ui, vr)
+        im = mul(ui, vr)
     else:
-        t = _bilinear(table, ui, vi)
-        s = _bilinear(table, _sum(ur, ui), _sum(vr, vi))
+        t = mul(ui, vi)
+        s = mul(_sum(ur, ui), _sum(vr, vi))
         im = [z - x - y for x, y, z in zip(re, t, s)]
         re = [x - y for x, y in zip(re, t)]
     return re, (im if any(im) else None)
@@ -161,24 +188,21 @@ def _lincomb(x, u, y, v):
     return re, [x * p + y * q for p, q in zip(ui or zero, vi or zero)]
 
 
-def _dot(metric, u, v):
-    """Metric-weighted dot product of two integer-form vectors, as a
-    Gaussian integer (re, im)."""
+def _dot(dot, u, v):
+    """Metric-weighted dot product of two integer-form vectors under the
+    metric kernel ``dot``, as a Gaussian integer (re, im); three real dot
+    products when both sides have imaginary parts."""
     ur, ui = u
     vr, vi = v
-    re = _metric_dot(metric, ur, vr)
+    re = dot(ur, vr)
     if ui is None and vi is None:
         return re, 0
     if ui is None:
-        return re, _metric_dot(metric, ur, vi)
+        return re, dot(ur, vi)
     if vi is None:
-        return re, _metric_dot(metric, ui, vr)
-    t = _metric_dot(metric, ui, vi)
-    return re - t, _metric_dot(metric, _sum(ur, ui), _sum(vr, vi)) - re - t
-
-
-def _metric_dot(metric, x, y):
-    return sum(g * a * b for g, a, b in zip(metric, x, y))
+        return re, dot(ui, vr)
+    t = dot(ui, vi)
+    return re - t, dot(_sum(ur, ui), _sum(vr, vi)) - re - t
 
 
 def _conj(u):
@@ -260,9 +284,7 @@ def build_doubled_table(qtable):
     basis unit or the doubled-basis sign conventions do not come out, which
     would signal a transcription bug in the dim-4 table or the packing.
     """
-    def mul(u, v):
-        return _bilinear(qtable, u, v)
-
+    mul = _table_product(qtable)
     rows = []
     for i in range(8):
         u = [0] * 8
@@ -331,6 +353,8 @@ class Algebra:
         "primed",
         "table",
         "metric",
+        "mul",
+        "dot",
         "scalar_types",
     )
 
@@ -344,6 +368,8 @@ class Algebra:
         # metric[k] = norm of the k-th basis unit: 1 for the unit,
         # -(sign of e_k^2) for the imaginary units
         self.metric = (1,) + tuple(-table[k][k][1] for k in range(1, dim))
+        self.mul = _table_product(table)
+        self.dot = _metric_dot_kernel(self.metric)
         self.scalar_types = (
             (int, Fraction, GaussRational) if complex_field else RATIONAL_TYPES
         )
@@ -491,7 +517,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            u = _product(self.algebra.table, self.num, other.num)
+            u = _product(self.algebra.mul, self.num, other.num)
             return _normal(self.algebra, u, self.den * other.den)
         s = self._scalar_form(other)
         if s is None:
@@ -517,7 +543,7 @@ class Element:
         a conj(b) + b conj(a) vanishes for every pair of basis units.
         """
         self._check_same(other)
-        m = _dot(self.algebra.metric, self.num, other.num)
+        m = _dot(self.algebra.dot, self.num, other.num)
         return scalar(*m, self.den * other.den)
 
     def norm(self):
@@ -529,7 +555,7 @@ class Element:
 
         With a = u / d and N(a) = m / d^2 this is conj(u) d / m."""
         d, u = self.den, self.num
-        m = _dot(self.algebra.metric, u, u)
+        m = _dot(self.algebra.dot, u, u)
         if m == (0, 0):
             raise NotInvertible(f"{self!s} has zero norm")
         return _divided(self.algebra, _scaled(_conj(u), (d, 0)), m, 1)
@@ -568,12 +594,12 @@ def sandwich(p, a):
     Element._check_same(p, a)
     alg = p.algebra
     u, e, v = p.num, a.den, a.num
-    m = _dot(alg.metric, u, u)
+    m = _dot(alg.dot, u, u)
     if m == (0, 0):
         raise NotInvertible(f"sandwich by {p!s}, which has zero norm")
     uc = _conj(u)
-    left = _product(alg.table, _product(alg.table, u, v), uc)
-    if left != _product(alg.table, u, _product(alg.table, v, uc)):
+    left = _product(alg.mul, _product(alg.mul, u, v), uc)
+    if left != _product(alg.mul, u, _product(alg.mul, v, uc)):
         raise ConsistencyError("sandwich product is not well defined")
     return _divided(alg, left, m, e)
 

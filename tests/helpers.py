@@ -12,6 +12,9 @@ routes the library took before its fraction-free integer kernel; the
 kernel must agree with them exactly.  ``product_commutant_matrix`` builds
 the twisted-commutant matrix from element products, column by column, as
 the library did before it read the matrix off the structure table.
+``table_bilinear`` is the interpreted table loop the library ran before it
+compiled one straight-line product per structure table; each algebra's
+``mul`` must give the same list on every pair of int vectors.
 ``reference_parse`` is the character-loop lexer and recursive-descent
 parser the library used before its one-regex lexer; ``parse_element`` must
 give the same element, or raise the same error class with the same message
@@ -116,6 +119,21 @@ def scalar_mul(algebra, c1, c2):
             k, s = row[j]
             out[k] = out[k] + x * y if s == 1 else out[k] - x * y
     return tuple(out)
+
+
+def table_bilinear(table, u, v):
+    """The table product of two int vectors, skipping zero coefficients."""
+    out = [0] * len(u)
+    nonzero = [(j, y) for j, y in enumerate(v) if y]
+    for x, row in zip(u, table):
+        if x:
+            for j, y in nonzero:
+                k, s = row[j]
+                if s > 0:
+                    out[k] += x * y
+                else:
+                    out[k] -= x * y
+    return out
 
 
 def _conj(coeffs):

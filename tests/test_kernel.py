@@ -1,11 +1,13 @@
 """The integer kernel against the per-scalar oracles.
 
-Products, inner products, norms, inverses and sandwiches on all six
-algebras must equal the component-formula oracles and the per-scalar
-table loop exactly, and come back in normal form; so must the linear
-operations against coefficient-wise scalar arithmetic.  ``nullspace`` must
-return the very vectors of the Gauss-Jordan oracle, in the same order, and
-the twisted-commutant matrix, basis and Gram matrix of
+Each algebra's compiled ``mul`` and ``dot`` must equal the interpreted
+table loop and the signature sum on raw int vectors.  Products, inner
+products, norms, inverses and sandwiches on all six algebras must equal
+the component-formula oracles and the per-scalar table loop exactly, and
+come back in normal form; so must the linear operations against
+coefficient-wise scalar arithmetic.  ``nullspace`` must return the very
+vectors of the Gauss-Jordan oracle, in the same order, and the
+twisted-commutant matrix, basis and Gram matrix of
 ``single_conjugator_search`` must equal those built from element products.
 """
 
@@ -17,7 +19,11 @@ import pytest
 from compalg import (
     ALGEBRAS,
     GaussRational,
+    H,
+    Hc,
     I,
+    O,
+    Oc,
     embed_in_cayley,
     nullspace,
     sandwich,
@@ -36,6 +42,7 @@ from helpers import (
     scalar_inverse,
     scalar_mul,
     scalar_sandwich,
+    table_bilinear,
 )
 
 ALL = sorted(ALGEBRAS)
@@ -121,6 +128,40 @@ def test_inverse_and_sandwich_match_oracles(name):
         assert all(is_normal(c) for c in inv + got)
         checked += 1
     assert checked > len(pairs) // 2
+
+
+def _int_vectors(rng, dim):
+    """Raw int vectors for the compiled kernels: zero, a unit, sparse,
+    negative, 1-bit and at least 1024-bit entries."""
+    def vec(bits, density):
+        return [
+            rng.choice((-1, 1)) * rng.getrandbits(bits) if rng.random() < density else 0
+            for _ in range(dim)
+        ]
+
+    vectors = [[0] * dim, [0] * (dim - 1) + [-1], [-1] * dim, [-(2**1100)] * dim]
+    vectors += [vec(1, 1.0) for _ in range(6)] + [vec(4, 0.25) for _ in range(6)]
+    return vectors + [vec(1024, 0.9) for _ in range(4)]
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_compiled_kernels_match_table_loop(name):
+    alg = ALGEBRAS[name]
+    vectors = _int_vectors(random.Random(f"compiled:{name}"), alg.dim)
+    for u in vectors:
+        for v in vectors:
+            want = table_bilinear(alg.table, u, v)
+            # tuples, as elements store them, and lists, as kernels return them
+            for x, y in ((tuple(u), v), (u, tuple(v))):
+                got = alg.mul(x, y)
+                assert got == want and type(got) is list
+                assert alg.dot(x, y) == oracle_inner(name, u, v)
+
+
+def test_equal_tables_share_one_compiled_kernel():
+    assert H.mul is Hc.mul and H.dot is Hc.dot
+    assert O.mul is Oc.mul and O.dot is Oc.dot
+    assert len({alg.mul for alg in ALGEBRAS.values()}) == 4
 
 
 def _scalars(alg, b):

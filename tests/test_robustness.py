@@ -35,6 +35,7 @@ from compalg import (
     verify_witness,
 )
 from compalg.cli import main
+from compalg.core import _table_product
 
 PACKAGE = Path(compalg.__file__).parent
 
@@ -209,6 +210,30 @@ def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):
     assert err.startswith("internal consistency failure:")
     assert "Traceback" not in err
     assert answered == [True, True]
+
+
+@pytest.mark.parametrize("alg", [H, O], ids=lambda alg: alg.name)
+def test_sandwich_recheck_catches_a_corrupted_table(monkeypatch, capsys, alg):
+    # sandwich's always-on check: the two association orders of p a conj(p)
+    # disagree under a table with one sign flipped
+    good = alg.mul
+    table = [list(row) for row in alg.table]
+    k, s = table[1][2]
+    table[1][2] = (k, -s)
+    bad = _table_product(tuple(map(tuple, table)))
+    assert bad is not good
+    p, a = alg.element([1, 2, 3] + [0] * (alg.dim - 3)), alg.basis(1)
+    with monkeypatch.context() as m:
+        m.setattr(alg, "mul", bad)
+        with pytest.raises(ConsistencyError, match="not well defined"):
+            sandwich(p, a)
+        assert main(["conjugate-witness", "--algebra", alg.name, "e1", "e2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal consistency failure: sandwich product is not well defined\n"
+    # the corrupted table is its own cache entry: the good kernel is intact
+    assert alg.mul is good is _table_product(alg.table)
+    assert alg.basis(1) * alg.basis(2) == alg.basis(3)
+    assert sandwich(p, a) == p * a * p.inverse()
 
 
 def test_counterexample_check_lets_bugs_propagate(monkeypatch):
