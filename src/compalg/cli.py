@@ -1,5 +1,8 @@
 """Command-line front end.
 
+The element operations (mul, conj, inv, norm, inner) are one table of
+``Element`` methods served by one handler; every other command has its own.
+
 Exit codes: 0 success; 1 a demanded verification came back negative
 (verify-remark, selftest); 2 usage, parse or precondition errors;
 3 internal consistency failure.
@@ -12,7 +15,7 @@ import json
 import sys
 
 from .commutant import single_conjugator_search, verify_remark
-from .core import ALGEBRAS
+from .core import ALGEBRAS, Element
 from .errors import CompalgError, ConsistencyError
 from .parsing import format_element, format_scalar, parse_element
 from .selftest import run_selftest
@@ -87,37 +90,26 @@ def _cmd_table(args):
     return 0
 
 
-def _emit_element(args, r):
-    _emit(args, _element_json(r), [format_element(r)])
+_OPERATIONS = {
+    "mul": (Element.__mul__, 2, "multiply two elements"),
+    "conj": (Element.conjugate, 1, "conjugate an element"),
+    "inv": (Element.inverse, 1, "invert an element"),
+    "norm": (Element.norm, 1, "norm of an element"),
+    "inner": (Element.inner, 2, "inner product of two elements"),
+}
+
+
+def _cmd_operation(args):
+    method, count, _ = _OPERATIONS[args.command]
+    operands = [_parse(args, getattr(args, k)) for k in "ab"[:count]]
+    r = method(*operands)
+    if isinstance(r, Element):
+        _emit(args, _element_json(r), [format_element(r)])
+    else:
+        alg = operands[0].algebra
+        payload = {"algebra": alg.name, "value": _scalar_json(r, alg.complex_field)}
+        _emit(args, payload, [format_scalar(r)])
     return 0
-
-
-def _emit_scalar(args, alg, v):
-    payload = {"algebra": alg.name, "value": _scalar_json(v, alg.complex_field)}
-    _emit(args, payload, [format_scalar(v)])
-    return 0
-
-
-def _cmd_mul(args):
-    return _emit_element(args, _parse(args, args.a) * _parse(args, args.b))
-
-
-def _cmd_conj(args):
-    return _emit_element(args, _parse(args, args.a).conjugate())
-
-
-def _cmd_inv(args):
-    return _emit_element(args, _parse(args, args.a).inverse())
-
-
-def _cmd_norm(args):
-    a = _parse(args, args.a)
-    return _emit_scalar(args, a.algebra, a.norm())
-
-
-def _cmd_inner(args):
-    a, b = _parse(args, args.a), _parse(args, args.b)
-    return _emit_scalar(args, a.algebra, a.inner(b))
 
 
 def _cmd_negate_witness(args):
@@ -256,11 +248,8 @@ def build_parser():
         return p
 
     command("table", _cmd_table, "print the full multiplication table")
-    command("mul", _cmd_mul, "multiply two elements", elements=2)
-    command("conj", _cmd_conj, "conjugate an element", elements=1)
-    command("inv", _cmd_inv, "invert an element", elements=1)
-    command("norm", _cmd_norm, "norm of an element", elements=1)
-    command("inner", _cmd_inner, "inner product of two elements", elements=2)
+    for name, (_, count, help) in _OPERATIONS.items():
+        command(name, _cmd_operation, help, elements=count)
     command(
         "negate-witness",
         _cmd_negate_witness,

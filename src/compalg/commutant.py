@@ -21,8 +21,8 @@ basis elements from those forms, and ``twisted_commutant_matrix`` and
 For pure a, b of equal norm the search first writes the solution space
 down in closed form, from s = a + b and t = s*a, which always solve the
 equation; it does so only under a certificate that they span it (a proof
-in dim 4, a rank modulo a prime in dim 8), and reduces them to exactly the
-elimination's basis.  Every other case takes the elimination.
+in dim 4, a minor nonsingular modulo a prime in dim 8), and reduces them to
+exactly the elimination's basis.  Every other case takes the elimination.
 
 ``verify_remark`` re-derives the two built-in counterexample instances:
 equal-norm pairs of null pure elements, one in the split octonions and one
@@ -195,17 +195,17 @@ def _combine(row, pivot_row, c):
     return _primitive((re, im if any(im) else None))
 
 
-# The rank certificate works in F_Q: Q is prime, Q = 1 (mod 4), Q < 2^61,
-# and _I_MOD_Q^2 = -1 (mod Q), so i -> _I_MOD_Q makes Z[i] -> F_Q a ring
+# The certificate works in F_Q: Q is prime, Q = 1 (mod 4), Q < 2^61, and
+# _I_MOD_Q^2 = -1 (mod Q), so i -> _I_MOD_Q makes Z[i] -> F_Q a ring
 # homomorphism.
 _Q = 2305843009213693921
 _I_MOD_Q = 583529827753931384
 
 
-def _rank_mod_q(rows, keep):
-    """The rank in F_Q of the submatrix of integer-form rows on the rows and
-    columns in ``keep``.  A nonzero minor mod Q is a nonzero minor over
-    Z[i], so this never exceeds the rank over Q(i) of the whole matrix."""
+def _nonsingular_mod_q(rows, keep):
+    """True when the submatrix of integer-form rows on the rows and columns
+    in ``keep`` is nonsingular in F_Q.  Its determinant is then a nonzero
+    minor over Z[i], so the whole matrix has at least that rank over Q(i)."""
     m = []
     for k in keep:
         re, im = rows[k]
@@ -213,23 +213,20 @@ def _rank_mod_q(rows, keep):
             m.append([re[j] % _Q for j in keep])
         else:
             m.append([(re[j] + _I_MOD_Q * im[j]) % _Q for j in keep])
-    rank = 0
     # clear column 0 against a pivot row, fraction-free, then drop the pivot
     # row and column 0
-    while m and m[0]:
+    while m:
         for i, row in enumerate(m):
             if row[0]:
                 break
         else:
-            m = [row[1:] for row in m]
-            continue
+            return False
         pivot = m.pop(i)
         p, tail = pivot[0], pivot[1:]
         for i, row in enumerate(m):
             f, rest = row[0], row[1:]
             m[i] = [(p * x - f * y) % _Q for x, y in zip(rest, tail)] if f else rest
-        rank += 1
-    return rank
+    return True
 
 
 def _closed_form(a, b, rows):
@@ -259,7 +256,7 @@ def _closed_form(a, b, rows):
         return None
     if rows is not None:
         keep = [k for k in range(alg.dim) if k != f1 and k != f2]
-        if _rank_mod_q(rows, keep) != alg.dim - 2:
+        if not _nonsingular_mod_q(rows, keep):
             return None
     s = _combine(s, t, f1)
     return _divided(alg, t, _entry(t, f1), 1), _divided(alg, s, _entry(s, f2), 1)
@@ -343,14 +340,15 @@ def single_conjugator_search(a, b):
       0, 2 or 4.  Nullity 4 makes the map zero: p = 1 gives a = b, and
       then a commutes with every p, so the pure a is 0, which s != 0
       excludes.  No matrix is built.
-    - dim 8: no proof is known.  The certificate is the rank, in F_Q with
-      i -> _I_MOD_Q, of the matrix without the rows and columns f1, f2
-      below.  A nonzero minor mod Q is a nonzero minor over Z[i], so a
-      rank of dim - 2 bounds the nullity by 2, and the independent s, t
-      make it exactly 2.  N(s) may vanish.  Columns f1 and f2 are
-      combinations of the others by the two solutions, and so are rows
-      f1 and f2, because p -> p*a - b*p is skew for the norm form (<x a,
-      y> = <x, y conj(a)>): the submatrix has the rank of the matrix.
+    - dim 8: no proof is known.  The certificate is that the matrix
+      without the rows and columns f1, f2 below is nonsingular in F_Q,
+      with i -> _I_MOD_Q.  Its determinant is then a nonzero minor of
+      size dim - 2 over Z[i], which bounds the nullity by 2, and the
+      independent s, t make it exactly 2.  N(s) may vanish.  Columns f1
+      and f2 are combinations of the others by the two solutions, and so
+      are rows f1 and f2, because p -> p*a - b*p is skew for the norm
+      form (<x a, y> = <x, y conj(a)>): the submatrix has the rank of the
+      matrix.
     The elimination's basis vector for a free column f is the solution
     that is 1 at f and 0 at the other free columns, and the free columns
     are the last-nonzero positions of the solution space.  So, with f2

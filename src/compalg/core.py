@@ -639,7 +639,7 @@ Hs = Algebra("Hs", 4, False, (1, 3), SPLIT_QUATERNION_TABLE)
 Hc = Algebra("Hc", 4, True, (), QUATERNION_TABLE)
 O = Algebra("O", 8, False, (), build_doubled_table(QUATERNION_TABLE))
 Os = Algebra("Os", 8, False, (1, 3, 5, 7), build_doubled_table(SPLIT_QUATERNION_TABLE))
-Oc = Algebra("Oc", 8, True, (), build_doubled_table(QUATERNION_TABLE))
+Oc = Algebra("Oc", 8, True, (), O.table)
 
 ALGEBRAS = {alg.name: alg for alg in (H, Hs, Hc, O, Os, Oc)}
 

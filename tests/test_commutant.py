@@ -55,6 +55,11 @@ def test_centralizer_of_e1_in_h():
     assert not span_contains(basis, H.basis(2).coeffs)
 
 
+def test_span_of_no_vectors_holds_only_zero():
+    assert span_contains([], (0, 0, 0, 0))
+    assert not span_contains([], H.basis(1).coeffs)
+
+
 def test_nullspace_identity_and_zero():
     assert nullspace(((1, 0), (0, 1))) == []
     assert nullspace(((0, 0), (0, 0))) == [(1, 0), (0, 1)]
@@ -376,7 +381,7 @@ def test_unlucky_prime_takes_the_elimination(monkeypatch, capsys):
 
     assert all(answered())
     lucky = outcomes()
-    # the 6 x 6 submatrix comes out one short of rank dim - 2
-    monkeypatch.setattr(cm, "_rank_mod_q", lambda rows, keep: 5)
+    # the 6 x 6 submatrix comes out singular mod Q
+    monkeypatch.setattr(cm, "_nonsingular_mod_q", lambda rows, keep: False)
     assert not any(answered())
     assert outcomes() == lucky

@@ -60,6 +60,34 @@ def test_add_sub_neg_scalar():
     assert (a * 2).coeffs == (2, 4, 0, 0)
 
 
+@pytest.mark.parametrize("x", [1.5, "1", None], ids=repr)
+def test_non_scalar_operands_are_rejected(x):
+    a = H.element([1, 2, 0, 0])
+    for op in (
+        lambda: a + x,
+        lambda: x + a,
+        lambda: a - x,
+        lambda: x - a,
+        lambda: a * x,
+        lambda: x * a,
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_imaginary_scalar_is_not_a_split_quaternion_scalar():
+    a = Hs.element([1, 2, 0, 0])
+    for op in (lambda: a * I, lambda: I * a, lambda: a + I, lambda: I - a):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_elements_never_equal_scalars():
+    assert not H.one() == 1
+    assert H.one() != 1
+    assert H.one() == H.element([1, 0, 0, 0])
+
+
 def test_algebra_mismatch():
     with pytest.raises(AlgebraMismatch):
         H.basis(1) * Hs.basis(1)

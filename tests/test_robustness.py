@@ -17,6 +17,7 @@ import compalg.selftest
 from compalg import (
     ALGEBRAS,
     AlgebraMismatch,
+    CheckReport,
     ConsistencyError,
     Element,
     H,
@@ -185,6 +186,36 @@ def test_selftest_records_a_raising_property(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == len(baseline.records) + 1
     assert "PROPERTY FAILURES" in out
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_selftest_records_a_failing_sample(monkeypatch, capsys, k):
+    # a check that comes back negative on the k-th sample, without raising
+    real, calls = compalg.selftest.verify_negator, []
+
+    def verify(a, p):
+        calls.append(None)
+        if len(calls) == k:
+            return CheckReport(a.algebra.name, (("p a = -a p", False),))
+        return real(a, p)
+
+    monkeypatch.setattr(compalg.selftest, "verify_negator", verify)
+    failure = f"sample {k - 1}: negator postcondition fails"
+    result = compalg.selftest.run_selftest(samples=4)
+    failed = [r for r in result.records if r.failure]
+    assert [(r.name, r.algebra, r.failure) for r in failed] == [
+        ("negator", "H", failure)
+    ]
+    # H stops at its failing sample; the other five algebras run all four
+    assert len(calls) == k + 5 * 4
+
+    calls.clear()
+    assert main(["selftest", "--samples", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        f"FAIL negator [H] (4 samples): {failure}"
+    ]
+    assert lines[-1] == "PROPERTY FAILURES"
 
 
 def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):

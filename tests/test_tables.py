@@ -44,6 +44,13 @@ def test_doubled_basis_signs(alg):
     assert e(3) * e(4) == e(7)
 
 
+def test_real_and_complex_forms_share_one_table():
+    # the doubled quaternion table is built once, for O and Oc alike
+    assert H.table is Hc.table is QUATERNION_TABLE
+    assert O.table is Oc.table
+    assert O.table == build_doubled_table(QUATERNION_TABLE)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_every_unit_product_matches_oracle(name):
     alg = ALGEBRAS[name]
