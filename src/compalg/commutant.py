@@ -20,9 +20,10 @@ basis elements from those forms, and ``twisted_commutant_matrix`` and
 
 For pure a, b of equal norm the search first writes the solution space
 down in closed form, from s = a + b and t = s*a, which always solve the
-equation; it does so only under a certificate that they span it (a proof
-in dim 4, a minor nonsingular modulo a prime in dim 8), and reduces them to
-exactly the elimination's basis.  Every other case takes the elimination.
+equation.  A theorem, proved in ``single_conjugator_search`` for dim 4 and
+dim 8 alike, says they span it whenever s != 0 and s, t are independent;
+the search then reduces them to exactly the elimination's basis.  Every
+other case takes the elimination.
 
 ``verify_remark`` re-derives the two built-in counterexample instances:
 equal-norm pairs of null pure elements, one in the split octonions and one
@@ -195,45 +196,11 @@ def _combine(row, pivot_row, c):
     return _primitive((re, im if any(im) else None))
 
 
-# The certificate works in F_Q: Q is prime, Q = 1 (mod 4), Q < 2^61, and
-# _I_MOD_Q^2 = -1 (mod Q), so i -> _I_MOD_Q makes Z[i] -> F_Q a ring
-# homomorphism.
-_Q = 2305843009213693921
-_I_MOD_Q = 583529827753931384
-
-
-def _nonsingular_mod_q(rows, keep):
-    """True when the submatrix of integer-form rows on the rows and columns
-    in ``keep`` is nonsingular in F_Q.  Its determinant is then a nonzero
-    minor over Z[i], so the whole matrix has at least that rank over Q(i)."""
-    m = []
-    for k in keep:
-        re, im = rows[k]
-        if im is None:
-            m.append([re[j] % _Q for j in keep])
-        else:
-            m.append([(re[j] + _I_MOD_Q * im[j]) % _Q for j in keep])
-    # clear column 0 against a pivot row, fraction-free, then drop the pivot
-    # row and column 0
-    while m:
-        for i, row in enumerate(m):
-            if row[0]:
-                break
-        else:
-            return False
-        pivot = m.pop(i)
-        p, tail = pivot[0], pivot[1:]
-        for i, row in enumerate(m):
-            f, rest = row[0], row[1:]
-            m[i] = [(p * x - f * y) % _Q for x, y in zip(rest, tail)] if f else rest
-    return True
-
-
-def _closed_form(a, b, rows):
+def _closed_form(a, b):
     """The canonical null-space basis of p*a = b*p built from s = a + b and
-    t = s*a, or None without a certificate that they span it (see
-    ``single_conjugator_search``).  ``rows`` is None in dim 4, else the
-    integer rows of ``_matrix_form``."""
+    t = s*a when a, b are pure of equal norm, s != 0 and s, t are
+    independent, which makes them span it (see ``single_conjugator_search``);
+    None otherwise."""
     alg = a.algebra
     (d, u), (e, v) = (a.den, a.num), (b.den, b.num)
     if not (a.is_pure and b.is_pure):
@@ -254,10 +221,6 @@ def _closed_form(a, b, rows):
     f1 = _last(t)
     if f1 < 0:
         return None
-    if rows is not None:
-        keep = [k for k in range(alg.dim) if k != f1 and k != f2]
-        if not _nonsingular_mod_q(rows, keep):
-            return None
     s = _combine(s, t, f1)
     return _divided(alg, t, _entry(t, f1), 1), _divided(alg, s, _entry(s, f2), 1)
 
@@ -332,40 +295,48 @@ def single_conjugator_search(a, b):
     Closed form.  For pure a, b with N(a) = N(b), let s = a + b and t =
     s*a.  Then s*a = a^2 + b*a = b*a + b^2 = b*s, since x^2 = -N(x) for
     pure x, and (s*a)*a = -N(a) s = b*(s*a) by alternativity: both solve
-    the equation, and they span the solutions exactly when the nullity is
-    2.  That is never taken on trust:
-    - dim 4: the independent s, t prove it.  p -> p*a - b*p is skew
-      for the nondegenerate norm form (<x a, y> = -<x, y a> and <b x, y>
-      = -<x, b y> for pure a, b), so its rank is even and the nullity is
-      0, 2 or 4.  Nullity 4 makes the map zero: p = 1 gives a = b, and
-      then a commutes with every p, so the pure a is 0, which s != 0
-      excludes.  No matrix is built.
-    - dim 8: no proof is known.  The certificate is that the matrix
-      without the rows and columns f1, f2 below is nonsingular in F_Q,
-      with i -> _I_MOD_Q.  Its determinant is then a nonzero minor of
-      size dim - 2 over Z[i], which bounds the nullity by 2, and the
-      independent s, t make it exactly 2.  N(s) may vanish.  Columns f1
-      and f2 are combinations of the others by the two solutions, and so
-      are rows f1 and f2, because p -> p*a - b*p is skew for the norm
-      form (<x a, y> = <x, y conj(a)>): the submatrix has the rank of the
-      matrix.
+    the equation.  If s != 0 and s, t are independent, they span the
+    solutions.  Proof, with <x, y> = inner(x, y), C the algebra over the
+    field F, P its pure elements, d = a - b and L(p) = p*a - b*p:
+    1. Write p = alpha + p0, alpha in F and p0 in P.  By xy + yx =
+       -2<x, y> on P, b = s - a and 2a = s + d, L(p) = alpha d - <p0, s +
+       d> - s*p0.  As Re(s*p0) = -<s, p0>, L(p) = 0 iff <p0, d> = 0 and
+       Im(s*p0) = alpha d.
+    2. <p0, s*p0> = N(p0) <1, s> = 0, so a solution with alpha != 0 has
+       p0 orthogonal to d anyway.  Let K = {p0 in P : Im(s*p0) = 0}.  The
+       solutions with alpha = 0 are K & d^perp, so the nullity is at most
+       dim(K & d^perp) + 1, also for d = 0, where alpha is free.
+    3. N(s) != 0: if s*p0 is a scalar, p0 lies in F conj(s) = F s.  So K =
+       F s, with <s, d> = N(a) - N(b) = 0, and the nullity is at most 2.
+    4. N(s) = 0, s != 0: s*p0 = lambda gives 0 = s*(s*p0) = lambda s, so K
+       = ker L_s & P.  Linearising conj(x)(x y) = N(x) y gives conj(s)(z y)
+       + conj(z)(s y) = 2<s, z> y; with <s, z> = 1/2 it puts ker L_s in
+       s C, which s*(s*y) = 0 puts in ker L_s, so both have dimension
+       dim C / 2.  Hence K = {s y : <y, s> = 0}, of dimension dim C / 2 -
+       1.  Now <s y, d> = -<y, s d> and t = s d / 2, so K lies in d^perp
+       iff t is in F s.  For independent s, t, dim(K & d^perp) = dim C / 2
+       - 2 and the nullity is at most 3 (in dim 4 this case cannot occur).
+    5. L is skew for the nondegenerate norm form (<x a, y> = -<x, y a>
+       and <b x, y> = -<x, b y> for pure a, b), so its nullity is even.  s
+       and t are independent solutions, so the nullity is exactly 2.
+    For s != 0 and dependent s, t the same steps give the nullity too.
+    t = lambda s forces N(s) = 0 (else a = s^-1 (s a) = lambda, so a = 0
+    and N(s) = N(b) = 0).  Then K lies in d^perp, so the nullity is even
+    and dim K or dim K + 1: 4 in dim 8 and 2 in dim 4.
     The elimination's basis vector for a free column f is the solution
     that is 1 at f and 0 at the other free columns, and the free columns
     are the last-nonzero positions of the solution space.  So, with f2
     the largest index where s or t is nonzero, f2 is cleared from the
     other vector, whose last nonzero index is f1, then f1 from the first,
     and each is divided by its own entry: the same basis, from the right.
-    Without a certificate, when s = 0 (b = -a), or when s and t are
-    dependent, the fraction-free elimination runs (in dim 8 on the rows
-    already built).
+    Every other pair, s = 0 (b = -a) and dependent s, t included, takes
+    the fraction-free elimination.
     """
     Element._check_same(a, b)
     alg = a.algebra
-    rows = None if alg.dim == 4 else _matrix_form(a, b)[1]
-    basis = _closed_form(a, b, rows)
+    basis = _closed_form(a, b)
     if basis is None:
-        if rows is None:
-            rows = _matrix_form(a, b)[1]
+        rows = _matrix_form(a, b)[1]
         basis = tuple(
             _normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim)
         )

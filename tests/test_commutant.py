@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 
 import compalg.commutant
 from compalg import (
@@ -10,6 +9,7 @@ from compalg import (
     AlgebraMismatch,
     GaussRational,
     H,
+    I,
     Oc,
     Os,
     check_counterexample,
@@ -26,6 +26,7 @@ from compalg.sampling import (
     random_element,
     random_invertible,
     random_null_pure,
+    random_orthogonal_null_pair,
     random_pure_nonzero,
 )
 from compalg.cli import main
@@ -261,6 +262,12 @@ def _both_paths(monkeypatch, a, b):
     return answered == [True], slow.nullity
 
 
+def _independent(a, b):
+    """Whether s = a + b and t = s a are linearly independent."""
+    s = a + b
+    return not span_contains([s.coeffs], (s * a).coeffs)
+
+
 def _big(rng, alg):
     """A pure element with coefficients of about 256 bits, non-real over Q(i)."""
 
@@ -318,9 +325,9 @@ def test_closed_form_matches_forced_elimination(monkeypatch, name):
             assert nullity == 2
         if kind in ("neg", "whole") or nullity != 2:
             assert not closed, (kind, str(a), str(b))
-        if alg.dim == 4 and kind not in ("neg", "whole"):
-            # the proof: N(a + b) != 0 is all it takes in dim 4
-            assert closed == ((a + b).norm() != 0), (kind, str(a), str(b))
+        if kind != "whole":
+            # the theorem: pure, equal norms, s != 0 and s, t independent
+            assert closed == (b != -a and _independent(a, b)), (kind, str(a), str(b))
         if alg.is_division and kind in ("conj", "big", "deep") and b != -a:
             assert closed, (kind, str(a), str(b))
     assert alg.dim in nullities
@@ -339,18 +346,12 @@ def test_closed_form_answers_deep_oc_pairs_and_golden_instances(monkeypatch):
         assert b.den.bit_length() > 256
         assert _both_paths(monkeypatch, a, b) == (True, 2)
     for _, a, b, _ in counterexample_instances():
-        # N(a + b) = 0 here: only the rank certificate covers them
+        # N(a + b) = 0 here: the theorem's null case covers them
         assert (a + b).norm() == 0
         assert _both_paths(monkeypatch, a, b) == (True, 2)
 
 
-def test_rank_certificate_prime():
-    q, i = compalg.commutant._Q, compalg.commutant._I_MOD_Q
-    assert sympy.isprime(q) and q % 4 == 1 and q < 2**61
-    assert (i * i + 1) % q == 0
-
-
-def test_unlucky_prime_takes_the_elimination(monkeypatch, capsys):
+def test_forced_elimination_keeps_reports_and_cli_output(monkeypatch, capsys):
     cm = compalg.commutant
     rng = random.Random("unlucky-prime")
     pairs = [(a, b) for _, a, b, _ in counterexample_instances()]
@@ -375,13 +376,51 @@ def test_unlucky_prime_takes_the_elimination(monkeypatch, capsys):
             runs.append((code, capsys.readouterr()))
         return reports, runs
 
-    def answered():
-        forms = [cm._closed_form(a, b, cm._matrix_form(a, b)[1]) for a, b in pairs]
-        return [basis is not None for basis in forms]
+    assert all(cm._closed_form(a, b) is not None for a, b in pairs)
+    closed = outcomes()
+    monkeypatch.setattr(cm, "_closed_form", lambda a, b: None)
+    assert outcomes() == closed
 
-    assert all(answered())
-    lucky = outcomes()
-    # the 6 x 6 submatrix comes out singular mod Q
-    monkeypatch.setattr(cm, "_nonsingular_mod_q", lambda rows, keep: False)
-    assert not any(answered())
-    assert outcomes() == lucky
+
+# -- the nullity-2 theorem -------------------------------------------------------
+
+
+def _box(rng, alg):
+    """A pure element with coefficients from {-1, 0, 1}; over Q(i) from
+    {0, 1, -1, i, -i}."""
+    values = (0, 1, -1, I, -I) if alg.complex_field else (-1, 0, 1)
+    return alg.element([0] + [rng.choice(values) for _ in range(alg.dim - 1)])
+
+
+@pytest.mark.parametrize("name", ["O", "Os", "Oc"])
+def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
+    # for pure a, b with N(a) = N(b) and s = a + b != 0, t = s a: the
+    # solutions of p a = b p are span{s, t} when s, t are independent,
+    # and form a 4-dimensional space otherwise
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"nullity-theorem:{name}")
+    count = {"O": 500, "Os": 1200, "Oc": 800}[name]
+    pairs = []
+    while len(pairs) < count:
+        a, b = _box(rng, alg), _box(rng, alg)
+        if a.norm() == b.norm() and b != -a:
+            pairs.append((a, b))
+    if not alg.is_division:
+        pairs += [random_orthogonal_null_pair(rng, alg) for _ in range(count // 10)]
+    closed_form = compalg.commutant._closed_form
+    monkeypatch.setattr(compalg.commutant, "_closed_form", lambda a, b: None)
+    classes, nullities = set(), set()
+    for a, b in pairs:
+        independent = _independent(a, b)
+        report = single_conjugator_search(a, b)
+        assert report.nullity == (2 if independent else 4), (str(a), str(b))
+        basis = closed_form(a, b)
+        assert (basis is not None) == independent, (str(a), str(b))
+        assert basis is None or basis == report.nullspace_basis
+        classes.add(((a + b).norm() == 0, (a - b).norm() == 0))
+        nullities.add(report.nullity)
+    if alg.is_division:
+        assert nullities == {2}
+    else:
+        assert nullities == {2, 4}
+        assert classes == {(False, False), (False, True), (True, False), (True, True)}

@@ -4,6 +4,7 @@ is the promised output."""
 
 import ast
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,17 +15,21 @@ from hypothesis import given, settings, strategies as st
 import compalg
 import compalg.commutant
 import compalg.selftest
+import compalg.witnesses
 from compalg import (
     ALGEBRAS,
+    Algebra,
     AlgebraMismatch,
     CheckReport,
     ConsistencyError,
     Element,
     H,
     O,
+    Os,
     ParseError,
     collapse_quaternion,
     conjugacy_witness,
+    counterexample_instances,
     negator,
     parse_element,
     sandwich,
@@ -37,6 +42,7 @@ from compalg import (
 )
 from compalg.cli import main
 from compalg.core import _table_product
+from compalg.sampling import random_orthogonal_null_pair
 
 PACKAGE = Path(compalg.__file__).parent
 
@@ -265,6 +271,74 @@ def test_sandwich_recheck_catches_a_corrupted_table(monkeypatch, capsys, alg):
     assert alg.mul is good is _table_product(alg.table)
     assert alg.basis(1) * alg.basis(2) == alg.basis(3)
     assert sandwich(p, a) == p * a * p.inverse()
+
+
+def _failing_report(*args):
+    return CheckReport("injected", (("injected", False),))
+
+
+def _os_null_pair():
+    return random_orthogonal_null_pair(random.Random("live-checks"), Os)
+
+
+def _negator_check_fails(m):
+    m.setattr(compalg.witnesses, "verify_negator", _failing_report)
+    return negator, (H.basis(1),), "negator candidate -e2 fails for e1"
+
+
+def _no_negator_candidate(m):
+    m.setattr(compalg.witnesses, "negator_candidates", lambda a: [a.algebra.zero()])
+    return negator, (H.basis(1),), "no negator candidate has nonzero norm"
+
+
+def _no_positive_index(m):
+    m.setattr(Os, "metric", (1,) + (-1,) * 7)
+    return separator, _os_null_pair(), "separator index search failed"
+
+
+def _separator_sandwich_fails(m):
+    a, b = _os_null_pair()
+    m.setattr(compalg.witnesses, "sandwich", lambda p, x: -b)
+    return separator, (a, b), "separator .* fails for"
+
+
+def _definite_norm_claimed(m):
+    m.setattr(Algebra, "is_division", property(lambda self: True))
+    _, a, b, _ = counterexample_instances()[0]
+    return conjugacy_witness, (a, b), "definite norm form must force b = -a"
+
+
+def _witness_check_fails(m):
+    m.setattr(compalg.witnesses, "verify_witness", _failing_report)
+    return conjugacy_witness, (H.basis(1), H.basis(2)), "witness failed checks"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        _negator_check_fails,
+        _no_negator_candidate,
+        _no_positive_index,
+        _separator_sandwich_fails,
+        _definite_norm_claimed,
+        _witness_check_fails,
+    ],
+    ids=lambda fault: fault.__name__.strip("_"),
+)
+def test_witness_checks_catch_an_injected_fault(monkeypatch, capsys, fault):
+    # each always-on check of the witness constructions, reached by one
+    # fault, in the library and through the CLI
+    with monkeypatch.context() as m:
+        fn, args, message = fault(m)
+        with pytest.raises(ConsistencyError, match=message):
+            fn(*args)
+        command = "negate-witness" if fn is negator else "conjugate-witness"
+        argv = [command, "--algebra", args[0].algebra.name, *map(str, args)]
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: ")
+    assert "Traceback" not in err
+    fn(*args)
 
 
 def test_counterexample_check_lets_bugs_propagate(monkeypatch):

@@ -3,7 +3,7 @@ product agrees with the independent pair-arithmetic oracle."""
 
 import pytest
 
-from compalg import ALGEBRAS, Algebra, H, Hc, Hs, O, Oc, Os
+from compalg import ALGEBRAS, Algebra, H, Hc, Hs, O, Oc, Os, core
 from compalg.core import QUATERNION_TABLE, build_doubled_table
 from compalg.errors import ConsistencyError
 
@@ -100,6 +100,37 @@ def test_doubling_rejects_malformed_table():
     )
     with pytest.raises(ConsistencyError):
         build_doubled_table(bad)
+
+
+def _doubled_products(m):
+    product = core._table_product
+    m.setattr(
+        core, "_table_product", lambda t: lambda u, v: [2 * x for x in product(t)(u, v)]
+    )
+    return QUATERNION_TABLE
+
+
+def _unsigned_halves(m):
+    m.setattr(core, "_split_halves", lambda v: (list(v[:4]), list(v[4:])))
+    m.setattr(core, "_join_halves", lambda x, y: [*x, *y])
+    return QUATERNION_TABLE
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        (_doubled_products, "is not a signed basis unit"),
+        (lambda m: _flip(QUATERNION_TABLE, (0, 1)), "unit row/column"),
+        (_unsigned_halves, "sign convention violated at e2\\*e4"),
+    ],
+    ids=["unit-products", "unit-row", "sign-convention"],
+)
+def test_doubling_checks_catch_an_injected_fault(monkeypatch, fault, message):
+    with monkeypatch.context() as m:
+        table = fault(m)
+        with pytest.raises(ConsistencyError, match=message):
+            build_doubled_table(table)
+    assert build_doubled_table(QUATERNION_TABLE) == O.table
 
 
 def _flip(table, at):
