@@ -17,7 +17,7 @@ import sys
 from .commutant import single_conjugator_search, verify_remark
 from .core import ALGEBRAS, Element
 from .errors import CompalgError, ConsistencyError
-from .parsing import format_element, format_scalar, parse_element
+from .parsing import _rational_text, format_element, format_scalar, parse_element
 from .selftest import run_selftest
 from .witnesses import (
     collapse_quaternion,
@@ -35,10 +35,11 @@ def _scalar_json(x, complex_field):
 
 
 def _element_json(e):
-    return {
-        "algebra": e.algebra.name,
-        "coeffs": [_scalar_json(c, e.algebra.complex_field) for c in e.coeffs],
-    }
+    (re, im), den = e.num, e.den
+    text = [_rational_text(x, den) for x in re]
+    if e.algebra.complex_field:
+        text = [[t, _rational_text(y, den)] for t, y in zip(text, im or [0] * len(re))]
+    return {"algebra": e.algebra.name, "coeffs": text}
 
 
 def _witness_json(w, verified):

@@ -24,24 +24,24 @@ Storage and integer kernel
 --------------------------
 An ``Element`` stores one form only: integer numerators over one positive
 common denominator ``den``, as ``num = (re, im)``, a real and an imaginary
-numerator tuple, ``im`` None when every imaginary part is zero.  The form
-is canonical, ``gcd(den, all numerators) == 1``, so equality and hashing
-compare the tuples.  ``Element.__init__`` builds it from exact scalars
-(``integer_form``); every operation builds it from integer results through
-one normaliser, which divides out one gcd.  No operation does arithmetic on
-``Fraction`` or ``GaussRational`` objects.  Every product, the doubling
-above included, runs one integer bilinear kernel per distinct structure
-table (``Algebra.mul``): it is compiled once from the table into
-straight-line code, one signed sum of ``u_i * v_j`` per output index, with
-no loop and no table lookup per call.  Over the Gaussian rationals a
-product takes three real products, not four.  Inner product and norm are
-the metric-weighted integer dot product, compiled the same way from the
-metric (``Algebra.dot``).  Inverse and sandwich fold the norm into the
-common denominator.  Sums, negation and conjugation are integer vector
-operations; a field scalar operand is written in integer form once, so a
-scalar product scales the numerators and a scalar sum changes index 0
-only.  ``commutant`` builds its matrix, null space and basis on the same
-integer form.
+numerator tuple, ``im`` None when every imaginary part is zero.  The form is
+canonical, ``gcd(den, all numerators) == 1``, so equality and hashing compare
+the tuples.  Only ``Element.__init__``, ``_scalar_form`` and ``format_scalar``
+read exact scalars (``integer_form``); every operation and the parser build the
+form from integers through one normaliser, ``_normal``, which divides out one
+gcd, and the formatter reads it directly.  No operation does arithmetic on
+``Fraction`` or ``GaussRational`` objects.  Every product, the doubling above
+included, runs one integer bilinear kernel per distinct structure table
+(``Algebra.mul``): it is compiled once from the table into straight-line code,
+one signed sum of ``u_i * v_j`` per output index, with no loop and no table
+lookup per call.  Over the Gaussian rationals a product takes three real
+products, not four.  Inner product and norm are the metric-weighted integer dot
+product, compiled the same way from the metric (``Algebra.dot``).  Inverse and
+sandwich fold the norm into the common denominator.  Sums, negation and
+conjugation are integer vector operations; a field scalar operand is written in
+integer form once, so a scalar product scales the numerators and a scalar sum
+changes index 0 only.  ``commutant`` builds its matrix, null space and basis on
+the same integer form.
 
 ``coeffs`` is a read-only view of the stored form, always in normal form: a
 coefficient is an ``int`` when integral, otherwise a reduced ``Fraction``,

@@ -17,6 +17,11 @@ form: terms in index order, zero terms omitted, unit coefficients elided,
 complex coefficients with two nonzero parts parenthesized; parsing a
 canonical form and formatting it again is the identity.
 
+Both directions use core's integer form: a term reads as integers
+``(re, im, den)``, the numerators are summed per index over a running lcm
+of the denominators into one ``core._normal`` call, and the formatter
+prints from ``num``/``den``; no ``Fraction`` or ``GaussRational`` is built.
+
 Parsing runs in two phases: one regular expression splits the whole text
 into tokens, then a recursive-descent parser reads the token list.  The
 split fixes which error is reported: a lexical error (an unexpected
@@ -28,11 +33,10 @@ than the missing '+' at 3.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 
-from .core import Element
+from .core import _normal, integer_form
 from .errors import CompalgError
-from .scalars import GaussRational
 
 
 class ParseError(CompalgError):
@@ -109,19 +113,25 @@ class _Parser:
         return "-" if self.accept("-") else self.expect(what, "+")[0]
 
     def parse(self):
-        coeffs = [0] * self.algebra.dim
+        re, im, den = [0] * self.algebra.dim, [0] * self.algebra.dim, 1
         sign = "-" if self.accept("-") else "+"
         while True:
-            index, value = self.term()
-            coeffs[index] = coeffs[index] + (value if sign == "+" else -value)
+            index, (x, y, d) = self.term()
+            if den % d:  # widen the common denominator to lcm(den, d)
+                f = d // gcd(den, d)
+                re, im, den = [v * f for v in re], [v * f for v in im], den * f
+            scale = den // d if sign == "+" else -(den // d)
+            re[index] += x * scale
+            im[index] += y * scale
             if self.accept("end"):
-                return Element(self.algebra, coeffs)
+                return _normal(self.algebra, (re, im), den)
             sign = self.plus_or_minus("'+', '-' or end of expression")
 
     def term(self):
+        """The term's basis index and its scalar as ``(re, im, den)``."""
         tok = self.accept("basis")
         if tok:
-            return self.basis(tok), 1
+            return self.basis(tok), (1, 0, 1)
         value = self.scalar()
         tok = self.accept("basis")
         return (self.basis(tok) if tok else 0), value
@@ -140,35 +150,37 @@ class _Parser:
         return idx
 
     def scalar(self):
+        """The scalar (re + im i)/den as ``(re, im, den)``."""
         if self.accept("("):
-            negative = self.accept("-")
-            real = self.rational()
+            sign = -1 if self.accept("-") else 1
+            a, b = self.rational()
             op = self.plus_or_minus("'+' or '-' inside parentheses")
-            imag = self.rational()
+            c, d = self.rational()
             pos = self.expect("'i'", "i")[2]
             self.expect("')'", ")")
-            real = -real if negative else real
-            return self.gaussian(real, imag if op == "+" else -imag, pos)
-        value = 1 if self.tokens[self.pos][0] == "i" else self.rational("a term")
+            return self.gaussian(sign * a, b, c if op == "+" else -c, d, pos)
+        value = (1, 1) if self.tokens[self.pos][0] == "i" else self.rational("a term")
         tok = self.accept("i")
-        return self.gaussian(0, value, tok[2]) if tok else value
+        return self.gaussian(0, 1, *value, tok[2]) if tok else (value[0], 0, value[1])
 
-    def gaussian(self, real, imag, pos):
-        """The scalar real + imag*i; the 'i' at ``pos`` needs a complex algebra."""
+    def gaussian(self, a, b, c, d, pos):
+        """a/b + (c/d) i as ``(re, im, den)``; the 'i' at ``pos`` needs a
+        complex algebra."""
         if not self.algebra.complex_field:
             raise ImaginaryScalarInRealAlgebra(
                 f"'i' is not allowed in {self.algebra.name}", pos
             )
-        return GaussRational(real, imag)
+        return a * d, c * b, b * d
 
     def rational(self, what="an integer"):
+        """``(numerator, denominator)``, the denominator positive."""
         num = self.expect(what, "int")[1]
         if not self.accept("/"):
-            return num
+            return num, 1
         _, den, pos = self.expect("a positive denominator", "int")
         if den == 0:
             raise ParseError("zero denominator", pos)
-        return Fraction(num, den)
+        return num, den
 
 
 def parse_element(text, algebra):
@@ -176,47 +188,35 @@ def parse_element(text, algebra):
     return _Parser(_tokenize(text), algebra).parse()
 
 
-def _term_text(k, c, algebra):
-    # returns (sign char, body without sign)
-    label = algebra.label(k) if k else ""
-    re, im = c.real, c.imag
-    if im == 0:
-        sign = "-" if re < 0 else "+"
-        mag = -re if re < 0 else re
-        if k == 0:
-            return sign, str(mag)
-        return sign, label if mag == 1 else f"{mag}{label}"
-    if re == 0:
-        sign = "-" if im < 0 else "+"
-        mag = -im if im < 0 else im
-        body = "i" if mag == 1 else f"{mag}i"
-        return sign, body if k == 0 else f"{body}{label}"
-    # two nonzero parts: parenthesize, imaginary magnitude always explicit
-    inner = f"{re}{'+' if im > 0 else '-'}{-im if im < 0 else im}i"
-    return "+", f"({inner}){label}"
+def _rational_text(n, d):
+    """The reduced text of n/d for ints n and d > 0: ``n`` or ``n/d``."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _term_text(label, re, im, den):
+    """'+' or '-', then the term (re + im i)/den times the basis label
+    (empty for the unit); a magnitude 1 is elided before 'i' or a label."""
+    if re and im:  # parenthesized, the imaginary magnitude always explicit
+        inner = f"{_rational_text(re, den)}{'+' if im > 0 else '-'}"
+        return f"+({inner}{_rational_text(abs(im), den)}i){label}"
+    x, unit = (im, "i") if im else (re, "")
+    mag = abs(x)
+    body = unit if mag == den and (unit or label) else _rational_text(mag, den) + unit
+    return f"{'-' if x < 0 else '+'}{body}{label}"
 
 
 def format_element(a):
     """Canonical text form of an element; inverse of ``parse_element``."""
-    parts = []
-    for k, c in enumerate(a.coeffs):
-        if c == 0:
-            continue
-        parts.append(_term_text(k, c, a.algebra))
-    if not parts:
-        return "0"
-    out = []
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            out.append(body if sign == "+" else f"-{body}")
-        else:
-            out.append(f"{sign}{body}")
-    return "".join(out)
+    (re, im), den, out = a.num, a.den, []
+    for k, x in enumerate(re):
+        y = im[k] if im else 0
+        if x or y:
+            out.append(_term_text(a.algebra.label(k) if k else "", x, y, den))
+    return "".join(out).lstrip("+") or "0"
 
 
 def format_scalar(x):
     """Canonical text form of a bare scalar (norms, inner products)."""
-    if x == 0:
-        return "0"
-    sign, body = _term_text(0, x, None)
-    return body if sign == "+" else f"-{body}"
+    den, ((re,), im) = integer_form((x,))
+    return _term_text("", re, im[0] if im else 0, den).lstrip("+")

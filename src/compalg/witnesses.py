@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .core import Element, Hs, sandwich
+from .core import Element, Hs, _normal, sandwich
 from .errors import (
     AlgebraMismatch,
     ConsistencyError,
@@ -93,15 +93,13 @@ _CANDIDATE_PAIRS = {
 
 def negator_candidates(a):
     """The candidate list for ``negator``, in scan order."""
-    alg = a.algebra
-    c = a.coeffs
-    out = []
+    alg, (re, im), out = a.algebra, a.num, []
     for i, j in _CANDIDATE_PAIRS[alg.name]:
-        coeffs = [0] * alg.dim
-        coeffs[i] = c[j]
-        coeffs[j] = -c[i]
-        out.append(Element(alg, coeffs))
-    if alg is Hs and c[1] == 0 and c[3] == 0:
+        u = [[0] * alg.dim, [0] * alg.dim]
+        for w, x in zip(u, (re, im or (0,) * alg.dim)):
+            w[i], w[j] = x[j], -x[i]  # the numerators of a_j e_i - a_i e_j
+        out.append(_normal(alg, u, a.den))
+    if alg is Hs and re[1] == 0 and re[3] == 0:
         # split quaternions: when only e2 survives, e1' anticommutes with a
         out.append(alg.basis(1))
     return out
@@ -150,19 +148,19 @@ def separator(a, b):
             "separator over a split algebra needs norm(a) = norm(b) = 0"
         )
 
-    p = None
-    for k in range(1, alg.dim):
-        if a.coeffs[k] * b.coeffs[k] != 0:
-            p = alg.basis(k)
-            break
+    # the supports; Q and Q(i) have no zero divisors, so a_k b_k != 0
+    # exactly where both supports meet
+    (ar, ai), (br, bi) = a.num, b.num
+    sa = [k for k in range(1, alg.dim) if ar[k] or (ai and ai[k])]
+    sb = [k for k in range(1, alg.dim) if br[k] or (bi and bi[k])]
+    both = [k for k in sa if k in sb]
+    if both:
+        p = alg.basis(both[0])
     else:
         # supports are disjoint; pick one index from each
-        if split:
-            indices = [k for k in range(1, alg.dim) if alg.metric[k] == 1]
-        else:
-            indices = list(range(1, alg.dim))
-        k = next((k for k in indices if a.coeffs[k] != 0), None)
-        l = next((k for k in indices if b.coeffs[k] != 0), None)
+        indices = [k for k in range(1, alg.dim) if not split or alg.metric[k] == 1]
+        k = next((k for k in indices if k in sa), None)
+        l = next((k for k in indices if k in sb), None)
         if k is None or l is None or k == l:
             raise ConsistencyError("separator index search failed")
         p = alg.basis(k) + alg.basis(l)
@@ -183,9 +181,9 @@ def conjugacy_witness(a, b, *, minimal=False):
     if a.norm() != b.norm():
         raise NormMismatch(f"norm(a) = {a.norm()} differs from norm(b) = {b.norm()}")
 
-    alg = a.algebra
-    if (a + b).norm() != 0:
-        w = ConjugacyWitness.single(a + b, Branch.SUM_INVERTIBLE)
+    alg, s = a.algebra, a + b
+    if s.norm() != 0:
+        w = ConjugacyWitness.single(s, Branch.SUM_INVERTIBLE)
     elif alg.is_division:
         if b != -a:
             raise ConsistencyError(

@@ -18,7 +18,11 @@ compiled one straight-line product per structure table; each algebra's
 ``reference_parse`` is the character-loop lexer and recursive-descent
 parser the library used before its one-regex lexer; ``parse_element`` must
 give the same element, or raise the same error class with the same message
-and position, on every input.
+and position, on every input.  ``reference_format`` and
+``reference_format_scalar`` are the formatter the library used before it
+printed straight from the integer form: they read the exact-scalar
+``coeffs`` view; ``format_element`` and ``format_scalar`` must give the
+same text.
 """
 
 from __future__ import annotations
@@ -360,6 +364,52 @@ class _Parser:
 def reference_parse(text, algebra):
     """``parse_element`` through the reference lexer and parser."""
     return _Parser(_tokenize(text), algebra).parse()
+
+
+def _reference_term_text(k, c, algebra):
+    # returns (sign char, body without sign)
+    label = algebra.label(k) if k else ""
+    re, im = c.real, c.imag
+    if im == 0:
+        sign = "-" if re < 0 else "+"
+        mag = -re if re < 0 else re
+        if k == 0:
+            return sign, str(mag)
+        return sign, label if mag == 1 else f"{mag}{label}"
+    if re == 0:
+        sign = "-" if im < 0 else "+"
+        mag = -im if im < 0 else im
+        body = "i" if mag == 1 else f"{mag}i"
+        return sign, body if k == 0 else f"{body}{label}"
+    # two nonzero parts: parenthesize, imaginary magnitude always explicit
+    inner = f"{re}{'+' if im > 0 else '-'}{-im if im < 0 else im}i"
+    return "+", f"({inner}){label}"
+
+
+def reference_format(a):
+    """``format_element`` from the exact-scalar ``coeffs`` view."""
+    parts = []
+    for k, c in enumerate(a.coeffs):
+        if c == 0:
+            continue
+        parts.append(_reference_term_text(k, c, a.algebra))
+    if not parts:
+        return "0"
+    out = []
+    for i, (sign, body) in enumerate(parts):
+        if i == 0:
+            out.append(body if sign == "+" else f"-{body}")
+        else:
+            out.append(f"{sign}{body}")
+    return "".join(out)
+
+
+def reference_format_scalar(x):
+    """``format_scalar`` from the exact scalar itself."""
+    if x == 0:
+        return "0"
+    sign, body = _reference_term_text(0, x, None)
+    return body if sign == "+" else f"-{body}"
 
 
 def product_commutant_matrix(a, b):

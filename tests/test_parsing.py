@@ -19,8 +19,8 @@ from compalg import (
     format_scalar,
     parse_element,
 )
-from compalg.sampling import random_element
-from helpers import reference_parse
+from compalg.sampling import random_element, random_rational
+from helpers import reference_format, reference_format_scalar, reference_parse
 
 GOLDEN_STRINGS = [
     ("Os", "4e1'+5e2+3e3'-5e4+4e5'+3e7'", (0, 4, 5, 3, -5, 4, 0, 3)),
@@ -155,6 +155,7 @@ def test_roundtrip_random_elements(name):
 _FRAGMENTS = (
     *"0123456789ei'+-/() ",
     *("e1", "e2", "e3'", "e5'", "e7", "e0", "e9", "1/2", "(1+2i)", "(-3-1/2i)"),
+    *("2/4", "0/7", "(0+0i)", "(0-0/3i)"),
     *"\t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000",
     *"²٣１$Eé",
 )
@@ -194,3 +195,76 @@ def test_parse_matches_reference_parser(name):
         assert _outcome(parse_element, text, alg) == _outcome(
             reference_parse, text, alg
         ), text
+
+
+def _big_rational(rng):
+    """A rational with a numerator of about 300 bits, often a fraction."""
+    n = rng.getrandbits(300) - (1 << 299)
+    return Fraction(n, rng.getrandbits(260) | 1) if rng.random() < 0.7 else n
+
+
+def _edge_gaussian(rng):
+    """A Gaussian rational with a zero real part, a zero imaginary part or
+    an imaginary part of +-1, around a small rational."""
+    q = random_rational(rng, frac_prob=0.5) or 1
+    real, imag = rng.choice(((0, q), (q, 0), (q, 1), (q, -1), (0, 1), (0, -1)))
+    return GaussRational(real, imag)
+
+
+def _format_cases(rng, alg):
+    """Seeded elements for the formatter's differential test."""
+    cases = [random_element(rng, alg, frac_prob=0.3) for _ in range(150)]
+    for _ in range(40):
+        big = [_big_rational(rng) for _ in range(alg.dim)]
+        if alg.complex_field:
+            big = [GaussRational(x, _big_rational(rng)) for x in big]
+        cases.append(alg.element([c if rng.random() < 0.7 else 0 for c in big]))
+    if alg.complex_field:
+        for _ in range(60):
+            coeffs = [_edge_gaussian(rng) for _ in range(alg.dim)]
+            cases.append(alg.element([c if rng.random() < 0.7 else 0 for c in coeffs]))
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_format_matches_reference_formatter(name):
+    alg = ALGEBRAS[name]
+    cases = _format_cases(random.Random(f"format:{name}"), alg)
+    for a, b in zip(cases, cases[1:] + cases[:1]):
+        assert format_element(a) == reference_format(a), a.coeffs
+        assert parse_element(format_element(a), alg) == a
+        for x in (a.norm(), a.inner(b)):
+            assert format_scalar(x) == reference_format_scalar(x), x
+
+
+_EDGE_SCALARS = (
+    *(0, 1, -1, 12, Fraction(-3, 2)),
+    *(GaussRational(0, 1), GaussRational(0, -1), GaussRational(2, 0)),
+    *(GaussRational(0, Fraction(-1, 3)), GaussRational(Fraction(1, 2), 1)),
+    GaussRational(-5, Fraction(7, 9)),
+)
+
+
+@pytest.mark.parametrize("x", _EDGE_SCALARS, ids=str)
+def test_format_scalar_edge_values(x):
+    assert format_scalar(x) == reference_format_scalar(x)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("exact-scalar object built at the text boundary")
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_text_boundary_builds_no_exact_scalars(name, monkeypatch):
+    alg = ALGEBRAS[name]
+    cases = _format_cases(random.Random(f"boundary:{name}"), alg)
+    texts = [format_element(a) for a in cases]
+    fresh = [parse_element(t, alg) for t in texts]  # no coeffs view cached yet
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", _forbidden)
+        m.setattr(GaussRational, "__init__", _forbidden)
+        m.setattr(GaussRational, "_make", _forbidden)
+        parsed = [parse_element(t, alg) for t in texts]
+        formatted = [format_element(a) for a in fresh]
+    assert parsed == cases
+    assert formatted == texts
