@@ -2,10 +2,11 @@
 
 The element operations (mul, conj, inv, norm, inner) are one table of
 ``Element`` methods served by one handler; every other command has its own.
+Handlers return ``(payload, lines)``; ``main`` prints the JSON or the lines.
 
-Exit codes: 0 success; 1 a demanded verification came back negative
-(verify-remark, selftest); 2 usage, parse or precondition errors;
-3 internal consistency failure.
+Exit codes: 0 success; 1 a demanded verification came back negative (the
+payload carries ``"ok": false``: verify-remark, selftest); 2 usage, parse or
+precondition errors; 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ def _check_lines(report, indent=""):
     return [f"{indent}{n}: {'ok' if ok else 'FAILED'}" for n, ok in report.checks]
 
 
-def _emit(args, payload, lines):
-    """Print the JSON payload or the human-readable lines."""
-    print(json.dumps(payload) if args.json else "\n".join(lines))
-
-
 def _parse(args, text):
     return parse_element(text, ALGEBRAS[args.algebra])
 
@@ -87,8 +83,7 @@ def _cmd_table(args):
     lines = [" " * 4 + "".join(label.rjust(width) for label in labels)]
     for label, row in zip(labels, cells):
         lines.append(label.ljust(4) + "".join(c.rjust(width) for c in row))
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 _OPERATIONS = {
@@ -105,12 +100,10 @@ def _cmd_operation(args):
     operands = [_parse(args, getattr(args, k)) for k in "ab"[:count]]
     r = method(*operands)
     if isinstance(r, Element):
-        _emit(args, _element_json(r), [format_element(r)])
-    else:
-        alg = operands[0].algebra
-        payload = {"algebra": alg.name, "value": _scalar_json(r, alg.complex_field)}
-        _emit(args, payload, [format_scalar(r)])
-    return 0
+        return _element_json(r), [format_element(r)]
+    alg = operands[0].algebra
+    payload = {"algebra": alg.name, "value": _scalar_json(r, alg.complex_field)}
+    return payload, [format_scalar(r)]
 
 
 def _cmd_negate_witness(args):
@@ -128,8 +121,7 @@ def _cmd_negate_witness(args):
         f"p = {format_element(p)}",
         f"norm(p) = {format_scalar(p.norm())}",
     ]
-    _emit(args, payload, lines + _check_lines(report))
-    return 0
+    return payload, lines + _check_lines(report)
 
 
 def _cmd_conjugate_witness(args):
@@ -145,8 +137,7 @@ def _cmd_conjugate_witness(args):
     ]
     if not w.is_single:
         lines.append(f"q = {format_element(w.q)}")
-    _emit(args, _witness_json(w, report.ok), lines + _check_lines(report))
-    return 0
+    return _witness_json(w, report.ok), lines + _check_lines(report)
 
 
 def _cmd_commutant(args):
@@ -180,8 +171,7 @@ def _cmd_commutant(args):
         lines.append(
             "verdict: no single conjugator (norm form vanishes on the solution space)"
         )
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def _cmd_verify_remark(args):
@@ -197,8 +187,7 @@ def _cmd_verify_remark(args):
     for inst in report.instances:
         lines += [f"{inst.algebra_name}:"] + _check_lines(inst, "  ")
     lines.append("all checks passed" if report.ok else "SOME CHECKS FAILED")
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return payload, lines
 
 
 def _cmd_selftest(args):
@@ -222,8 +211,7 @@ def _cmd_selftest(args):
         line = f"{status} {r.name} [{r.algebra}] ({r.samples} samples)"
         lines.append(f"{line}: {r.failure}" if r.failure else line)
     lines.append("all properties hold" if result.ok else "PROPERTY FAILURES")
-    _emit(args, payload, lines)
-    return 0 if result.ok else 1
+    return payload, lines
 
 
 def build_parser():
@@ -290,13 +278,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        payload, lines = args.fn(args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
     except CompalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 0 if payload.get("ok", True) else 1
 
 
 def run():

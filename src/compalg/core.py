@@ -26,11 +26,11 @@ An ``Element`` stores one form only: integer numerators over one positive
 common denominator ``den``, as ``num = (re, im)``, a real and an imaginary
 numerator tuple, ``im`` None when every imaginary part is zero.  The form is
 canonical, ``gcd(den, all numerators) == 1``, so equality and hashing compare
-the tuples.  Only ``Element.__init__``, ``_scalar_form`` and ``format_scalar``
-read exact scalars (``integer_form``); every operation and the parser build the
-form from integers through one normaliser, ``_normal``, which divides out one
-gcd, and the formatter reads it directly.  No operation does arithmetic on
-``Fraction`` or ``GaussRational`` objects.  Every product, the doubling above
+the tuples.  Only ``Element.__init__``, ``_scalar_form``, ``format_scalar`` and
+``commutant.nullspace`` read exact scalars (``integer_form``); every operation
+and the parser build the form through one normaliser, ``_normal``, which
+divides out one gcd, and the formatter reads it directly.  No operation does
+arithmetic on ``Fraction`` or ``GaussRational``.  Every product, the doubling above
 included, runs one integer bilinear kernel per distinct structure table
 (``Algebra.mul``): it is compiled once from the table into straight-line code,
 one signed sum of ``u_i * v_j`` per output index, with no loop and no table
@@ -43,9 +43,9 @@ integer form once, so a scalar product scales the numerators and a scalar sum
 changes index 0 only.  ``commutant`` builds its matrix, null space and basis on
 the same integer form.
 
-``coeffs`` is a read-only view of the stored form, always in normal form: a
-coefficient is an ``int`` when integral, otherwise a reduced ``Fraction``,
-and a ``GaussRational`` only when its imaginary part is nonzero.
+``coeffs`` is derived from the stored form on each access and nothing is
+cached.  It is in normal form: an ``int`` when integral, else a reduced
+``Fraction``, and a ``GaussRational`` only with a nonzero imaginary part.
 """
 
 from __future__ import annotations
@@ -88,8 +88,6 @@ def integer_form(coeffs):
     """``(den, (re, im))``: the integer numerator tuples of exact scalars
     over their least common denominator, which leaves gcd(den, all
     numerators) == 1."""
-    if all(type(c) is int for c in coeffs):
-        return 1, (tuple(coeffs), None)
     re = [c.re if isinstance(c, GaussRational) else c for c in coeffs]
     im = [c.im if isinstance(c, GaussRational) else 0 for c in coeffs]
     den = lcm(*[x.denominator for x in re + im])
@@ -191,16 +189,13 @@ def _lincomb(x, u, y, v):
 def _dot(dot, u, v):
     """Metric-weighted dot product of two integer-form vectors under the
     metric kernel ``dot``, as a Gaussian integer (re, im); three real dot
-    products when both sides have imaginary parts."""
-    ur, ui = u
-    vr, vi = v
+    products when either side is non-real, a real side's part taken as zeros."""
+    (ur, ui), (vr, vi) = u, v
     re = dot(ur, vr)
     if ui is None and vi is None:
         return re, 0
-    if ui is None:
-        return re, dot(ur, vi)
-    if vi is None:
-        return re, dot(ui, vr)
+    zero = (0,) * len(ur)
+    ui, vi = ui or zero, vi or zero
     t = dot(ui, vi)
     return re - t, dot(_sum(ur, ui), _sum(vr, vi)) - re - t
 
@@ -228,7 +223,6 @@ def _normal(algebra, u, den):
     self.algebra = algebra
     self.den = den
     self.num = (tuple(re), None if im is None else tuple(im))
-    self._coeffs = None
     return self
 
 
@@ -412,7 +406,7 @@ class Element:
     integer form ``num / den`` of its coefficients.  Immutable; all
     arithmetic returns new elements."""
 
-    __slots__ = ("algebra", "den", "num", "_coeffs")
+    __slots__ = ("algebra", "den", "num")
 
     def __init__(self, algebra, coeffs):
         coeffs = tuple(coeffs)
@@ -428,14 +422,11 @@ class Element:
                 )
         self.algebra = algebra
         self.den, self.num = integer_form(coeffs)
-        self._coeffs = None
 
     @property
     def coeffs(self):
-        """The exact coefficient vector in normal form, derived once."""
-        if self._coeffs is None:
-            self._coeffs = _coefficients(self.num, self.den)
-        return self._coeffs
+        """The exact coefficients in normal form, derived on each access."""
+        return _coefficients(self.num, self.den)
 
     # -- predicates ---------------------------------------------------------
 
@@ -471,8 +462,6 @@ class Element:
     def _scalar_form(self, other):
         """A field scalar as ``(den, (re, im))``, ints over a positive
         denominator; None for anything else."""
-        if type(other) is int:
-            return 1, (other, 0)
         if not isinstance(other, self.algebra.scalar_types):
             return None
         if isinstance(other, bool):

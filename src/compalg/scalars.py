@@ -1,8 +1,9 @@
-"""Exact scalar arithmetic: rationals and Gaussian rationals.
+"""Exact scalars at the library boundary: rationals and Gaussian rationals.
 
-Real coefficients are plain ``int`` or ``fractions.Fraction``; complex ones
-are ``GaussRational``, a pair of rationals.  Floats are rejected everywhere:
-every scalar this package touches is exact.
+Real coefficients are ``int`` or ``fractions.Fraction``, complex ones
+``GaussRational``; floats are rejected everywhere.  The library computes on
+core's integer form; ``GaussRational``'s ``+ - * /`` and ``exact_div`` are a
+convenience for callers, each reading its operand through one coercion.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from fractions import Fraction
 
 RATIONAL_TYPES = (int, Fraction)
 
-_HASH_IMAG = sys.hash_info.imag
 
-
-def _check_rational(x, what="value"):
-    if not isinstance(x, RATIONAL_TYPES) or isinstance(x, bool):
-        raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__}")
-    return x
+def _parts(x):
+    """An exact scalar as ``(re, im)``; None for anything else."""
+    if isinstance(x, GaussRational):
+        return x.re, x.im
+    return (x, 0) if isinstance(x, RATIONAL_TYPES) else None
 
 
 class GaussRational:
@@ -32,8 +32,11 @@ class GaussRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = _check_rational(re, "real part")
-        self.im = _check_rational(im, "imaginary part")
+        for x, part in ((re, "real"), (im, "imaginary")):
+            if not isinstance(x, RATIONAL_TYPES) or isinstance(x, bool):
+                name = type(x).__name__
+                raise TypeError(f"{part} part must be int or Fraction, got {name}")
+        self.re, self.im = re, im
 
     @classmethod
     def _make(cls, re, im):
@@ -55,57 +58,48 @@ class GaussRational:
         return GaussRational._make(self.re, -self.im)
 
     def __add__(self, other):
-        if isinstance(other, GaussRational):
-            return GaussRational._make(self.re + other.re, self.im + other.im)
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussRational._make(self.re + other, self.im)
-        return NotImplemented
+        q = _parts(other)
+        if q is None:
+            return NotImplemented
+        return GaussRational._make(self.re + q[0], self.im + q[1])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, GaussRational):
-            return GaussRational._make(self.re - other.re, self.im - other.im)
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussRational._make(self.re - other, self.im)
-        return NotImplemented
+        q = _parts(other)
+        if q is None:
+            return NotImplemented
+        return GaussRational._make(self.re - q[0], self.im - q[1])
 
     def __rsub__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussRational._make(other - self.re, -self.im)
-        return NotImplemented
+        return (-self).__add__(other)
 
     def __mul__(self, other):
+        q = _parts(other)
+        if q is None:
+            return NotImplemented
+        (a, b), (c, d) = (self.re, self.im), q
         if isinstance(other, GaussRational):
-            return GaussRational._make(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussRational._make(self.re * other, self.im * other)
-        return NotImplemented
+            return GaussRational._make(a * c - b * d, a * d + b * c)
+        return GaussRational._make(a * c, b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, GaussRational):
-            n = other.re * other.re + other.im * other.im
-            if n == 0:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return GaussRational._make(
-                _div(self.re * other.re + self.im * other.im, n),
-                _div(self.im * other.re - self.re * other.im, n),
-            )
-        if isinstance(other, RATIONAL_TYPES):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return GaussRational._make(_div(self.re, other), _div(self.im, other))
-        return NotImplemented
+        q = _parts(other)
+        if q is None:
+            return NotImplemented
+        (a, b), (c, d) = (self.re, self.im), q
+        n = c * c + d * d
+        if n == 0:
+            gauss = " Gaussian rational" if isinstance(other, GaussRational) else ""
+            raise ZeroDivisionError(f"division by zero{gauss}")
+        return GaussRational._make(_div(a * c + b * d, n), _div(b * c - a * d, n))
 
     def __rtruediv__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return GaussRational(other) / self
-        return NotImplemented
+        if _parts(other) is None:
+            return NotImplemented
+        return GaussRational(other) / self
 
     def __neg__(self):
         return GaussRational._make(-self.re, -self.im)
@@ -117,16 +111,15 @@ class GaussRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, RATIONAL_TYPES):
-            return self.im == 0 and self.re == other
-        return NotImplemented
+        q = _parts(other)
+        if q is None:
+            return NotImplemented
+        return self.re == q[0] and self.im == q[1]
 
     def __hash__(self):
         # same recipe as complex.__hash__, so GaussRational(q, 0) hashes
         # like the rational q itself
-        return hash(self.re) + _HASH_IMAG * hash(self.im)
+        return hash(self.re) + sys.hash_info.imag * hash(self.im)
 
     def __repr__(self):
         return f"GaussRational({self.re}, {self.im})"
@@ -153,11 +146,10 @@ def _div(x, y):
 
 
 def exact_div(x, y):
-    """Exact ``x / y`` for any mix of rational and Gaussian-rational scalars."""
-    if isinstance(x, GaussRational):
+    """Exact ``x / y`` for any mix of rational and Gaussian-rational scalars:
+    the ``/`` operator when either is Gaussian, else a rational."""
+    if isinstance(x, GaussRational) or isinstance(y, GaussRational):
         return x / y
-    if isinstance(y, GaussRational):
-        return GaussRational(x) / y
     if y == 0:
         raise ZeroDivisionError("division by zero")
     return _div(x, y)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .core import Element, Hs, _normal, sandwich
+from .core import Element, Hs, _dot, _normal, sandwich
 from .errors import (
     AlgebraMismatch,
     ConsistencyError,
@@ -105,6 +105,11 @@ def negator_candidates(a):
     return out
 
 
+def _invertible(x):
+    """N(x) != 0, decided on the integer numerators."""
+    return _dot(x.algebra.dot, x.num, x.num) != (0, 0)
+
+
 def _require_pure_nonzero(what, *elements):
     """Shared precondition guard: elements of one algebra, pure, nonzero."""
     for e in elements:  # the first against itself rejects a lone non-element
@@ -119,7 +124,7 @@ def negator(a):
     """A pure invertible p with p*a = -a*p and p a p^-1 = -a."""
     _require_pure_nonzero("negator", a)
     for p in negator_candidates(a):
-        if p.norm() == 0:
+        if not _invertible(p):
             continue
         if not verify_negator(a, p).ok:
             raise ConsistencyError(f"negator candidate {p!s} fails for {a!s}")
@@ -182,7 +187,7 @@ def conjugacy_witness(a, b, *, minimal=False):
         raise NormMismatch(f"norm(a) = {a.norm()} differs from norm(b) = {b.norm()}")
 
     alg, s = a.algebra, a + b
-    if s.norm() != 0:
+    if _invertible(s):
         w = ConjugacyWitness.single(s, Branch.SUM_INVERTIBLE)
     elif alg.is_division:
         if b != -a:
@@ -190,8 +195,8 @@ def conjugacy_witness(a, b, *, minimal=False):
                 "zero norm(a+b) with a definite norm form must force b = -a"
             )
         w = ConjugacyWitness.single(negator(a), Branch.DIVISION_NEGATE)
-    elif (a - b).norm() != 0:
-        w = ConjugacyWitness.double(a - b, negator(b), Branch.DIFF_INVERTIBLE)
+    elif _invertible(d := a - b):
+        w = ConjugacyWitness.double(d, negator(b), Branch.DIFF_INVERTIBLE)
     else:
         # N(a+b) = N(a-b) = 0 forces inner(a, b) = 0 and N(a) = N(b) = 0
         p = separator(a, b)

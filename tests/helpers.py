@@ -22,12 +22,16 @@ and position, on every input.  ``reference_format`` and
 ``reference_format_scalar`` are the formatter the library used before it
 printed straight from the integer form: they read the exact-scalar
 ``coeffs`` view; ``format_element`` and ``format_scalar`` must give the
-same text.
+same text.  ``gauss_oracle`` and ``gauss_hash`` compute the scalar
+operations of ``GaussRational`` from the textbook ``(re, im)`` formulas;
+every operator, ``exact_div`` and ``hash`` must give the same value, the
+same type and the same part types.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 import sympy
@@ -410,6 +414,66 @@ def reference_format_scalar(x):
         return "0"
     sign, body = _reference_term_text(0, x, None)
     return body if sign == "+" else f"-{body}"
+
+
+def _gauss_parts(x):
+    if isinstance(x, GaussRational):
+        return x.re, x.im, True
+    return x, 0, False
+
+
+def _normal_rational(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def gauss_oracle(op, x, y=None):
+    """The result of ``op`` ("neg", "==", "+", "-", "*", "/" or
+    "exact_div") on the exact scalars x and y, from the (re, im) formulas:
+    a GaussRational unless "exact_div" divides two rationals, a bool for
+    "==", and the ``ZeroDivisionError`` itself for a zero divisor.
+    Quotient parts are in normal form (int when integral)."""
+    a, b, x_gauss = _gauss_parts(x)
+    if op == "neg":
+        return GaussRational(-a, -b)
+    c, d, y_gauss = _gauss_parts(y)
+    if op == "==":
+        return a == c and b == d
+    if op == "+":
+        return GaussRational(a + c, b + d)
+    if op == "-":
+        return GaussRational(a - c, b - d)
+    if op == "*":
+        # a real factor r scales both parts: (a + b i) r = a r + b r i
+        if not y_gauss:
+            return GaussRational(a * c, b * c)
+        if not x_gauss:
+            return GaussRational(a * c, a * d)
+        return GaussRational(a * c - b * d, a * d + b * c)
+    # (a + b i) / (c + d i) = ((a c + b d) + (b c - a d) i) / (c^2 + d^2)
+    n = c * c + d * d
+    if n == 0:
+        gauss = " Gaussian rational" if y_gauss else ""
+        return ZeroDivisionError(f"division by zero{gauss}")
+    re = _normal_rational(Fraction(a * c + b * d) / n)
+    im = _normal_rational(Fraction(b * c - a * d) / n)
+    if op == "exact_div" and not (x_gauss or y_gauss):
+        return re
+    return GaussRational(re, im)
+
+
+class _HashValue:
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def gauss_hash(x):
+    """complex's recipe, hash(re) + sys.hash_info.imag * hash(im), folded
+    the way Python folds any ``__hash__`` result."""
+    return hash(_HashValue(hash(x.re) + sys.hash_info.imag * hash(x.im)))
 
 
 def product_commutant_matrix(a, b):

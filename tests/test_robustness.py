@@ -69,6 +69,50 @@ def test_library_has_no_assert(path):
     assert lines == [], f"assert statements at lines {lines}"
 
 
+def _top_level_names(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _loaded_names(node):
+    """Every name a statement reads: by name, by attribute or by import."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def test_library_has_no_dead_helpers():
+    """Every module-level function, class and constant of the package is
+    public (in ``compalg.__all__``) or read somewhere in the package
+    outside its own definition; dunders are exempt."""
+    statements = [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    loads = [(node, _loaded_names(node)) for _, node in statements]
+    dead = [
+        f"{module}:{name}"
+        for module, node in statements
+        for name in _top_level_names(node)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in compalg.__all__
+        and not any(name in used for other, used in loads if other is not node)
+    ]
+    assert dead == []
+
+
 @pytest.mark.parametrize(
     "argv", [("verify-remark",), ("selftest", "--samples", "5")], ids=" ".join
 )
