@@ -6,13 +6,10 @@ Gaussian rationals.
 
 from .commutant import (
     CommutantReport,
-    check_counterexample,
-    counterexample_instances,
     nullspace,
     single_conjugator_search,
     span_contains,
     twisted_commutant_matrix,
-    verify_remark,
 )
 from .core import (
     ALGEBRAS,
@@ -49,7 +46,12 @@ from .parsing import (
     parse_element,
 )
 from .scalars import GaussRational, I, exact_div
-from .selftest import run_selftest
+from .selftest import (
+    check_counterexample,
+    counterexample_instances,
+    run_selftest,
+    verify_remark,
+)
 from .witnesses import (
     Branch,
     CheckReport,

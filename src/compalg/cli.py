@@ -15,11 +15,11 @@ import argparse
 import json
 import sys
 
-from .commutant import single_conjugator_search, verify_remark
+from .commutant import single_conjugator_search
 from .core import ALGEBRAS, Element
 from .errors import CompalgError, ConsistencyError
 from .parsing import _rational_text, format_element, format_scalar, parse_element
-from .selftest import run_selftest
+from .selftest import run_selftest, verify_remark
 from .witnesses import (
     collapse_quaternion,
     conjugacy_witness,

@@ -14,9 +14,10 @@ core's integer form ``(re, im)`` over one denominator.  One fraction-free
 Gauss-Jordan elimination, ``_nullspace_form``, divides each row by its
 content and clears it with Gaussian-integer multipliers (a real row is
 the ``im is None`` case); one back-substitution writes each basis vector
-in canonical integer form, without a ``Fraction``.  The search builds its
-basis elements from those forms, and ``twisted_commutant_matrix`` and
-``nullspace`` are exact-scalar views of the same code.
+over one common denominator, without a ``Fraction``.  Core's canonical
+forms reduce it: the search builds its basis elements with ``_normal``, and
+``twisted_commutant_matrix`` and ``nullspace`` are exact-scalar views of
+the same code.
 
 For pure a, b of equal norm the search first writes the solution space
 down in closed form, from s = a + b and t = s*a, which always solve the
@@ -25,35 +26,29 @@ dim 8 alike, says they span it whenever s != 0 and s, t are independent;
 the search then reduces them to exactly the elimination's basis.  Every
 other case takes the elimination.
 
-``verify_remark`` re-derives the two built-in counterexample instances:
-equal-norm pairs of null pure elements, one in the split octonions and one
-in the complex octonions, whose twisted commutant is two-dimensional with
-an identically vanishing norm form, so no single conjugator exists even
-though a double witness does.
+The solver sits below the witness ladder: ``witnesses`` calls it for
+minimal witnesses, and this module imports nothing from ``witnesses``.
+The paper's counterexample suite, which uses both, is in ``selftest``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .core import (
     Element,
-    Oc,
-    Os,
     _coefficients,
     _divided,
-    _dot,
     _lincomb,
     _normal,
     _product,
+    _same_norm,
     integer_form,
     sandwich,
 )
-from .errors import CompalgError, ConsistencyError
-from .scalars import I
-from .witnesses import CheckReport, conjugacy_witness, verify_witness
+from .errors import ConsistencyError
 
 
 def twisted_commutant_matrix(a, b):
@@ -112,15 +107,15 @@ def nullspace(matrix):
 
 def _nullspace_form(rows, ncols):
     """The canonical null-space basis of a matrix given as integer-form
-    rows ``(re, im)``: one canonical ``(den, (re, im))`` per free column,
-    the vector that is 1 at that column and 0 at the other free ones.
+    rows ``(re, im)``: one ``(den, (re, im))`` per free column, the vector
+    that is 1 at that column and 0 at the other free ones.
 
     The elimination is fraction-free: each row is divided by its content,
     and a row is cleared against the pivot row as ``pivot * row - entry *
     pivot_row`` with Gaussian-integer multipliers (a real row has im None).
-    Back-substitution writes each entry -x / pivot in lowest terms, over
-    Q(i) as -x conj(pivot) / |pivot|^2 when the pivot is not real, and puts
-    the vector over the lcm of those denominators, which leaves it canonical.
+    Back-substitution writes each entry -x / pivot (over Q(i) -x conj(pivot)
+    / |pivot|^2) over one common denominator, the product of those divisors,
+    unreduced: ``_normal`` and ``_coefficients`` reduce it to the canonical form.
     """
     rows = [_primitive(u) for u in rows]
     nrows = len(rows)
@@ -144,24 +139,21 @@ def _nullspace_form(rows, ncols):
     for f in range(ncols):
         if f in pivots:
             continue
-        re, im, dens = [0] * ncols, [0] * ncols, [1] * ncols
+        entries, den = [], 1
         for (xr, xi), c in zip(rows, pivots):
             x, p = xr[f], xr[c]
             y, q = (xi[f], xi[c]) if xi else (0, 0)
-            if not (x or y):
-                continue
-            if q:
-                x, y, p = -(x * p + y * q), x * q - y * p, p * p + q * q
-            else:
-                x, y = -x, -y
-            g = gcd(x, y, p)
-            re[c], im[c], dens[c] = x // g, y // g, p // g
-        den = lcm(*dens)
-        scale = [den // d for d in dens]
-        re = [x * m for x, m in zip(re, scale)]
+            if x or y:
+                if q:
+                    x, y, p = x * p + y * q, y * p - x * q, p * p + q * q
+                entries.append((c, x, y, p))
+                den *= p
+        re, im = [0] * ncols, [0] * ncols
         re[f] = den
-        im = [y * m for y, m in zip(im, scale)] if any(im) else None
-        basis.append((den, (re, im)))
+        for c, x, y, p in entries:
+            m = den // p
+            re[c], im[c] = -x * m, -y * m
+        basis.append((den, (re, im if any(im) else None)))
     return basis
 
 
@@ -203,10 +195,7 @@ def _closed_form(a, b):
     None otherwise."""
     alg = a.algebra
     (d, u), (e, v) = (a.den, a.num), (b.den, b.num)
-    if not (a.is_pure and b.is_pure):
-        return None
-    (nr, ni), (mr, mi) = _dot(alg.dot, u, u), _dot(alg.dot, v, v)
-    if nr * e * e != mr * d * d or ni * e * e != mi * d * d:
+    if not (a.is_pure and b.is_pure and _same_norm(a, b)):
         return None
     s = _lincomb(e, u, d, v)  # (a + b) d e
     s = _primitive((s[0], s[1] if s[1] and any(s[1]) else None))
@@ -242,13 +231,8 @@ def _last(u):
 
 def span_contains(vectors, target):
     """Exact membership of ``target`` in the span of ``vectors``."""
-    if all(c == 0 for c in target):
-        return True
-    if not vectors:
-        return False
-    n = len(target)
     augmented = tuple(
-        tuple(v[i] for v in vectors) + (target[i],) for i in range(n)
+        tuple(v[i] for v in vectors) + (t,) for i, t in enumerate(target)
     )
     return any(v[-1] != 0 for v in nullspace(augmented))
 
@@ -360,92 +344,3 @@ def single_conjugator_search(a, b):
                 "invertible commutant solution fails to conjugate a onto b"
             )
     return CommutantReport(a, b, basis, gram, single)
-
-
-# Golden counterexample instances: equal-norm null pure pairs that are
-# conjugate only through a double sandwich.  Each entry carries the pair
-# (a, b) and a spanning pair of the twisted commutant for cross-checking.
-_COUNTEREXAMPLES = (
-    (
-        Os,
-        (0, 4, 5, 3, -5, 4, 0, 3),
-        (0, 0, 3, 0, 0, 0, 4, 5),
-        (
-            (0, 104, 40, 3, -165, 132, 0, 24),
-            (0, -46, -8, 3, 75, -60, 6, 0),
-        ),
-    ),
-    (
-        Oc,
-        (0, 4 * I, 5, 3 * I, -5, 4 * I, 0, 3 * I),
-        (0, 0, 3, 0, 0, 0, 4, 5 * I),
-        (
-            (0, 104, -40 * I, 3, 165 * I, 132, 0, 24),
-            (0, -46 * I, -8, 3 * I, 75, -60 * I, 6, 0),
-        ),
-    ),
-)
-
-
-def counterexample_instances():
-    """The two golden instances as (algebra, a, b, spanning pair) tuples."""
-    out = []
-    for alg, ca, cb, span in _COUNTEREXAMPLES:
-        out.append(
-            (
-                alg,
-                Element(alg, ca),
-                Element(alg, cb),
-                tuple(Element(alg, v) for v in span),
-            )
-        )
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class RemarkReport:
-    instances: tuple
-
-    @property
-    def ok(self):
-        return all(inst.ok for inst in self.instances)
-
-
-def check_counterexample(alg, a, b, span_pair):
-    """All checks for one instance; failures are report content."""
-    checks = []
-    checks.append(("norm(a) = norm(b) = 0", a.norm() == 0 and b.norm() == 0))
-
-    report = single_conjugator_search(a, b)
-    checks.append(("null space has dimension 2", report.nullity == 2))
-    checks.append(
-        (
-            "listed vectors solve v a = b v",
-            all(v * a == b * v for v in span_pair),
-        )
-    )
-    computed = [v.coeffs for v in report.nullspace_basis]
-    listed = [v.coeffs for v in span_pair]
-    span_eq = all(span_contains(computed, v) for v in listed) and all(
-        span_contains(listed, v) for v in computed
-    )
-    checks.append(("listed vectors span the computed null space", span_eq))
-    checks.append(("no single conjugator", not report.single_exists))
-
-    try:
-        w = conjugacy_witness(a, b)
-        double_ok = (not w.is_single) and verify_witness(a, b, w).ok
-    except CompalgError:
-        double_ok = False
-    checks.append(("double witness exists and verifies", double_ok))
-    return CheckReport(alg.name, tuple(checks))
-
-
-def verify_remark():
-    """Run every check on both golden counterexample instances."""
-    return RemarkReport(
-        tuple(
-            check_counterexample(alg, a, b, span)
-            for alg, a, b, span in counterexample_instances()
-        )
-    )

@@ -26,22 +26,22 @@ An ``Element`` stores one form only: integer numerators over one positive
 common denominator ``den``, as ``num = (re, im)``, a real and an imaginary
 numerator tuple, ``im`` None when every imaginary part is zero.  The form is
 canonical, ``gcd(den, all numerators) == 1``, so equality and hashing compare
-the tuples.  Only ``Element.__init__``, ``_scalar_form``, ``format_scalar`` and
-``commutant.nullspace`` read exact scalars (``integer_form``); every operation
-and the parser build the form through one normaliser, ``_normal``, which
-divides out one gcd, and the formatter reads it directly.  No operation does
-arithmetic on ``Fraction`` or ``GaussRational``.  Every product, the doubling above
-included, runs one integer bilinear kernel per distinct structure table
-(``Algebra.mul``): it is compiled once from the table into straight-line code,
-one signed sum of ``u_i * v_j`` per output index, with no loop and no table
-lookup per call.  Over the Gaussian rationals a product takes three real
-products, not four.  Inner product and norm are the metric-weighted integer dot
-product, compiled the same way from the metric (``Algebra.dot``).  Inverse and
-sandwich fold the norm into the common denominator.  Sums, negation and
-conjugation are integer vector operations; a field scalar operand is written in
-integer form once, so a scalar product scales the numerators and a scalar sum
-changes index 0 only.  ``commutant`` builds its matrix, null space and basis on
-the same integer form.
+the tuples.  ``integer_form`` alone reads exact scalars and decides what a
+scalar of a field is; operations, parser and commutant search build the form
+with one normaliser, ``_normal``, which divides out one gcd, and the
+formatter reads it directly.  No operation computes on ``Fraction`` or
+``GaussRational``; ``_invertible`` and ``_same_norm`` decide N(x) != 0 and
+N(a) = N(b) on the integers.  Every product, the doubling above included,
+runs one integer bilinear kernel per distinct structure table
+(``Algebra.mul``), compiled once from the table into straight-line code: one
+signed sum of ``u_i * v_j`` per output index, no loop, no table lookup.
+Over the Gaussian rationals a product takes three real products, not four.
+Inner product and norm are the metric-weighted integer dot product, compiled
+the same way (``Algebra.dot``).  Inverse and sandwich fold the norm into the
+common denominator.  Sums, negation and conjugation are integer vector
+operations; a field scalar operand is written in integer form once, so a
+scalar product scales the numerators and a scalar sum changes index 0 only.
+``commutant`` builds its matrix, null space and basis on the same form.
 
 ``coeffs`` is derived from the stored form on each access and nothing is
 cached.  It is in normal form: an ``int`` when integral, else a reduced
@@ -84,12 +84,20 @@ SPLIT_QUATERNION_TABLE = (
 # stands for the coefficients (re[k] + im[k] i) / den.
 
 
-def integer_form(coeffs):
+def integer_form(coeffs, algebra=None):
     """``(den, (re, im))``: the integer numerator tuples of exact scalars
     over their least common denominator, which leaves gcd(den, all
-    numerators) == 1."""
-    re = [c.re if isinstance(c, GaussRational) else c for c in coeffs]
-    im = [c.im if isinstance(c, GaussRational) else 0 for c in coeffs]
+    numerators) == 1.  Each coefficient is an int, a Fraction, or a
+    GaussRational unless ``algebra`` is real; anything else raises TypeError."""
+    gaussian = algebra is None or algebra.complex_field
+    re, im = [], []
+    for c in coeffs:
+        x, y = (c.re, c.im) if gaussian and isinstance(c, GaussRational) else (c, 0)
+        if not isinstance(x, RATIONAL_TYPES) or isinstance(x, bool):
+            field = f"a valid {algebra.name}" if algebra else "an exact"
+            raise TypeError(f"coefficient {c!r} is not {field} scalar")
+        re.append(x)
+        im.append(y)
     den = lcm(*[x.denominator for x in re + im])
     return den, (_numerators(re, den), _numerators(im, den) if any(im) else None)
 
@@ -198,6 +206,20 @@ def _dot(dot, u, v):
     ui, vi = ui or zero, vi or zero
     t = dot(ui, vi)
     return re - t, dot(_sum(ur, ui), _sum(vr, vi)) - re - t
+
+
+def _invertible(x):
+    """N(x) != 0, decided on the integer numerators."""
+    return _dot(x.algebra.dot, x.num, x.num) != (0, 0)
+
+
+def _same_norm(a, b):
+    """N(a) == N(b) on the integer numerators: n e^2 == m d^2 for N(a) =
+    n / d^2 and N(b) = m / e^2."""
+    dot = a.algebra.dot
+    (nr, ni), (mr, mi) = _dot(dot, a.num, a.num), _dot(dot, b.num, b.num)
+    d, e = a.den * a.den, b.den * b.den
+    return nr * e == mr * d and ni * e == mi * d
 
 
 def _conj(u):
@@ -349,7 +371,6 @@ class Algebra:
         "metric",
         "mul",
         "dot",
-        "scalar_types",
     )
 
     def __init__(self, name, dim, complex_field, primed, table):
@@ -364,9 +385,6 @@ class Algebra:
         self.metric = (1,) + tuple(-table[k][k][1] for k in range(1, dim))
         self.mul = _table_product(table)
         self.dot = _metric_dot_kernel(self.metric)
-        self.scalar_types = (
-            (int, Fraction, GaussRational) if complex_field else RATIONAL_TYPES
-        )
 
     @property
     def is_division(self):
@@ -414,14 +432,8 @@ class Element:
             raise ValueError(
                 f"{algebra.name} needs {algebra.dim} coefficients, got {len(coeffs)}"
             )
-        ok = algebra.scalar_types
-        for c in coeffs:
-            if not isinstance(c, ok) or isinstance(c, bool):
-                raise TypeError(
-                    f"coefficient {c!r} is not a valid {algebra.name} scalar"
-                )
         self.algebra = algebra
-        self.den, self.num = integer_form(coeffs)
+        self.den, self.num = integer_form(coeffs, algebra)
 
     @property
     def coeffs(self):
@@ -461,14 +473,14 @@ class Element:
 
     def _scalar_form(self, other):
         """A field scalar as ``(den, (re, im))``, ints over a positive
-        denominator; None for anything else."""
-        if not isinstance(other, self.algebra.scalar_types):
+        denominator; None for what ``integer_form`` rejects, except a bool,
+        which Python would take for an int."""
+        try:
+            den, ((re,), im) = integer_form((other,), self.algebra)
+        except TypeError:
+            if other is True or other is False:
+                raise
             return None
-        if isinstance(other, bool):
-            raise TypeError(
-                f"coefficient {other!r} is not a valid {self.algebra.name} scalar"
-            )
-        den, ((re,), im) = integer_form((other,))
         return den, (re, im[0] if im else 0)
 
     def _plus(self, other, sign):
@@ -620,7 +632,7 @@ class Classification:
 
 
 def classify(a):
-    return Classification(a.is_pure, not a.is_zero, a.norm() != 0)
+    return Classification(a.is_pure, not a.is_zero, _invertible(a))
 
 
 H = Algebra("H", 4, False, (), QUATERNION_TABLE)

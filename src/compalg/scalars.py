@@ -1,9 +1,12 @@
 """Exact scalars at the library boundary: rationals and Gaussian rationals.
 
 Real coefficients are ``int`` or ``fractions.Fraction``, complex ones
-``GaussRational``; floats are rejected everywhere.  The library computes on
-core's integer form; ``GaussRational``'s ``+ - * /`` and ``exact_div`` are a
-convenience for callers, each reading its operand through one coercion.
+``GaussRational``; ``core.integer_form`` reads every scalar that enters the
+library and rejects a bool, a float and any other type.  The library
+computes on core's integer form; ``GaussRational``'s ``+ - * /`` and
+``exact_div`` are a convenience for callers, each reading its operands
+through one coercion, ``_parts``, which rejects non-exact types (a bool acts
+as the int it is, as under ``/``).
 """
 
 from __future__ import annotations
@@ -147,9 +150,13 @@ def _div(x, y):
 
 def exact_div(x, y):
     """Exact ``x / y`` for any mix of rational and Gaussian-rational scalars:
-    the ``/`` operator when either is Gaussian, else a rational."""
+    the ``/`` operator when either is Gaussian, else a rational.  Any other
+    operand raises TypeError."""
     if isinstance(x, GaussRational) or isinstance(y, GaussRational):
         return x / y
+    if _parts(x) is None or _parts(y) is None:
+        names = f"{type(x).__name__} and {type(y).__name__}"
+        raise TypeError(f"exact_div needs exact scalars, got {names}")
     if y == 0:
         raise ZeroDivisionError("division by zero")
     return _div(x, y)

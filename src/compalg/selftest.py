@@ -1,10 +1,15 @@
-"""Randomized property suite behind the ``selftest`` CLI command.
+"""The verification suites behind the ``selftest`` and ``verify-remark``
+CLI commands.
 
-Each property is a one-sample check ``(rng, alg)`` that returns a failure
-message, or None when the identity holds.  ``run_selftest`` owns the sample
-loop and runs each property over the algebras ``PROPERTIES`` names for it,
-each with its own deterministically derived generator, so a fixed seed
-produces bit-identical output on every platform.
+Each randomized property is a one-sample check ``(rng, alg)`` that returns
+a failure message, or None when the identity holds.  ``run_selftest`` owns
+the sample loop and runs each property over the algebras ``PROPERTIES``
+names for it, each with its own deterministically derived generator, so a
+fixed seed produces bit-identical output on every platform.
+
+``verify_remark`` re-derives the paper's two counterexamples: equal-norm
+null pure pairs in Os and Oc whose twisted commutant is two-dimensional
+with a vanishing norm form, so only a double witness conjugates them.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .commutant import single_conjugator_search, span_contains
-from .core import ALGEBRAS, sandwich
+from .core import ALGEBRAS, Element, Oc, Os, sandwich
 from .errors import CompalgError, PreconditionViolation
 from .parsing import format_element, parse_element
 from .sampling import (
@@ -22,7 +27,9 @@ from .sampling import (
     random_orthogonal_null_pair,
     random_pure_nonzero,
 )
+from .scalars import I
 from .witnesses import (
+    CheckReport,
     collapse_quaternion,
     conjugacy_witness,
     negator,
@@ -175,3 +182,77 @@ def run_selftest(samples=100, seed=0):
                 failure = f"{type(exc).__name__}: {exc}"
             records.append(SelftestRecord(name, alg_name, samples, failure))
     return SelftestResult(tuple(records))
+
+
+# Golden counterexample instances: equal-norm null pure pairs that are
+# conjugate only through a double sandwich.  Each entry carries the pair
+# (a, b) and a spanning pair of the twisted commutant for cross-checking.
+_COUNTEREXAMPLES = (
+    (
+        Os,
+        (0, 4, 5, 3, -5, 4, 0, 3),
+        (0, 0, 3, 0, 0, 0, 4, 5),
+        ((0, 104, 40, 3, -165, 132, 0, 24), (0, -46, -8, 3, 75, -60, 6, 0)),
+    ),
+    (
+        Oc,
+        (0, 4 * I, 5, 3 * I, -5, 4 * I, 0, 3 * I),
+        (0, 0, 3, 0, 0, 0, 4, 5 * I),
+        (
+            (0, 104, -40 * I, 3, 165 * I, 132, 0, 24),
+            (0, -46 * I, -8, 3 * I, 75, -60 * I, 6, 0),
+        ),
+    ),
+)
+
+
+def counterexample_instances():
+    """The two golden instances as (algebra, a, b, spanning pair) tuples."""
+    return tuple(
+        (alg, Element(alg, ca), Element(alg, cb), tuple(Element(alg, v) for v in span))
+        for alg, ca, cb, span in _COUNTEREXAMPLES
+    )
+
+
+@dataclass(frozen=True)
+class RemarkReport:
+    instances: tuple
+
+    @property
+    def ok(self):
+        return all(inst.ok for inst in self.instances)
+
+
+def check_counterexample(alg, a, b, span_pair):
+    """All checks for one instance; failures are report content."""
+    report = single_conjugator_search(a, b)
+    computed = [v.coeffs for v in report.nullspace_basis]
+    listed = [v.coeffs for v in span_pair]
+    try:
+        w = conjugacy_witness(a, b)
+        double_ok = (not w.is_single) and verify_witness(a, b, w).ok
+    except CompalgError:
+        double_ok = False
+    checks = (
+        ("norm(a) = norm(b) = 0", a.norm() == 0 and b.norm() == 0),
+        ("null space has dimension 2", report.nullity == 2),
+        ("listed vectors solve v a = b v", all(v * a == b * v for v in span_pair)),
+        (
+            "listed vectors span the computed null space",
+            all(span_contains(computed, v) for v in listed)
+            and all(span_contains(listed, v) for v in computed),
+        ),
+        ("no single conjugator", not report.single_exists),
+        ("double witness exists and verifies", double_ok),
+    )
+    return CheckReport(alg.name, checks)
+
+
+def verify_remark():
+    """Run every check on both golden counterexample instances."""
+    return RemarkReport(
+        tuple(
+            check_counterexample(alg, a, b, span)
+            for alg, a, b, span in counterexample_instances()
+        )
+    )

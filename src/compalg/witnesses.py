@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .core import Element, Hs, _dot, _normal, sandwich
+from .commutant import single_conjugator_search
+from .core import Element, Hs, _invertible, _normal, _same_norm, sandwich
 from .errors import (
     AlgebraMismatch,
     ConsistencyError,
@@ -105,11 +106,6 @@ def negator_candidates(a):
     return out
 
 
-def _invertible(x):
-    """N(x) != 0, decided on the integer numerators."""
-    return _dot(x.algebra.dot, x.num, x.num) != (0, 0)
-
-
 def _require_pure_nonzero(what, *elements):
     """Shared precondition guard: elements of one algebra, pure, nonzero."""
     for e in elements:  # the first against itself rejects a lone non-element
@@ -170,7 +166,7 @@ def separator(a, b):
             raise ConsistencyError("separator index search failed")
         p = alg.basis(k) + alg.basis(l)
 
-    if p.norm() == 0 or (sandwich(p, a) + b).norm() == 0:
+    if not (_invertible(p) and _invertible(sandwich(p, a) + b)):
         raise ConsistencyError(f"separator {p!s} fails for {a!s}, {b!s}")
     return p
 
@@ -183,7 +179,7 @@ def conjugacy_witness(a, b, *, minimal=False):
     the twisted-commutant solver finds an invertible solution of p a = b p.
     """
     _require_pure_nonzero("conjugacy", a, b)
-    if a.norm() != b.norm():
+    if not _same_norm(a, b):
         raise NormMismatch(f"norm(a) = {a.norm()} differs from norm(b) = {b.norm()}")
 
     alg, s = a.algebra, a + b
@@ -208,8 +204,6 @@ def conjugacy_witness(a, b, *, minimal=False):
         raise ConsistencyError(f"constructed witness failed checks: {report.failures}")
 
     if minimal and not w.is_single:
-        from .commutant import single_conjugator_search
-
         found = single_conjugator_search(a, b).single
         if found is not None:
             w = ConjugacyWitness.single(found, Branch.COMMUTANT_SINGLE)
@@ -259,13 +253,13 @@ def verify_witness(a, b, w):
         w.q is not None and w.q.algebra is not a.algebra
     ):
         return CheckReport(name, (("algebras match", False),))
-    ok_p = w.p.norm() != 0
+    ok_p = _invertible(w.p)
     checks = [("norm(p) != 0", ok_p)]
     if w.is_single:
         mapped = ok_p and sandwich(w.p, a) == b
         checks.append(("p a p^-1 == b", mapped))
     else:
-        ok_q = w.q.norm() != 0
+        ok_q = _invertible(w.q)
         checks.append(("norm(q) != 0", ok_q))
         checks.append(("p is pure", w.p.is_pure))
         checks.append(("q is pure", w.q.is_pure))
@@ -278,7 +272,7 @@ def verify_negator(a, p):
     """Re-check a negator p of a by exact evaluation: N(p) != 0,
     p a == -(a p) and p a p^-1 == -a."""
     Element._check_same(a, p)
-    ok_p = p.norm() != 0
+    ok_p = _invertible(p)
     return CheckReport(
         a.algebra.name,
         (

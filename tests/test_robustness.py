@@ -4,6 +4,7 @@ is the promised output."""
 
 import ast
 import os
+from fractions import Fraction
 import random
 import subprocess
 import sys
@@ -23,18 +24,25 @@ from compalg import (
     CheckReport,
     ConsistencyError,
     Element,
+    GaussRational,
     H,
+    Hc,
+    Hs,
     O,
     Os,
     ParseError,
     collapse_quaternion,
     conjugacy_witness,
     counterexample_instances,
+    exact_div,
+    format_scalar,
     negator,
+    nullspace,
     parse_element,
     sandwich,
     separator,
     single_conjugator_search,
+    span_contains,
     twisted_commutant_matrix,
     verify_negator,
     verify_remark,
@@ -111,6 +119,76 @@ def test_library_has_no_dead_helpers():
         and not any(name in used for other, used in loads if other is not node)
     ]
     assert dead == []
+
+
+def test_library_imports_at_module_level():
+    """Imports sit at the top of each module; the one exception is
+    ``Element.__str__``'s import of the formatter, which would otherwise
+    make ``core`` and ``parsing`` import each other."""
+    found = [
+        (path.name, fn.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == [("core.py", "__str__")]
+
+
+# Each exact-scalar entry point with one bad scalar x: every one must raise
+# TypeError, never AttributeError and never accept it silently.
+SCALAR_ENTRY_POINTS = {
+    "Algebra.element": lambda x: H.element([x, 0, 0, 0]),
+    "element * x": lambda x: H.basis(1) * x,
+    "x * element": lambda x: x * H.basis(1),
+    "element + x": lambda x: H.basis(1) + x,
+    "x + element": lambda x: x + H.basis(1),
+    "nullspace": lambda x: nullspace(((x, 0), (0, 1))),
+    "span_contains target": lambda x: span_contains([(1, 0)], (x, 0)),
+    "span_contains vector": lambda x: span_contains([(x, 0)], (1, 0)),
+    "format_scalar": lambda x: format_scalar(x),
+    "exact_div x / 2": lambda x: exact_div(x, 2),
+    "exact_div 2 / x": lambda x: exact_div(2, x),
+    "exact_div x / Fraction": lambda x: exact_div(x, Fraction(1, 3)),
+}
+
+
+@pytest.mark.parametrize("x", [1.5, "1", True], ids=repr)
+@pytest.mark.parametrize("name", SCALAR_ENTRY_POINTS)
+def test_scalar_entry_points_reject_inexact_scalars(name, x):
+    entry = SCALAR_ENTRY_POINTS[name]
+    if x is True and name.startswith("exact_div"):
+        # a bool keeps the numeric tower's behaviour of ``/``
+        assert entry(x) == entry(1)
+        return
+    with pytest.raises(TypeError):
+        entry(x)
+
+
+def test_scalar_entry_point_messages():
+    for fn, message in (
+        (lambda: H.element([True, 0, 0, 0]), "coefficient True is not a valid H scalar"),
+        (lambda: H.basis(1) + True, "coefficient True is not a valid H scalar"),
+        (lambda: Hc.element([0, 0.5, 0, 0]), "coefficient 0.5 is not a valid Hc scalar"),
+        (lambda: nullspace(((1.5, 0),)), "coefficient 1.5 is not an exact scalar"),
+        (lambda: format_scalar("1"), "coefficient '1' is not an exact scalar"),
+        (lambda: exact_div(1.5, 2), "exact_div needs exact scalars, got float and int"),
+        (lambda: exact_div(2, "1"), "exact_div needs exact scalars, got int and str"),
+    ):
+        with pytest.raises(TypeError) as info:
+            fn()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("alg", [H, Hs, O, Os], ids=lambda alg: alg.name)
+def test_gaussian_coefficients_need_a_complex_algebra(alg):
+    g = GaussRational(1, 0)
+    with pytest.raises(TypeError, match=f"is not a valid {alg.name} scalar"):
+        alg.element([0] * (alg.dim - 1) + [g])
+    for op in (lambda: alg.one() * g, lambda: g + alg.one()):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
 
 
 @pytest.mark.parametrize(
@@ -389,7 +467,7 @@ def test_counterexample_check_lets_bugs_propagate(monkeypatch):
     def buggy(a, b):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(compalg.commutant, "conjugacy_witness", buggy)
+    monkeypatch.setattr(compalg.selftest, "conjugacy_witness", buggy)
     with pytest.raises(RuntimeError):
         verify_remark()
 
@@ -398,7 +476,7 @@ def test_counterexample_check_reports_library_errors(monkeypatch):
     def refuses(a, b):
         raise ConsistencyError("no witness")
 
-    monkeypatch.setattr(compalg.commutant, "conjugacy_witness", refuses)
+    monkeypatch.setattr(compalg.selftest, "conjugacy_witness", refuses)
     report = verify_remark()
     assert not report.ok
     assert all(
