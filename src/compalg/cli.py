@@ -143,6 +143,7 @@ def _cmd_conjugate_witness(args):
 def _cmd_commutant(args):
     a, b = _parse(args, args.a), _parse(args, args.b)
     report = single_conjugator_search(a, b)
+    gram = report.norm_gram
     payload = {
         "algebra": a.algebra.name,
         "a": _element_json(a),
@@ -151,7 +152,7 @@ def _cmd_commutant(args):
         "basis": [_element_json(v) for v in report.nullspace_basis],
         "gram": [
             [_scalar_json(g, a.algebra.complex_field) for g in row]
-            for row in report.norm_gram
+            for row in gram
         ],
         "verdict": report.verdict,
         "single": _element_json(report.single) if report.single else None,
@@ -161,7 +162,7 @@ def _cmd_commutant(args):
         lines.append(f"v{i + 1} = {format_element(v)}")
     if report.nullity:
         lines.append("norm Gram matrix:")
-        for row in report.norm_gram:
+        for row in gram:
             lines.append("  [" + ", ".join(format_scalar(g) for g in row) + "]")
     if report.single_exists:
         lines.append(

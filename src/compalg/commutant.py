@@ -11,20 +11,26 @@ The pipeline is integer-native.  The matrix of p -> p*a - b*p, the left
 multiplication by a minus the right multiplication by b, is read off the
 structure table and the stored integer forms of a and b, as rows in
 core's integer form ``(re, im)`` over one denominator.  One fraction-free
-Gauss-Jordan elimination, ``_nullspace_form``, divides each row by its
+Gauss-Jordan elimination, ``_gauss_jordan``, divides each row by its
 content and clears it with Gaussian-integer multipliers (a real row is
 the ``im is None`` case); one back-substitution writes each basis vector
-over one common denominator, without a ``Fraction``.  Core's canonical
-forms reduce it: the search builds its basis elements with ``_normal``, and
-``twisted_commutant_matrix`` and ``nullspace`` are exact-scalar views of
-the same code.
+over the lcm of its reduced pivot divisors, without a ``Fraction``.
+Core's canonical forms reduce it: the search builds its basis elements
+with ``_normal``, and ``twisted_commutant_matrix`` and ``nullspace`` are
+exact-scalar views of the same code.
 
 For pure a, b of equal norm the search first writes the solution space
 down in closed form, from s = a + b and t = s*a, which always solve the
 equation.  A theorem, proved in ``single_conjugator_search`` for dim 4 and
 dim 8 alike, says they span it whenever s != 0 and s, t are independent;
-the search then reduces them to exactly the elimination's basis.  Every
-other case takes the elimination.
+the same Gauss-Jordan, run on s and t with their coordinates reversed,
+then reduces them to exactly the elimination's basis.  Every other case
+takes the elimination.
+
+The verdict walks the grid {0, 1, 2}^d of combinations of the basis and
+keeps its first point of nonzero norm, decided on the integers by
+``core._invertible``; the search builds no exact scalar.  The Gram matrix
+of the norm form on the basis is derived on access, like the matrix.
 
 The solver sits below the witness ladder: ``witnesses`` calls it for
 minimal witnesses, and this module imports nothing from ``witnesses``.
@@ -34,13 +40,14 @@ The paper's counterexample suite, which uses both, is in ``selftest``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .core import (
     Element,
     _coefficients,
     _divided,
+    _invertible,
     _lincomb,
     _normal,
     _product,
@@ -110,31 +117,12 @@ def _nullspace_form(rows, ncols):
     rows ``(re, im)``: one ``(den, (re, im))`` per free column, the vector
     that is 1 at that column and 0 at the other free ones.
 
-    The elimination is fraction-free: each row is divided by its content,
-    and a row is cleared against the pivot row as ``pivot * row - entry *
-    pivot_row`` with Gaussian-integer multipliers (a real row has im None).
-    Back-substitution writes each entry -x / pivot (over Q(i) -x conj(pivot)
-    / |pivot|^2) over one common denominator, the product of those divisors,
-    unreduced: ``_normal`` and ``_coefficients`` reduce it to the canonical form.
+    Back-substitution reduces each entry -x / pivot (over Q(i) -x
+    conj(pivot) / |pivot|^2) by the gcd of its parts and writes the vector
+    over the lcm of those reduced divisors: ``_normal`` and
+    ``_coefficients`` take it to the canonical form.
     """
-    rows = [_primitive(u) for u in rows]
-    nrows = len(rows)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        for pr in range(r, nrows):
-            re, im = rows[pr]
-            if re[c] or im and im[c]:
-                break
-        else:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i, (re, im) in enumerate(rows):
-            if i != r and (re[c] or im and im[c]):
-                rows[i] = _combine(rows[i], rows[r], c)
-        pivots.append(c)
+    rows, pivots = _gauss_jordan(rows, ncols)
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -146,8 +134,10 @@ def _nullspace_form(rows, ncols):
             if x or y:
                 if q:
                     x, y, p = x * p + y * q, y * p - x * q, p * p + q * q
+                g = gcd(x, y, p)
+                x, y, p = x // g, y // g, p // g
                 entries.append((c, x, y, p))
-                den *= p
+                den = lcm(den, p)
         re, im = [0] * ncols, [0] * ncols
         re[f] = den
         for c, x, y, p in entries:
@@ -155,6 +145,35 @@ def _nullspace_form(rows, ncols):
             re[c], im[c] = -x * m, -y * m
         basis.append((den, (re, im if any(im) else None)))
     return basis
+
+
+def _gauss_jordan(rows, ncols):
+    """``(rows, pivots)``: integer-form rows ``(re, im)`` brought to reduced
+    row echelon form with leftmost-nonzero pivoting, row i carrying pivot
+    column ``pivots[i]`` and 0 at the other pivot columns.
+
+    The elimination is fraction-free: each row is divided by its content,
+    and a row is cleared against the pivot row as ``pivot * row - entry *
+    pivot_row`` with Gaussian-integer multipliers (a real row has im None).
+    """
+    rows = [_primitive(u) for u in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        for pr in range(r, len(rows)):
+            re, im = rows[pr]
+            if re[c] or im and im[c]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        for i, (re, im) in enumerate(rows):
+            if i != r and (re[c] or im and im[c]):
+                rows[i] = _combine(rows[i], rows[r], c)
+        pivots.append(c)
+    return rows, pivots
 
 
 def _primitive(u):
@@ -193,40 +212,31 @@ def _closed_form(a, b):
     t = s*a when a, b are pure of equal norm, s != 0 and s, t are
     independent, which makes them span it (see ``single_conjugator_search``);
     None otherwise."""
-    alg = a.algebra
-    (d, u), (e, v) = (a.den, a.num), (b.den, b.num)
     if not (a.is_pure and b.is_pure and _same_norm(a, b)):
         return None
-    s = _lincomb(e, u, d, v)  # (a + b) d e
-    s = _primitive((s[0], s[1] if s[1] and any(s[1]) else None))
-    if _last(s) < 0:  # b = -a
+    alg = a.algebra
+    s = _lincomb(b.den, a.num, a.den, b.num)  # (a + b) d e
+    t = _product(alg.mul, s, a.num)
+    rows, pivots = _gauss_jordan([_reversed(t), _reversed(s)], alg.dim)
+    if len(pivots) < 2:  # s = 0 (b = -a) or s, t dependent
         return None
-    t = _primitive(_product(alg.mul, s, u))
-    f2 = max(_last(s), _last(t))
-    if _entry(s, f2) == (0, 0):
-        s, t = t, s
-    else:
-        t = _combine(t, s, f2)
-    f1 = _last(t)
-    if f1 < 0:
-        return None
-    s = _combine(s, t, f1)
-    return _divided(alg, t, _entry(t, f1), 1), _divided(alg, s, _entry(s, f2), 1)
+    # row i is the basis vector of free column dim - 1 - pivots[i]
+    return tuple(
+        _divided(alg, _reversed(u), _entry(u, c), 1)
+        for u, c in zip(rows[::-1], pivots[::-1])
+    )
+
+
+def _reversed(u):
+    """An integer-form vector with its coordinates in reverse order."""
+    re, im = u
+    return re[::-1], im[::-1] if im and any(im) else None
 
 
 def _entry(u, k):
     """Entry k of an integer-form vector as a Gaussian integer (re, im)."""
     re, im = u
     return re[k], im[k] if im else 0
-
-
-def _last(u):
-    """The largest index of a nonzero entry of u; -1 for the zero vector."""
-    re, im = u
-    for k in reversed(range(len(re))):
-        if re[k] or im and im[k]:
-            return k
-    return -1
 
 
 def span_contains(vectors, target):
@@ -244,13 +254,19 @@ class CommutantReport:
     a: Element
     b: Element
     nullspace_basis: tuple
-    norm_gram: tuple
     single: Optional[Element]
 
     @property
     def matrix(self):
         """The matrix of p -> p*a - b*p, derived on access."""
         return twisted_commutant_matrix(self.a, self.b)
+
+    @property
+    def norm_gram(self):
+        """The Gram matrix of the inner product on the null-space basis,
+        derived on access."""
+        basis = self.nullspace_basis
+        return tuple(tuple(v.inner(w) for w in basis) for v in basis)
 
     @property
     def nullity(self):
@@ -269,12 +285,15 @@ def single_conjugator_search(a, b):
     """Parametrize all solutions of p*a = b*p and decide whether an
     invertible one exists.
 
-    The norm form on the null space is nonzero iff its Gram matrix g has a
-    nonzero entry.  Then, with r the largest min(i, j) over nonzero g_ij,
-    p = v_r when g_rr != 0, and otherwise p = v_r + v_s with s the largest
-    index above r where g_rs != 0, so N(p) = 2 g_rs.  This is the first
-    point of {0, 1, 2}^d, in lexicographic order, at which the norm is
-    nonzero.  The p found is verified to conjugate a onto b.
+    The single conjugator is the first point of {0, 1, 2}^d, in
+    lexicographic order, at which the norm is nonzero.  The search walks
+    v_r for r from the top down, each followed by v_r + v_j for j from the
+    top down, and keeps the first invertible p.  With g the Gram matrix of
+    the inner product on the basis: once the points before v_r have norm
+    0, the norm vanishes on the span of v_(r+1), ..., so N(v_r) = g_rr and
+    N(v_r + v_j) = 2 g_rj, and every other grid point led by v_r has norm
+    0 or comes after one of these.  The p found is verified to conjugate a
+    onto b.
 
     Closed form.  For pure a, b with N(a) = N(b), let s = a + b and t =
     s*a.  Then s*a = a^2 + b*a = b*a + b^2 = b*s, since x^2 = -N(x) for
@@ -309,12 +328,12 @@ def single_conjugator_search(a, b):
     and dim K or dim K + 1: 4 in dim 8 and 2 in dim 4.
     The elimination's basis vector for a free column f is the solution
     that is 1 at f and 0 at the other free columns, and the free columns
-    are the last-nonzero positions of the solution space.  So, with f2
-    the largest index where s or t is nonzero, f2 is cleared from the
-    other vector, whose last nonzero index is f1, then f1 from the first,
-    and each is divided by its own entry: the same basis, from the right.
-    Every other pair, s = 0 (b = -a) and dependent s, t included, takes
-    the fraction-free elimination.
+    are the last-nonzero positions of the solution space.  So the same
+    Gauss-Jordan, run on t and s with their coordinates reversed, pivots
+    on those positions, and each row divided by its pivot is the same
+    basis, read from the right.  A rank below 2 means s = 0 (b = -a) or
+    dependent s, t; those pairs, and every other one, take the
+    elimination.
     """
     Element._check_same(a, b)
     alg = a.algebra
@@ -324,23 +343,19 @@ def single_conjugator_search(a, b):
         basis = tuple(
             _normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim)
         )
-    # the inner product is symmetric: fill the upper triangle and mirror it
-    gram = [[None] * len(basis) for _ in basis]
-    for i, vi in enumerate(basis):
-        for j in range(i, len(basis)):
-            gram[i][j] = gram[j][i] = vi.inner(basis[j])
-    gram = tuple(map(tuple, gram))
+    single = next(filter(_invertible, _grid(basis)), None)
+    if single is not None and sandwich(single, a) != b:
+        raise ConsistencyError(
+            "invertible commutant solution fails to conjugate a onto b"
+        )
+    return CommutantReport(a, b, basis, single)
 
-    single = None
-    nonzero = [(i, j) for i, row in enumerate(gram) for j, x in enumerate(row) if x]
-    if nonzero:
-        r = max(min(i, j) for i, j in nonzero)
-        single = basis[r]
-        if gram[r][r] == 0:
-            s = max(j for i, j in nonzero if i == r)
-            single = single + basis[s]
-        if sandwich(single, a) != b:
-            raise ConsistencyError(
-                "invertible commutant solution fails to conjugate a onto b"
-            )
-    return CommutantReport(a, b, basis, gram, single)
+
+def _grid(basis):
+    """The points of {0, 1, 2}^d that can be the first of nonzero norm, in
+    lexicographic order: v_r for r from the top down, each followed by
+    v_r + v_j for j from the top down."""
+    for r in reversed(range(len(basis))):
+        yield basis[r]
+        for v in reversed(basis[r + 1 :]):
+            yield basis[r] + v

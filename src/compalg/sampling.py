@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Element, Hc, Hs, Oc, Os
+from .core import Element, Hc, Hs, Oc, Os, _invertible
 from .scalars import GaussRational
 
 
@@ -52,7 +52,7 @@ def random_invertible(rng, algebra, pure=False, **kw):
     draw = random_pure_nonzero if pure else random_element
     while True:
         a = draw(rng, algebra, **kw)
-        if a.norm() != 0:
+        if _invertible(a):
             return a
 
 

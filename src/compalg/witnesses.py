@@ -39,6 +39,7 @@ from .errors import (
     PreconditionViolation,
     ZeroElement,
 )
+from .parsing import format_scalar
 
 
 class Branch(Enum):
@@ -180,7 +181,8 @@ def conjugacy_witness(a, b, *, minimal=False):
     """
     _require_pure_nonzero("conjugacy", a, b)
     if not _same_norm(a, b):
-        raise NormMismatch(f"norm(a) = {a.norm()} differs from norm(b) = {b.norm()}")
+        na, nb = format_scalar(a.norm()), format_scalar(b.norm())
+        raise NormMismatch(f"norm(a) = {na} differs from norm(b) = {nb}")
 
     alg, s = a.algebra, a + b
     if _invertible(s):

@@ -105,6 +105,10 @@ CASES = {
     "selftest": (["selftest", "--samples", "3"], 0),
     "selftest-json": (["selftest", "--samples", "3", "--json"], 0),
     "error-norm-mismatch": (["conjugate-witness", "--algebra", "H", "e1", "2e2"], 2),
+    "error-norm-mismatch-Hc": (
+        ["conjugate-witness", "--algebra", "Hc", "e1", "(1+2i)e2"],
+        2,
+    ),
     "error-prime": (["norm", "--algebra", "Os", "e1"], 2),
     "error-not-invertible": (["inv", "--algebra", "Os", "e4+e5'"], 2),
     "error-parse-character": (["norm", "--algebra", "H", "e1 ? e2"], 2),

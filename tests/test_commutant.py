@@ -239,7 +239,8 @@ def test_single_matches_grid_oracle_when_last_diagonal_vanishes(text_a, text_b):
 
 def _fingerprint(report):
     """Everything a report shows, down to each basis vector's integer form."""
-    return repr((report, [(v.den, v.num) for v in report.nullspace_basis]))
+    basis = [(v.den, v.num) for v in report.nullspace_basis]
+    return repr((report, report.norm_gram, basis))
 
 
 def _both_paths(monkeypatch, a, b):
@@ -380,6 +381,32 @@ def test_forced_elimination_keeps_reports_and_cli_output(monkeypatch, capsys):
     closed = outcomes()
     monkeypatch.setattr(cm, "_closed_form", lambda a, b: None)
     assert outcomes() == closed
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("exact-scalar object built by the search")
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_search_builds_no_exact_scalars(monkeypatch, name):
+    # closed form, elimination, b = -a, null, random and golden pairs, with
+    # fractional and (over Q(i)) Gaussian coefficients, on both paths
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"no-exact-scalars:{name}")
+    pairs = [(a, b) for _, a, b in _differential_pairs(alg, rng)]
+    pairs += list(_commutant_pairs(alg, rng, 8))
+    pairs += [(a, b) for g, a, b, _ in counterexample_instances() if g is alg]
+    closed_form = compalg.commutant._closed_form
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", _forbidden)
+        m.setattr(GaussRational, "__init__", _forbidden)
+        m.setattr(GaussRational, "_make", _forbidden)
+        fast = [single_conjugator_search(a, b) for a, b in pairs]
+        m.setattr(compalg.commutant, "_closed_form", lambda a, b: None)
+        slow = [single_conjugator_search(a, b) for a, b in pairs]
+    assert list(map(_fingerprint, fast)) == list(map(_fingerprint, slow))
+    assert any(closed_form(a, b) is not None for a, b in pairs)
+    assert {r.verdict for r in fast} == {"SingleExists", "NoSingleConjugator"}
 
 
 # -- the nullity-2 theorem -------------------------------------------------------
