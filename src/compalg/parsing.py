@@ -22,12 +22,18 @@ Both directions use core's integer form: a term reads as integers
 of the denominators into one ``core._normal`` call, and the formatter
 prints from ``num``/``den``; no ``Fraction`` or ``GaussRational`` is built.
 
-Parsing runs in two phases: one regular expression splits the whole text
-into tokens, then a recursive-descent parser reads the token list.  The
-split fixes which error is reported: a lexical error (an unexpected
-character, 'e' without a digit, an over-long integer) anywhere in the text
-comes before any syntax error, so ``e1 e2 $`` reports the '$' at 6 rather
-than the missing '+' at 3.
+The grammar never nests parentheses, so its language is regular: one
+anchored term regex, ``_TERM``, reads the text a term and its sign at a
+time with ``match(text, pos)`` until the end of the text.  Accepted text
+takes no other path.  Rejected text takes the error path, which keeps one
+rule: a lexical error (an unexpected character, 'e' without a digit, an
+over-long integer) anywhere in the text comes before any syntax or
+semantic error.  So the parse's own error (the grammar's error at the term
+the regex stopped at, or a wrong index or prime, an 'i' over a real field
+or a zero denominator in an earlier term) is reported only when one scan
+of the whole text with the lexical regex ``_TOKEN`` finds no lexical
+error: ``e1 e2 $`` reports the '$' at 6 rather than the missing '+' at 3,
+and ``e1' + $`` over H the '$' rather than the prime.
 """
 
 from __future__ import annotations
@@ -59,133 +65,177 @@ class IndexOutOfRange(ParseError):
     """A basis index the algebra does not have."""
 
 
-# ASCII digits only: \d would also accept other scripts' digits.  Bare 'e'
-# and any other character are lexical errors.
-_TOKEN = re.compile(r"\s+|([0-9]+)|e([0-9])('?)|([-+/()i])|(e)|(.)", re.S)
-
-
-def _tokenize(text):
-    """Token list of ``(kind, value, position)`` ending in an ``end`` token;
-    a kind is the symbol character itself, ``int`` or ``basis``."""
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        digits, index, prime, symbol, bare_e, other = m.groups()
-        pos = m.start()
-        if digits:
-            try:
-                tokens.append(("int", int(digits), pos))
-            except ValueError:  # longer than the interpreter's int-string limit
-                raise ParseError("integer literal too long", pos) from None
-        elif index:
-            tokens.append(("basis", (int(index), bool(prime)), pos))
-        elif symbol:
-            tokens.append((symbol, None, pos))
-        elif bare_e:
-            raise ParseError("expected a digit after 'e'", pos)
-        elif other:
-            raise ParseError(f"unexpected character {other!r}", pos)
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, algebra):
-        self.tokens = tokens
-        self.pos = 0
-        self.algebra = algebra
-
-    def accept(self, kind):
-        """Consume and return the next token if it is of ``kind``."""
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            return None
-        self.pos += 1
-        return tok
-
-    def expect(self, what, kind):
-        tok = self.accept(kind)
-        if tok is None:
-            raise ParseError(f"expected {what}", self.tokens[self.pos][2])
-        return tok
-
-    def plus_or_minus(self, what):
-        """Consume the next token, which must be '+' or '-', and return it."""
-        return "-" if self.accept("-") else self.expect(what, "+")[0]
-
-    def parse(self):
-        re, im, den = [0] * self.algebra.dim, [0] * self.algebra.dim, 1
-        sign = "-" if self.accept("-") else "+"
-        while True:
-            index, (x, y, d) = self.term()
-            if den % d:  # widen the common denominator to lcm(den, d)
-                f = d // gcd(den, d)
-                re, im, den = [v * f for v in re], [v * f for v in im], den * f
-            scale = den // d if sign == "+" else -(den // d)
-            re[index] += x * scale
-            im[index] += y * scale
-            if self.accept("end"):
-                return _normal(self.algebra, (re, im), den)
-            sign = self.plus_or_minus("'+', '-' or end of expression")
-
-    def term(self):
-        """The term's basis index and its scalar as ``(re, im, den)``."""
-        tok = self.accept("basis")
-        if tok:
-            return self.basis(tok), (1, 0, 1)
-        value = self.scalar()
-        tok = self.accept("basis")
-        return (self.basis(tok) if tok else 0), value
-
-    def basis(self, tok):
-        _, (idx, primed), pos = tok
-        if not 1 <= idx < self.algebra.dim:
-            raise IndexOutOfRange(
-                f"basis index {idx} not available in {self.algebra.name}", pos
-            )
-        if primed != (idx in self.algebra.primed):
-            label = self.algebra.label(idx)
-            raise PrimeMismatch(
-                f"index {idx} must be written {label} in {self.algebra.name}", pos
-            )
-        return idx
-
-    def scalar(self):
-        """The scalar (re + im i)/den as ``(re, im, den)``."""
-        if self.accept("("):
-            sign = -1 if self.accept("-") else 1
-            a, b = self.rational()
-            op = self.plus_or_minus("'+' or '-' inside parentheses")
-            c, d = self.rational()
-            pos = self.expect("'i'", "i")[2]
-            self.expect("')'", ")")
-            return self.gaussian(sign * a, b, c if op == "+" else -c, d, pos)
-        value = (1, 1) if self.tokens[self.pos][0] == "i" else self.rational("a term")
-        tok = self.accept("i")
-        return self.gaussian(0, 1, *value, tok[2]) if tok else (value[0], 0, value[1])
-
-    def gaussian(self, a, b, c, d, pos):
-        """a/b + (c/d) i as ``(re, im, den)``; the 'i' at ``pos`` needs a
-        complex algebra."""
-        if not self.algebra.complex_field:
-            raise ImaginaryScalarInRealAlgebra(
-                f"'i' is not allowed in {self.algebra.name}", pos
-            )
-        return a * d, c * b, b * d
-
-    def rational(self, what="an integer"):
-        """``(numerator, denominator)``, the denominator positive."""
-        num = self.expect(what, "int")[1]
-        if not self.accept("/"):
-            return num, 1
-        _, den, pos = self.expect("a positive denominator", "int")
-        if den == 0:
-            raise ParseError("zero denominator", pos)
-        return num, den
+# One term with its sign.  ASCII digits only: \d would also accept other
+# scripts' digits.  Every part is optional, so the match never fails; the
+# parse rejects an empty term and a sign out of place.  A digit run followed
+# by '/' must take a denominator, so the match never stops inside the run
+# or at the '/'.
+_TERM = re.compile(
+    r"""
+    \s* (?P<sign>[-+]?) \s*
+    (?: \( \s* (?P<neg>-?) \s* (?P<a>[0-9]+) \s* (?: / \s* (?P<b>[0-9]+) \s* )?
+        (?P<op>[-+]) \s* (?P<c>[0-9]+) \s* (?: / \s* (?P<d>[0-9]+) \s* )?
+        (?P<i>i) \s* \)
+      | (?P<n>[0-9]+) (?: \s* / \s* (?P<nd>[0-9]+) | (?! [0-9] | \s* / ) )
+        \s* (?P<ni>i?)
+      | (?P<bare_i>i)
+    )?
+    \s* (?: e (?P<k>[0-9]) (?P<prime>'?) )? \s*
+    """,
+    re.X,
+)
+# The tokens of rejected text.  Bare 'e' and any character outside the
+# grammar's alphabet are lexical errors.
+_TOKEN = re.compile(r"\s+|([0-9]+)|e[0-9]'?|[-+/()i]|(e)|(.)", re.S)
+# the parenthesized scalar after its '(' and optional '-': the expected
+# tokens (None for a digit run) up to the closing ')'
+_PAREN = (
+    (None, "an integer"),
+    ("+-", "'+' or '-' inside parentheses"),
+    (None, "an integer"),
+    ("i", "'i'"),
+)
 
 
 def parse_element(text, algebra):
     """Parse an element expression over the given algebra."""
-    return _Parser(_tokenize(text), algebra).parse()
+    try:
+        return _parse(text, algebra)
+    except ParseError as error:
+        raise _lexical_error(text) or error from None
+
+
+def _parse(text, algebra):
+    """The element ``text`` denotes, read one ``_TERM`` match at a time;
+    the first term the grammar rejects raises its error, as it would on
+    lexically clean text."""
+    dim, name = algebra.dim, algebra.name
+    re, im, den = [0] * dim, [0] * dim, 1
+    pos = 0
+    while True:
+        m = _TERM.match(text, pos)
+        sign, neg, a, b, op, c, d, _, n, nd, ni, bare_i, k, prime = m.groups()
+        if (not sign) if pos else sign == "+":
+            raise _syntax_error(text, pos)
+        at = None  # the position of the term's 'i'
+        if n:  # n/nd, or (n/nd) i
+            x, q = _int(m, "n"), _int(m, "nd") if nd else 1
+            if not q:
+                raise ParseError("zero denominator", m.start("nd"))
+            y = 0
+            if ni:
+                x, y, at = 0, x, m.start("ni")
+        elif a:  # (a/b + c/d i) = (a d + c b i) / (b d)
+            x, p = _int(m, "a"), _int(m, "b") if b else 1
+            if not p:
+                raise ParseError("zero denominator", m.start("b"))
+            y, q = _int(m, "c"), _int(m, "d") if d else 1
+            if not q:
+                raise ParseError("zero denominator", m.start("d"))
+            x, y, q = (-x if neg else x) * q, (-y if op == "-" else y) * p, p * q
+            at = m.start("i")
+        elif bare_i:
+            x, y, q, at = 0, 1, 1, m.start("bare_i")
+        elif k:
+            x, y, q = 1, 0, 1
+        else:
+            raise _syntax_error(text, pos)
+        if at is not None and not algebra.complex_field:
+            raise ImaginaryScalarInRealAlgebra(f"'i' is not allowed in {name}", at)
+        index = 0
+        if k:
+            index = int(k)
+            if not 0 < index < dim:
+                raise IndexOutOfRange(
+                    f"basis index {index} not available in {name}", m.start("k") - 1
+                )
+            if bool(prime) != (index in algebra.primed):
+                label = algebra.label(index)
+                raise PrimeMismatch(
+                    f"index {index} must be written {label} in {name}",
+                    m.start("k") - 1,
+                )
+        if den % q:  # widen the common denominator to lcm(den, q)
+            f = q // gcd(den, q)
+            re, im, den = [v * f for v in re], [v * f for v in im], den * f
+        scale = -(den // q) if sign == "-" else den // q
+        re[index] += x * scale
+        im[index] += y * scale
+        pos = m.end()
+        if pos == len(text):
+            return _normal(algebra, (re, im), den)
+
+
+def _int(m, group):
+    """The digit run that ``group`` of match ``m`` captured, as an int."""
+    try:
+        return int(m[group])
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise ParseError("integer literal too long", m.start(group)) from None
+
+
+def _tokens(text, pos):
+    """The ``_TOKEN`` tokens of ``text`` from ``pos`` on, whitespace left
+    out, as ``(token, start)``; then ``("", len(text))`` for ever."""
+    for m in _TOKEN.finditer(text, pos):
+        if not m[0].isspace():
+            yield m[0], m.start()
+    while True:
+        yield "", len(text)
+
+
+def _digits(token):
+    """Whether a ``_tokens`` token is a digit run."""
+    return "0" <= token[:1] <= "9"
+
+
+def _syntax_error(text, pos):
+    """The error the grammar gives for the term at ``pos``, its sign
+    included, that ``_TERM`` cannot read: at the first token that breaks
+    the grammar, or at a zero denominator read before it.  Exact for
+    lexically clean text, the only text whose parse error is reported."""
+    tokens = _tokens(text, pos)
+    tok, at = next(tokens)
+    if tok == "-" or tok == "+" and pos:
+        tok, at = next(tokens)
+    elif pos:
+        return ParseError("expected '+', '-' or end of expression", at)
+    if _digits(tok):  # _TERM rejects a rational only after its '/'
+        next(tokens)
+        return ParseError("expected a positive denominator", next(tokens)[1])
+    if tok != "(":
+        return ParseError("expected a term", at)
+    tok, at = next(tokens)
+    if tok == "-":
+        tok, at = next(tokens)
+    for chars, what in _PAREN:
+        if not (tok and tok in chars if chars else _digits(tok)):
+            return ParseError(f"expected {what}", at)
+        tok, at = next(tokens)
+        if not chars and tok == "/":
+            tok, at = next(tokens)
+            if not _digits(tok):
+                return ParseError("expected a positive denominator", at)
+            if not tok.strip("0"):
+                return ParseError("zero denominator", at)
+            tok, at = next(tokens)
+    return ParseError("expected ')'", at)  # or _TERM would have matched
+
+
+def _lexical_error(text):
+    """The first lexical error in ``text`` as a ``ParseError``, or None."""
+    for m in _TOKEN.finditer(text):
+        digits, bare_e, other = m.groups()
+        if digits:
+            try:
+                int(digits)
+            except ValueError:  # longer than the interpreter's int-string limit
+                return ParseError("integer literal too long", m.start())
+        elif bare_e:
+            return ParseError("expected a digit after 'e'", m.start())
+        elif other:
+            return ParseError(f"unexpected character {other!r}", m.start())
+    return None
 
 
 def _rational_text(n, d):

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Optional
 
 from .commutant import single_conjugator_search
-from .core import Element, Hs, _invertible, _normal, _same_norm, sandwich
+from .core import Element, Hs, _dot, _invertible, _normal, _same_norm, sandwich
 from .errors import (
     AlgebraMismatch,
     ConsistencyError,
@@ -139,13 +139,16 @@ def separator(a, b):
     """
     _require_pure_nonzero("separator", a, b)
     alg = a.algebra
-    if a.inner(b) != 0:
+    if _dot(alg.dot, a.num, b.num) != (0, 0):
         raise PreconditionViolation("separator needs inner(a, b) = 0")
-    na, nb = a.norm(), b.norm()
-    if na + nb != 0:
+    # on the integer numerators: n e^2 + m d^2 == 0 for N(a) = n / d^2 and
+    # N(b) = m / e^2
+    (nr, ni), (mr, mi) = _dot(alg.dot, a.num, a.num), _dot(alg.dot, b.num, b.num)
+    d, e = a.den * a.den, b.den * b.den
+    if nr * e + mr * d or ni * e + mi * d:
         raise PreconditionViolation("separator needs norm(a) + norm(b) = 0")
     split = not alg.complex_field
-    if split and na != 0:
+    if split and nr:  # a real algebra's norm has no imaginary part
         raise PreconditionViolation(
             "separator over a split algebra needs norm(a) = norm(b) = 0"
         )

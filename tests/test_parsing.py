@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import compalg.parsing
 from compalg import (
     ALGEBRAS,
     GaussRational,
@@ -21,6 +23,7 @@ from compalg import (
 )
 from compalg.sampling import random_element, random_rational
 from helpers import reference_format, reference_format_scalar, reference_parse
+from test_cli_golden import CASES
 
 GOLDEN_STRINGS = [
     ("Os", "4e1'+5e2+3e3'-5e4+4e5'+3e7'", (0, 4, 5, 3, -5, 4, 0, 3)),
@@ -126,14 +129,28 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_element("e1 ? e2", H)
     assert exc.value.position == 3
-    with pytest.raises(ParseError):
-        parse_element("", H)
-    with pytest.raises(ParseError):
-        parse_element("1/0", H)
-    with pytest.raises(ParseError):
-        parse_element("e", H)
-    with pytest.raises(ParseError):
-        parse_element("(1+2i", Oc)
+    for text, alg in (("", H), ("1/0", H), ("e", H), ("(1+2i", Oc)):
+        with pytest.raises(ParseError) as exc:
+            parse_element(text, alg)
+        got = type(exc.value), str(exc.value), exc.value.position
+        assert got == _outcome(reference_parse, text, alg), text
+
+
+# the default int-string limit of Python 3.11+ (0, no limit, on older ones)
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("name", ["O", "Hc"])
+def test_long_literal_in_every_term_shape(name):
+    # a lexical error: over O it outranks the 'i' of the last shape
+    alg, lit = ALGEBRAS[name], "7" * 4301
+    for text in (f"{lit}e1", f"1/{lit}", f"({lit}+1i)", f"(1+1/{lit}i)", f"-{lit}i"):
+        got = _outcome(parse_element, text, alg)
+        assert got == _outcome(reference_parse, text, alg)
+        if 0 < _INT_LIMIT < len(lit):
+            at = text.index(lit)
+            message = f"integer literal too long (at position {at})"
+            assert got == (ParseError, message, at)
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -195,6 +212,63 @@ def test_parse_matches_reference_parser(name):
         assert _outcome(parse_element, text, alg) == _outcome(
             reference_parse, text, alg
         ), text
+
+
+_WHITESPACE = [f for f in _FRAGMENTS if f.isspace()]
+
+
+def _canonical_texts(alg, rng):
+    """Canonical texts of one algebra: golden strings and random elements
+    with fractional (and over Q(i) Gaussian) coefficients."""
+    texts = [text for name, text, _ in GOLDEN_STRINGS if name == alg.name]
+    for _ in range(3):
+        texts.append(format_element(random_element(rng, alg, frac_prob=0.5)))
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_whitespace_insertion_matches_reference_parser(name):
+    # whitespace may stand between tokens ("1 / 2", "( 1 + 2 i )", "2 i",
+    # "i e1") but not inside "e1'", inside a digit run, or after an 'e'
+    alg = ALGEBRAS[name]
+    for text in _canonical_texts(alg, random.Random(f"whitespace:{name}")):
+        for k in range(len(text) + 1):
+            for ws in _WHITESPACE:
+                spaced = text[:k] + ws + text[k:]
+                assert _outcome(parse_element, spaced, alg) == _outcome(
+                    reference_parse, spaced, alg
+                ), spaced
+
+
+def _error_path(*args):
+    raise AssertionError("accepted text took the error path")
+
+
+def _golden_element_texts():
+    """(text, algebra) for every element argument of the CLI golden cases
+    that exit 0."""
+    for argv, code in CASES.values():
+        if code == 0 and "--algebra" in argv:
+            k = argv.index("--algebra")
+            for arg in argv[1:k] + argv[k + 2 :]:
+                if not arg.startswith("--"):
+                    yield arg, ALGEBRAS[argv[k + 1]]
+
+
+def test_accepted_text_never_takes_the_error_path(monkeypatch):
+    cases = []
+    for name in sorted(ALGEBRAS):
+        alg = ALGEBRAS[name]
+        rng = random.Random(f"accepted:{name}")
+        for _ in range(200):
+            a = random_element(rng, alg, frac_prob=0.4)
+            cases.append((format_element(a), alg, a))
+    cases += [(t, alg, reference_parse(t, alg)) for t, alg in _golden_element_texts()]
+    monkeypatch.setattr(compalg.parsing, "_syntax_error", _error_path)
+    monkeypatch.setattr(compalg.parsing, "_lexical_error", _error_path)
+    for text, alg, expected in cases:
+        assert parse_element(text, alg) == expected, text
+    assert any("(" in t for t, _, _ in cases) and any("/" in t for t, _, _ in cases)
 
 
 def _big_rational(rng):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from compalg import (
@@ -24,6 +27,7 @@ from compalg import (
     separator,
     verify_witness,
 )
+from compalg.sampling import random_invertible, random_orthogonal_null_pair
 
 
 def _check_negator(a):
@@ -138,6 +142,39 @@ def test_separator_checks_hypotheses_exactly():
         separator(O.basis(1), O.basis(2))
     with pytest.raises(NotPure):
         separator(Os.one(), Os.basis(2))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("exact-scalar object built by the witness ladder")
+
+
+def test_null_pair_ladder_builds_no_exact_scalars(monkeypatch):
+    # NullPair operands with fractional coefficients, moved off the axes by
+    # a fractional sandwich, and a direct separator call on an Oc pair with
+    # N(a) = -N(b) != 0, which the ladder never reaches (its null pairs
+    # have zero norm)
+    rng = random.Random("null-pair-no-exact-scalars")
+    pairs = []
+    for alg in (Hs, Hc, Os, Oc):
+        for _ in range(6):
+            a, b = random_orthogonal_null_pair(rng, alg)
+            r = random_invertible(rng, alg, frac_prob=0.5)
+            a, b = a * Fraction(1, 3), b * Fraction(-2, 5)
+            pairs.append((sandwich(r, a), sandwich(r, b)))
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    a = Oc.element([0, half, 0, two_thirds, 0, 0, 0, 0])
+    b = Oc.element([0, 0, half * I, 0, two_thirds * I, 0, 0, 0])
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", _forbidden)
+        m.setattr(GaussRational, "__init__", _forbidden)
+        m.setattr(GaussRational, "_make", _forbidden)
+        witnesses = [conjugacy_witness(x, y) for x, y in pairs]
+        p = separator(a, b)
+    assert {w.branch for w in witnesses} == {Branch.NULL_PAIR}
+    assert all(verify_witness(x, y, w).ok for (x, y), w in zip(pairs, witnesses))
+    assert all(x.den > 1 and y.den > 1 for x, y in pairs)
+    assert a.norm() == -b.norm() != 0
+    assert p == Oc.basis(1) + Oc.basis(2)
 
 
 # ------------------------------------------------------- conjugacy witness
