@@ -61,6 +61,7 @@ from .errors import ConsistencyError
 def twisted_commutant_matrix(a, b):
     """The matrix of p -> p*a - b*p in coordinates: column j holds the
     coefficient vector of e_j*a - b*e_j."""
+    Element._check_same(a, b)
     den, rows = _matrix_form(a, b)
     return tuple(_coefficients(row, den) for row in rows)
 
@@ -72,7 +73,6 @@ def _matrix_form(a, b):
     With a = u / d and b = v / e, column j of row k holds s u_i e from
     e_j e_i = s e_k and -s v_i d from e_i e_j = s e_k, over d e.
     """
-    Element._check_same(a, b)
     table = a.algebra.table
     (ur, ui), (vr, vi) = a.num, b.num
     d, e = a.den, b.den
@@ -106,9 +106,12 @@ def nullspace(matrix):
     Reduced row echelon form with leftmost-nonzero pivoting; one basis
     vector per free column, in increasing column order, each carrying 1 at
     its own free column and 0 at the others.  Empty list for full rank.
+    Raises ``ValueError`` when the rows differ in length.
     """
     rows = [integer_form(r)[1] for r in matrix]
     ncols = len(rows[0][0]) if rows else 0
+    if any(len(re) != ncols for re, _ in rows):
+        raise ValueError("nullspace needs rows of one length")
     return [_coefficients(u, den) for den, u in _nullspace_form(rows, ncols)]
 
 
@@ -240,11 +243,15 @@ def _entry(u, k):
 
 
 def span_contains(vectors, target):
-    """Exact membership of ``target`` in the span of ``vectors``."""
-    augmented = tuple(
-        tuple(v[i] for v in vectors) + (t,) for i, t in enumerate(target)
-    )
-    return any(v[-1] != 0 for v in nullspace(augmented))
+    """Exact membership of ``target`` in the span of ``vectors``: the
+    target is in the span exactly when its column is not a pivot column of
+    the Gauss-Jordan elimination of the vectors, then the target, as
+    columns.  The empty vector lies in every span.  Raises ``ValueError``
+    when a vector's length differs from the target's."""
+    if any(len(v) != len(target) for v in vectors):
+        raise ValueError("span_contains needs vectors as long as the target")
+    rows = [integer_form(r)[1] for r in zip(*vectors, target)]
+    return len(vectors) not in _gauss_jordan(rows, len(vectors) + 1)[1]
 
 
 @dataclass(frozen=True)

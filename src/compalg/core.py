@@ -30,14 +30,14 @@ the tuples.  ``integer_form`` alone reads exact scalars and decides what a
 scalar of a field is; operations, parser and commutant search build the form
 with one normaliser, ``_normal``, which divides out one gcd, and the
 formatter reads it directly.  No operation computes on ``Fraction`` or
-``GaussRational``; ``_invertible`` and ``_same_norm`` decide N(x) != 0 and
-N(a) = N(b) on the integers.  Every product, the doubling above included,
-runs one integer bilinear kernel per distinct structure table
+``GaussRational``; ``_invertible`` decides N(x) != 0 on the integers, and
+``_norms`` writes two norms over one denominator.  Every product, the doubling
+above included, runs one integer bilinear kernel per distinct structure table
 (``Algebra.mul``), compiled once from the table into straight-line code: one
-signed sum of ``u_i * v_j`` per output index, no loop, no table lookup.
-Over the Gaussian rationals a product takes three real products, not four.
-Inner product and norm are the metric-weighted integer dot product, compiled
-the same way (``Algebra.dot``).  Inverse and sandwich fold the norm into the
+signed sum of ``u_i * v_j`` per output index, no loop, no table lookup.  Over
+the Gaussian rationals a product takes three real products, not four.  Inner
+product and norm are the metric-weighted integer dot product, compiled the
+same way (``Algebra.dot``).  Inverse and sandwich fold the norm into the
 common denominator.  Sums, negation and conjugation are integer vector
 operations; a field scalar operand is written in integer form once, so a
 scalar product scales the numerators and a scalar sum changes index 0 only.
@@ -213,13 +213,18 @@ def _invertible(x):
     return _dot(x.algebra.dot, x.num, x.num) != (0, 0)
 
 
-def _same_norm(a, b):
-    """N(a) == N(b) on the integer numerators: n e^2 == m d^2 for N(a) =
-    n / d^2 and N(b) = m / e^2."""
-    dot = a.algebra.dot
+def _norms(a, b):
+    """N(a) and N(b) over one denominator, as Gaussian integers: ``(n e^2,
+    m d^2)`` for N(a) = n / d^2 and N(b) = m / e^2."""
+    dot, d, e = a.algebra.dot, a.den * a.den, b.den * b.den
     (nr, ni), (mr, mi) = _dot(dot, a.num, a.num), _dot(dot, b.num, b.num)
-    d, e = a.den * a.den, b.den * b.den
-    return nr * e == mr * d and ni * e == mi * d
+    return (nr * e, ni * e), (mr * d, mi * d)
+
+
+def _same_norm(a, b):
+    """N(a) == N(b), decided on the integer numerators."""
+    na, nb = _norms(a, b)
+    return na == nb
 
 
 def _conj(u):

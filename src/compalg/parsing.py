@@ -28,12 +28,15 @@ time with ``match(text, pos)`` until the end of the text.  Accepted text
 takes no other path.  Rejected text takes the error path, which keeps one
 rule: a lexical error (an unexpected character, 'e' without a digit, an
 over-long integer) anywhere in the text comes before any syntax or
-semantic error.  So the parse's own error (the grammar's error at the term
-the regex stopped at, or a wrong index or prime, an 'i' over a real field
-or a zero denominator in an earlier term) is reported only when one scan
-of the whole text with the lexical regex ``_TOKEN`` finds no lexical
-error: ``e1 e2 $`` reports the '$' at 6 rather than the missing '+' at 3,
-and ``e1' + $`` over H the '$' rather than the prime.
+semantic error.  One scan of the whole text with the lexical regex
+``_TOKEN`` alone names lexical errors, over-long literals included: the
+term regex splits digit runs as ``_TOKEN`` does, so an ``int()`` past the
+int-string limit stops the parse at a literal the scan names, or the scan
+finds an earlier error.  The parse's own error (the grammar's error at the
+term the regex stopped at, or a wrong index or prime, an 'i' over a real
+field or a zero denominator in an earlier term) is reported only when the
+scan finds none: ``e1 e2 $`` reports the '$' at 6 rather than the missing
+'+' at 3, and ``e1' + $`` over H the '$' rather than the prime.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def parse_element(text, algebra):
     """Parse an element expression over the given algebra."""
     try:
         return _parse(text, algebra)
-    except ParseError as error:
+    except (ParseError, ValueError) as error:  # ValueError: an over-long literal
         raise _lexical_error(text) or error from None
 
 
@@ -119,17 +122,17 @@ def _parse(text, algebra):
             raise _syntax_error(text, pos)
         at = None  # the position of the term's 'i'
         if n:  # n/nd, or (n/nd) i
-            x, q = _int(m, "n"), _int(m, "nd") if nd else 1
+            x, q = int(n), int(nd) if nd else 1
             if not q:
                 raise ParseError("zero denominator", m.start("nd"))
             y = 0
             if ni:
                 x, y, at = 0, x, m.start("ni")
         elif a:  # (a/b + c/d i) = (a d + c b i) / (b d)
-            x, p = _int(m, "a"), _int(m, "b") if b else 1
+            x, p = int(a), int(b) if b else 1
             if not p:
                 raise ParseError("zero denominator", m.start("b"))
-            y, q = _int(m, "c"), _int(m, "d") if d else 1
+            y, q = int(c), int(d) if d else 1
             if not q:
                 raise ParseError("zero denominator", m.start("d"))
             x, y, q = (-x if neg else x) * q, (-y if op == "-" else y) * p, p * q
@@ -164,14 +167,6 @@ def _parse(text, algebra):
         pos = m.end()
         if pos == len(text):
             return _normal(algebra, (re, im), den)
-
-
-def _int(m, group):
-    """The digit run that ``group`` of match ``m`` captured, as an int."""
-    try:
-        return int(m[group])
-    except ValueError:  # longer than the interpreter's int-string limit
-        raise ParseError("integer literal too long", m.start(group)) from None
 
 
 def _tokens(text, pos):

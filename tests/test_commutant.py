@@ -59,6 +59,23 @@ def test_centralizer_of_e1_in_h():
 def test_span_of_no_vectors_holds_only_zero():
     assert span_contains([], (0, 0, 0, 0))
     assert not span_contains([], H.basis(1).coeffs)
+    assert span_contains([], ())  # the empty vector lies in every span
+    assert span_contains([(), ()], ())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: nullspace([[1], [2, 3]]),
+        lambda: nullspace([[1, 2], [3]]),
+        lambda: span_contains([[1, 2]], [1]),
+        lambda: span_contains([[1]], [1, 2]),
+    ],
+    ids=["long row", "short row", "long vector", "short vector"],
+)
+def test_shape_mismatch_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_nullspace_identity_and_zero():
@@ -407,6 +424,24 @@ def test_search_builds_no_exact_scalars(monkeypatch, name):
     assert list(map(_fingerprint, fast)) == list(map(_fingerprint, slow))
     assert any(closed_form(a, b) is not None for a, b in pairs)
     assert {r.verdict for r in fast} == {"SingleExists", "NoSingleConjugator"}
+
+
+def test_span_membership_builds_no_exact_scalars(monkeypatch):
+    # integer, fractional and Gaussian vectors; the target's coefficients
+    # over the vectors (1/2, 1/3 in the first case) are never built
+    third = Fraction(1, 3)
+    cases = [
+        ([(2, 0), (0, 3)], (1, 1), True),
+        ([(third, I), (1, -I)], (4 * third, 0), True),
+        ([(third, I), (1, 3 * I)], (0, 2 * I), False),
+        ([(Fraction(1, 2), 0, 0)], (0, Fraction(1, 4), 0), False),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", _forbidden)
+        m.setattr(GaussRational, "__init__", _forbidden)
+        m.setattr(GaussRational, "_make", _forbidden)
+        got = [span_contains(vectors, target) for vectors, target, _ in cases]
+    assert got == [want for _, _, want in cases]
 
 
 # -- the nullity-2 theorem -------------------------------------------------------

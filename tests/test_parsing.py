@@ -9,6 +9,7 @@ from compalg import (
     ALGEBRAS,
     GaussRational,
     H,
+    Hc,
     Hs,
     I,
     ImaginaryScalarInRealAlgebra,
@@ -134,6 +135,12 @@ def test_parse_error_positions():
             parse_element(text, alg)
         got = type(exc.value), str(exc.value), exc.value.position
         assert got == _outcome(reference_parse, text, alg), text
+    # a zero denominator in the real part of a parenthesized scalar, read
+    # by the term regex or, with the ')' missing, by the grammar's walk
+    for text in ("(1/0+2i)", "(1/00-2i)e1", "(1/0+2i"):
+        got = _outcome(parse_element, text, Hc)
+        assert got == _outcome(reference_parse, text, Hc), text
+        assert got == (ParseError, "zero denominator (at position 3)", 3), text
 
 
 # the default int-string limit of Python 3.11+ (0, no limit, on older ones)
@@ -151,6 +158,15 @@ def test_long_literal_in_every_term_shape(name):
             at = text.index(lit)
             message = f"integer literal too long (at position {at})"
             assert got == (ParseError, message, at)
+    # the lexical scan names the first lexical error, before or after the
+    # literal, whichever the parse stopped at
+    dollar = (ParseError, "unexpected character '$' (at position 0)", 0)
+    too_long = (ParseError, "integer literal too long (at position 0)", 0)
+    for text, first in ((f"$+{lit}", dollar), (f"{lit}$", too_long)):
+        got = _outcome(parse_element, text, alg)
+        assert got == _outcome(reference_parse, text, alg)
+        if 0 < _INT_LIMIT < len(lit):
+            assert got == first
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))

@@ -177,6 +177,30 @@ def test_null_pair_ladder_builds_no_exact_scalars(monkeypatch):
     assert p == Oc.basis(1) + Oc.basis(2)
 
 
+def test_verify_witness_builds_no_exact_scalars(monkeypatch):
+    # single and double witnesses on fractional and (over Q(i)) Gaussian
+    # operands, each also checked against a wrong target
+    rng = random.Random("verify-witness-no-exact-scalars")
+    cases = []
+    for alg in (H, Hs, Hc, O, Os, Oc):
+        for _ in range(4):
+            a = random_invertible(rng, alg, pure=True, frac_prob=0.5)
+            r = random_invertible(rng, alg, frac_prob=0.5)
+            for b in (sandwich(r, a), -a):
+                cases.append((a, b, conjugacy_witness(a, b)))
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", _forbidden)
+        m.setattr(GaussRational, "__init__", _forbidden)
+        m.setattr(GaussRational, "_make", _forbidden)
+        right = [verify_witness(a, b, w) for a, b, w in cases]
+        wrong = [verify_witness(a, a, w) for a, b, w in cases if a != b]
+    assert all(report.ok for report in right)
+    assert not any(report.ok for report in wrong)
+    assert {w.is_single for _, _, w in cases} == {True, False}
+    assert any(a.den > 1 for a, _, _ in cases)
+    assert any(a.num[1] is not None for a, _, _ in cases)
+
+
 # ------------------------------------------------------- conjugacy witness
 
 def test_witness_sum_branch():
