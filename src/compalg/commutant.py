@@ -10,20 +10,27 @@ exactly when no solution has nonzero norm.
 The pipeline is integer-native.  The matrix of p -> p*a - b*p, the left
 multiplication by a minus the right multiplication by b, is read off the
 structure table and the stored integer forms of a and b, as rows in
-core's integer form ``(re, im)`` over one denominator.  One fraction-free
-Gauss-Jordan elimination, ``_gauss_jordan``, divides each row by its
-content and clears it with Gaussian-integer multipliers (a real row is
-the ``im is None`` case); one back-substitution writes each basis vector
-over the lcm of its reduced pivot divisors, without a ``Fraction``.
-Core's canonical forms reduce it: the search builds its basis elements
-with ``_normal``, and ``twisted_commutant_matrix`` and ``nullspace`` are
-exact-scalar views of the same code.
+core's integer form ``(re, im)`` over one denominator.  The elimination
+is fraction-free and echelon first: ``_echelon`` divides each row by its
+content and clears the rows below each pivot with Gaussian-integer
+multipliers (a real row is the ``im is None`` case).  That settles the
+rank, and a full-rank matrix, the common case, stops there with an empty
+null space.  Only a null space to write down takes ``_reduce_above``,
+which clears the rows above each pivot top-down, in pivot order: every
+row combination is then the one a Gauss-Jordan elimination makes, so the
+result and the cost are those of one Gauss-Jordan pass (clearing
+bottom-up works on rows grown by the later pivots, and is slower).  One
+back-substitution writes each basis vector over the lcm of its reduced
+pivot divisors, without a ``Fraction``.  Core's canonical forms reduce
+it: the search builds its basis elements with ``_normal``, and
+``twisted_commutant_matrix`` and ``nullspace`` are exact-scalar views of
+the same code.  ``span_contains`` reads the pivots of ``_echelon`` alone.
 
 For pure a, b of equal norm the search first writes the solution space
 down in closed form, from s = a + b and t = s*a, which always solve the
 equation.  A theorem, proved in ``single_conjugator_search`` for dim 4 and
 dim 8 alike, says they span it whenever s != 0 and s, t are independent;
-the same Gauss-Jordan, run on s and t with their coordinates reversed,
+the same elimination, run on s and t with their coordinates reversed,
 then reduces them to exactly the elimination's basis.  Every other case
 takes the elimination.
 
@@ -32,9 +39,12 @@ keeps its first point of nonzero norm, decided on the integers by
 ``core._invertible``; the search builds no exact scalar.  The Gram matrix
 of the norm form on the basis is derived on access, like the matrix.
 
-The solver sits below the witness ladder: ``witnesses`` calls it for
-minimal witnesses, and this module imports nothing from ``witnesses``.
-The paper's counterexample suite, which uses both, is in ``selftest``.
+For a pure nonzero pair of equal norm the single-conjugator theorem in
+``witnesses`` says in closed form whether a single conjugator exists;
+the search checks its verdict against the theorem's case on every such
+pair.  Minimal witnesses come from the theorem, so ``witnesses`` imports
+nothing from this module.  The paper's counterexample suite, which uses
+both, is in ``selftest``.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ from .core import (
     Element,
     _coefficients,
     _divided,
+    _entry,
     _invertible,
     _lincomb,
     _normal,
@@ -56,6 +67,7 @@ from .core import (
     sandwich,
 )
 from .errors import ConsistencyError
+from .witnesses import SingleCase, _single_case
 
 
 def twisted_commutant_matrix(a, b):
@@ -125,7 +137,10 @@ def _nullspace_form(rows, ncols):
     over the lcm of those reduced divisors: ``_normal`` and
     ``_coefficients`` take it to the canonical form.
     """
-    rows, pivots = _gauss_jordan(rows, ncols)
+    rows, pivots = _echelon(rows, ncols)
+    if len(pivots) == ncols:
+        return []
+    _reduce_above(rows, pivots)
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -150,14 +165,16 @@ def _nullspace_form(rows, ncols):
     return basis
 
 
-def _gauss_jordan(rows, ncols):
-    """``(rows, pivots)``: integer-form rows ``(re, im)`` brought to reduced
-    row echelon form with leftmost-nonzero pivoting, row i carrying pivot
-    column ``pivots[i]`` and 0 at the other pivot columns.
+def _echelon(rows, ncols):
+    """``(rows, pivots)``: integer-form rows ``(re, im)`` brought to row
+    echelon form with leftmost-nonzero pivoting, row i carrying pivot
+    column ``pivots[i]`` and the rows below it 0 there; the rows past the
+    last pivot are 0.
 
     The elimination is fraction-free: each row is divided by its content,
     and a row is cleared against the pivot row as ``pivot * row - entry *
     pivot_row`` with Gaussian-integer multipliers (a real row has im None).
+    A rank decision ends here; ``_reduce_above`` completes a null space.
     """
     rows = [_primitive(u) for u in rows]
     pivots = []
@@ -172,11 +189,33 @@ def _gauss_jordan(rows, ncols):
         else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        for i, (re, im) in enumerate(rows):
-            if i != r and (re[c] or im and im[c]):
+        for i in range(r + 1, len(rows)):
+            re, im = rows[i]
+            if re[c] or im and im[c]:
                 rows[i] = _combine(rows[i], rows[r], c)
         pivots.append(c)
     return rows, pivots
+
+
+def _reduce_above(rows, pivots):
+    """``_echelon``'s rows brought to reduced row echelon form, in place:
+    row i keeps pivot column ``pivots[i]`` and is 0 at the other pivot
+    columns.
+
+    It runs top-down: pivot row r, in pivot order, clears its column in
+    the rows above it.  Row r is then still as ``_echelon`` left it, and
+    each row above has met the pivot rows between them in order, so every
+    ``_combine`` is the one a Gauss-Jordan elimination (clear above and
+    below at each pivot) makes, on the same two rows: the result is the
+    same, and a rank-deficient matrix costs what it costs in one pass.
+    Clearing bottom-up instead meets rows that carry the later pivot
+    rows' growth, and was slower on large Gaussian eliminations.
+    """
+    for r, c in enumerate(pivots):
+        for i in range(r):
+            re, im = rows[i]
+            if re[c] or im and im[c]:
+                rows[i] = _combine(rows[i], rows[r], c)
 
 
 def _primitive(u):
@@ -211,18 +250,17 @@ def _combine(row, pivot_row, c):
 
 
 def _closed_form(a, b):
-    """The canonical null-space basis of p*a = b*p built from s = a + b and
-    t = s*a when a, b are pure of equal norm, s != 0 and s, t are
+    """For pure a, b of equal norm: the canonical null-space basis of p*a =
+    b*p built from s = a + b and t = s*a when s != 0 and s, t are
     independent, which makes them span it (see ``single_conjugator_search``);
     None otherwise."""
-    if not (a.is_pure and b.is_pure and _same_norm(a, b)):
-        return None
     alg = a.algebra
     s = _lincomb(b.den, a.num, a.den, b.num)  # (a + b) d e
     t = _product(alg.mul, s, a.num)
-    rows, pivots = _gauss_jordan([_reversed(t), _reversed(s)], alg.dim)
+    rows, pivots = _echelon([_reversed(t), _reversed(s)], alg.dim)
     if len(pivots) < 2:  # s = 0 (b = -a) or s, t dependent
         return None
+    _reduce_above(rows, pivots)
     # row i is the basis vector of free column dim - 1 - pivots[i]
     return tuple(
         _divided(alg, _reversed(u), _entry(u, c), 1)
@@ -236,22 +274,17 @@ def _reversed(u):
     return re[::-1], im[::-1] if im and any(im) else None
 
 
-def _entry(u, k):
-    """Entry k of an integer-form vector as a Gaussian integer (re, im)."""
-    re, im = u
-    return re[k], im[k] if im else 0
-
-
 def span_contains(vectors, target):
     """Exact membership of ``target`` in the span of ``vectors``: the
     target is in the span exactly when its column is not a pivot column of
-    the Gauss-Jordan elimination of the vectors, then the target, as
-    columns.  The empty vector lies in every span.  Raises ``ValueError``
+    the echelon form of the vectors, then the target, as columns; only the
+    pivots are read, so the rows above them are never cleared.  The empty
+    vector lies in every span.  Raises ``ValueError``
     when a vector's length differs from the target's."""
     if any(len(v) != len(target) for v in vectors):
         raise ValueError("span_contains needs vectors as long as the target")
     rows = [integer_form(r)[1] for r in zip(*vectors, target)]
-    return len(vectors) not in _gauss_jordan(rows, len(vectors) + 1)[1]
+    return len(vectors) not in _echelon(rows, len(vectors) + 1)[1]
 
 
 @dataclass(frozen=True)
@@ -300,7 +333,9 @@ def single_conjugator_search(a, b):
     0, the norm vanishes on the span of v_(r+1), ..., so N(v_r) = g_rr and
     N(v_r + v_j) = 2 g_rj, and every other grid point led by v_r has norm
     0 or comes after one of these.  The p found is verified to conjugate a
-    onto b.
+    onto b, and for pure nonzero a, b of equal norm the verdict is checked
+    against the case of the single-conjugator theorem
+    (``witnesses._single_conjugator``); both checks are always on.
 
     Closed form.  For pure a, b with N(a) = N(b), let s = a + b and t =
     s*a.  Then s*a = a^2 + b*a = b*a + b^2 = b*s, since x^2 = -N(x) for
@@ -336,15 +371,16 @@ def single_conjugator_search(a, b):
     The elimination's basis vector for a free column f is the solution
     that is 1 at f and 0 at the other free columns, and the free columns
     are the last-nonzero positions of the solution space.  So the same
-    Gauss-Jordan, run on t and s with their coordinates reversed, pivots
-    on those positions, and each row divided by its pivot is the same
-    basis, read from the right.  A rank below 2 means s = 0 (b = -a) or
-    dependent s, t; those pairs, and every other one, take the
-    elimination.
+    elimination, run on t and s with their coordinates reversed, pivots on
+    those positions, and after the reduce-above step each row divided by
+    its pivot is the same basis, read from the right.  A rank below 2
+    means s = 0 (b = -a) or dependent s, t; those pairs, and every other
+    one, take the elimination.
     """
     Element._check_same(a, b)
     alg = a.algebra
-    basis = _closed_form(a, b)
+    pure_pair = a.is_pure and b.is_pure and _same_norm(a, b)
+    basis = _closed_form(a, b) if pure_pair else None
     if basis is None:
         rows = _matrix_form(a, b)[1]
         basis = tuple(
@@ -354,6 +390,12 @@ def single_conjugator_search(a, b):
     if single is not None and sandwich(single, a) != b:
         raise ConsistencyError(
             "invertible commutant solution fails to conjugate a onto b"
+        )
+    if pure_pair and a and b and (single is None) != (
+        _single_case(a, b)[0] is SingleCase.NONE
+    ):
+        raise ConsistencyError(
+            "commutant verdict contradicts the single-conjugator theorem"
         )
     return CommutantReport(a, b, basis, single)
 

@@ -208,6 +208,12 @@ def _dot(dot, u, v):
     return re - t, dot(_sum(ur, ui), _sum(vr, vi)) - re - t
 
 
+def _entry(u, k):
+    """Entry k of an integer-form vector as a Gaussian integer (re, im)."""
+    re, im = u
+    return re[k], im[k] if im else 0
+
+
 def _invertible(x):
     """N(x) != 0, decided on the integer numerators."""
     return _dot(x.algebra.dot, x.num, x.num) != (0, 0)

@@ -18,6 +18,14 @@ Three building blocks:
       4. otherwise a, b are orthogonal null -> p = separator(a, b),
          q = p a p^-1 + b
 
+A minimal witness (``minimal=True``) asks the single-conjugator theorem
+(``_single_conjugator``) before rungs 3 and 4: it decides in closed form
+whether p a = b p has an invertible solution and constructs one -- for
+b = -a the negator of a, for dependent s = a + b and t = s a an explicit
+p of norm 1 or 4c (b = c a).  Only where the theorem says none exists is
+the double built; no twisted-commutant search runs, and this module
+imports nothing from ``commutant``.
+
 Every returned witness or negator is re-verified by exact evaluation
 (``verify_witness``, ``verify_negator``, each returning a ``CheckReport``)
 before being handed back; a failure raises ConsistencyError.
@@ -29,8 +37,21 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .commutant import single_conjugator_search
-from .core import Element, Hs, _dot, _invertible, _norms, _normal, _same_norm, sandwich
+from .core import (
+    Element,
+    Hs,
+    _divided,
+    _dot,
+    _entry,
+    _invertible,
+    _lincomb,
+    _norms,
+    _normal,
+    _product,
+    _same_norm,
+    _scaled,
+    sandwich,
+)
 from .errors import (
     AlgebraMismatch,
     ConsistencyError,
@@ -172,12 +193,162 @@ def separator(a, b):
     return p
 
 
+class SingleCase(Enum):
+    """The case of the single-conjugator theorem (``_single_conjugator``)
+    that decides a pure nonzero pair of equal norm."""
+
+    SUM = "SumInvertible"  # N(s) != 0
+    NEGATED = "Negated"  # s = 0
+    DEPENDENT = "Dependent"  # s != 0 and t in F s
+    NONE = "NoSingle"  # s, t independent and N(s) = 0
+
+
+def _single_case(a, b):
+    """``(case, s, t)`` for pure nonzero a, b of equal norm: s = a + b, and
+    t = s.num * a.num as an integer form, None in the cases that do not
+    need it."""
+    s = a + b
+    if _invertible(s):
+        return SingleCase.SUM, s, None
+    if not s:
+        return SingleCase.NEGATED, s, None
+    t = _product(a.algebra.mul, s.num, a.num)
+    if _parallel(s.num, t, _first_nonzero(s.num)):
+        return SingleCase.DEPENDENT, s, t
+    return SingleCase.NONE, s, t
+
+
+def _first_nonzero(u):
+    """The first index at which a nonzero integer-form vector is nonzero."""
+    return next(k for k in range(len(u[0])) if _entry(u, k) != (0, 0))
+
+
+def _parallel(u, v, k):
+    """Whether v is a multiple of u, for u nonzero at k: u_k v == v_k u."""
+    (xr, xi), (yr, yi) = _scaled(v, _entry(u, k)), _scaled(u, _entry(v, k))
+    zero = [0] * len(xr)
+    return xr == yr and (xi or zero) == (yi or zero)
+
+
+def _gmul(x, y):
+    """The product of two Gaussian integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _shifted(u, z):
+    """The integer-form vector u plus the Gaussian integer z at index 0."""
+    re, im = list(u[0]), u[1] and list(u[1])
+    re[0] += z[0]
+    if z[1]:
+        im = im or [0] * len(re)
+        im[0] += z[1]
+    return re, im
+
+
+def _single_conjugator(a, b):
+    """``(case, p)``: the case of the single-conjugator theorem for pure
+    nonzero a, b with N(a) = N(b), and its single conjugator p (p a p^-1 =
+    b), or None when no invertible solution of p a = b p exists.
+
+    Theorem.  Let s = a + b, t = s a and d = a - b, over the field F, with
+    P the pure elements and <x, y> = inner(x, y).  A single conjugator
+    exists exactly in these cases:
+    * N(s) != 0: p = s (rung 1 of the ladder).
+    * s = 0, so b = -a: p = negator(a).
+    * s != 0 and t = lambda s: the dependent case below.
+    * None exists when s, t are independent and N(s) = 0, which occurs
+      only in dim 8: the solutions are span{s, t} (the nullity theorem in
+      ``commutant.single_conjugator_search``), and their Gram matrix
+      diag(N(s), N(s) N(a)) vanishes.
+    Dependent case.  t = lambda s forces N(s) = 0 (else a = lambda), so
+    <a, b> = -N(a), lambda^2 = -N(a), N(d) = 4 N(a) and s d = 2 lambda s.
+    Put w = d - 2 lambda: then s w = 0 and N(w) = N(d) - 4 N(a) = 0.
+    * s not in F d.  A pure x with <x, d> = 0 and <x, s> != 0 exists,
+      since F d is all of P orthogonal to d^perp & P.  The scan tries the
+      units e_k with d_k = 0 (this covers d = 0), then <e_j, d> e_k - <e_k,
+      d> e_j for the first j with d_j != 0; together they span d^perp & P.
+      Put p0 = -x w / (2 <s, x>) and p = 1 + p0.  Linearising conj(x)(x y)
+      = N(x) y gives conj(s)(x w) + conj(x)(s w) = 2 <s, x> w, so s p0 = w.
+      Re(x w) = -<x, d> = 0, so p0 is pure, and <x w, d> = N(d) <x, 1> - 2
+      lambda <x, d> = 0, so p0 is orthogonal to d.  By step 1 of the
+      nullity proof (alpha = 1) p solves p a = b p, and N(p) = 1 + N(x)
+      N(w) / (4 <s, x>^2) = 1.  The pair b = a lands here, with p = 1.
+    * s in F d, d != 0.  Then b = c a with c not in {0, 1, -1}, and N(a) =
+      0.  Take the first k with a_k != 0; y = e_k - N(e_k) a / (2 <a,
+      e_k>) is null, and h = (y a - a y) / (2 <a, y>) = (e_k a - a e_k) /
+      (2 <a, e_k>) is pure.  From x y x = 2 <x, conj(y)> x - N(x) conj(y),
+      h a = a and a h = -a, and N(h) = -1.  So p = (1 + c) + (c - 1) h
+      gives p a = 2 c a = b p, with N(p) = 4 c.
+    The associative subalgebra generated by a and b is span{1, a, s}, with
+    s in the radical of its norm form; its only solutions are F s, all
+    null, so a single conjugator of a dependent pair always lies outside
+    it.
+
+    Everything is computed on integer forms and decided with
+    ``_invertible``: with a = u / d', b = v / e', s = S / g and T = S u,
+    lambda d' = T_k / S_k for the first k with S_k != 0, W = S_k d d' e' -
+    2 e' T_k = S_k d' e' w and p = (m - g x W) / m with m = 2 d' e' S_k <S,
+    x>; and p = ((1 + c) 2 <u, e_k> + (c - 1)(e_k u - u e_k)) / (2 <u,
+    e_k>) with c = v_k d' / (u_k e').
+    """
+    case, s, t = _single_case(a, b)
+    alg = a.algebra
+    if case is SingleCase.SUM:
+        return case, s
+    if case is SingleCase.NEGATED:
+        return case, negator(a)
+    if case is SingleCase.NONE:
+        return case, None
+    u, d, e = a.num, a.den, b.den
+    k = _first_nonzero(u)
+    uk = _entry(u, k)
+    # c = (vr + vi i) / (ur + ui i) whenever b = c a
+    (vr, vi), (ur, ui) = _gmul(_entry(b.num, k), (d, 0)), _gmul(uk, (e, 0))
+    if (vr, vi) != (ur, ui) and _parallel(u, b.num, k):
+        # p = ((1 + c) n + (c - 1)(e_k u - u e_k)) / n for n = 2 <u, e_k>,
+        # numerator and denominator times uk e
+        ek = alg.basis(k).num
+        n = _gmul((2 * alg.metric[k], 0), uk)
+        comm = _lincomb(1, _product(alg.mul, ek, u), -1, _product(alg.mul, u, ek))
+        p = _shifted(_scaled(comm, (vr - ur, vi - ui)), _gmul((vr + ur, vi + ui), n))
+        return case, _divided(alg, p, _gmul(n, uk), e)
+    dv, sv = _lincomb(e, u, -d, b.num), s.num  # (a - b) d e and s s.den
+    k = _first_nonzero(sv)
+    sk, tk = _entry(sv, k), _entry(t, k)
+    w = _shifted(_scaled(dv, sk), (-2 * e * tk[0], -2 * e * tk[1]))
+    x = next((x for x in _orthogonal(alg, dv) if _dot(alg.dot, x, sv) != (0, 0)), None)
+    if x is None:
+        raise ConsistencyError("no pure x with <x, a - b> = 0 and <x, a + b> != 0")
+    m = _gmul((2 * d * e * sk[0], 2 * d * e * sk[1]), _dot(alg.dot, sv, x))
+    p = _shifted(_scaled(_product(alg.mul, x, w), (-s.den, 0)), m)
+    return case, _divided(alg, p, m, 1)
+
+
+def _orthogonal(alg, d):
+    """Pure integer-form x with <x, d> = 0, spanning d^perp & P for pure d:
+    the units e_k with d_k = 0, then <e_j, d> e_k - <e_k, d> e_j for the
+    first j with d_j != 0 and every other k with d_k != 0."""
+    ks = [k for k in range(1, alg.dim) if _entry(d, k) != (0, 0)]
+    for k in range(1, alg.dim):
+        if k not in ks:
+            yield alg.basis(k).num
+    j = ks[0] if ks else None
+    for k in ks[1:]:
+        (xr, xi), (yr, yi) = _entry(d, j), _entry(d, k)
+        re, im = [0] * alg.dim, [0] * alg.dim
+        re[k], im[k] = alg.metric[j] * xr, alg.metric[j] * xi
+        re[j], im[j] = -alg.metric[k] * yr, -alg.metric[k] * yi
+        yield re, im if any(im) else None
+
+
 def conjugacy_witness(a, b, *, minimal=False):
     """A verified witness conjugating a onto b (equal-norm pure nonzero pair).
 
     Follows the decision ladder in the module docstring.  With
-    ``minimal=True`` a double witness is replaced by a single one whenever
-    the twisted-commutant solver finds an invertible solution of p a = b p.
+    ``minimal=True`` rungs 1 and 2 stay, and where the ladder would build a
+    double the single-conjugator theorem decides first: its single, when
+    one exists, is returned with branch CommutantSingle, and otherwise the
+    double is built.  Every witness is checked by ``verify_witness``.
     """
     _require_pure_nonzero("conjugacy", a, b)
     if not _same_norm(a, b):
@@ -193,6 +364,8 @@ def conjugacy_witness(a, b, *, minimal=False):
                 "zero norm(a+b) with a definite norm form must force b = -a"
             )
         w = ConjugacyWitness.single(negator(a), Branch.DIVISION_NEGATE)
+    elif minimal and (p := _single_conjugator(a, b)[1]) is not None:
+        w = ConjugacyWitness.single(p, Branch.COMMUTANT_SINGLE)
     elif _invertible(d := a - b):
         w = ConjugacyWitness.double(d, negator(b), Branch.DIFF_INVERTIBLE)
     else:
@@ -204,11 +377,6 @@ def conjugacy_witness(a, b, *, minimal=False):
     report = verify_witness(a, b, w)
     if not report.ok:
         raise ConsistencyError(f"constructed witness failed checks: {report.failures}")
-
-    if minimal and not w.is_single:
-        found = single_conjugator_search(a, b).single
-        if found is not None:
-            w = ConjugacyWitness.single(found, Branch.COMMUTANT_SINGLE)
     return w
 
 

@@ -78,6 +78,10 @@ CASES = {
         + ["--", "e2", "-e2"],
         0,
     ),
+    "conjugate-witness-Os-minimal-dependent": (
+        ["conjugate-witness", "--algebra", "Os", "--minimal", "e1'+e2", "2e1'+2e2"],
+        0,
+    ),
     "conjugate-witness-Oc-minimal": (
         ["conjugate-witness", "--algebra", "Oc", "--minimal", "--", *OC_PAIR_RULE],
         0,

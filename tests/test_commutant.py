@@ -1,19 +1,27 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import compalg
 import compalg.commutant
+import compalg.witnesses
 from compalg import (
     ALGEBRAS,
     AlgebraMismatch,
+    Branch,
     GaussRational,
     H,
     I,
     Oc,
     Os,
     check_counterexample,
+    conjugacy_witness,
     counterexample_instances,
+    exact_div,
+    negator,
     nullspace,
     parse_element,
     sandwich,
@@ -21,6 +29,7 @@ from compalg import (
     span_contains,
     twisted_commutant_matrix,
     verify_remark,
+    verify_witness,
 )
 from compalg.sampling import (
     random_element,
@@ -30,8 +39,9 @@ from compalg.sampling import (
     random_pure_nonzero,
 )
 from compalg.cli import main
+from compalg.witnesses import SingleCase, _single_conjugator
 
-from helpers import grid_single_conjugator, same_span, sympy_nullity
+from helpers import grid_single_conjugator, rref_nullspace, same_span, sympy_nullity
 
 
 def test_matrix_of_zero_pair_is_zero():
@@ -286,6 +296,11 @@ def _independent(a, b):
     return not span_contains([s.coeffs], (s * a).coeffs)
 
 
+def _parallel(a, b):
+    """Whether b is a multiple of a."""
+    return span_contains([a.coeffs], b.coeffs)
+
+
 def _big(rng, alg):
     """A pure element with coefficients of about 256 bits, non-real over Q(i)."""
 
@@ -454,28 +469,45 @@ def _box(rng, alg):
     return alg.element([0] + [rng.choice(values) for _ in range(alg.dim - 1)])
 
 
-@pytest.mark.parametrize("name", ["O", "Os", "Oc"])
+@pytest.mark.parametrize("name", ["O", "Hs", "Hc", "Os", "Oc"])
 def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
     # for pure a, b with N(a) = N(b) and s = a + b != 0, t = s a: the
     # solutions of p a = b p are span{s, t} when s, t are independent,
-    # and form a 4-dimensional space otherwise
+    # and form a 4-dimensional space otherwise (2-dimensional in dim 4);
+    # a single conjugator exists unless s, t are independent and N(s) = 0,
+    # and the theorem's case and p say the same
     alg = ALGEBRAS[name]
     rng = random.Random(f"nullity-theorem:{name}")
-    count = {"O": 500, "Os": 1200, "Oc": 800}[name]
+    count = {"O": 500, "Hs": 600, "Hc": 600, "Os": 1200, "Oc": 800}[name]
     pairs = []
     while len(pairs) < count:
         a, b = _box(rng, alg), _box(rng, alg)
-        if a.norm() == b.norm() and b != -a:
+        if a.norm() == b.norm() and a and b:
             pairs.append((a, b))
     if not alg.is_division:
         pairs += [random_orthogonal_null_pair(rng, alg) for _ in range(count // 10)]
     closed_form = compalg.commutant._closed_form
     monkeypatch.setattr(compalg.commutant, "_closed_form", lambda a, b: None)
-    classes, nullities = set(), set()
+    classes, nullities, cases = set(), set(), set()
     for a, b in pairs:
-        independent = _independent(a, b)
+        s = a + b
+        independent = bool(s) and _independent(a, b)
         report = single_conjugator_search(a, b)
-        assert report.nullity == (2 if independent else 4), (str(a), str(b))
+        case, p = _single_conjugator(a, b)
+        cases.add(case)
+        if s.norm() != 0:
+            assert case is SingleCase.SUM and p == s
+        elif not s:
+            assert case is SingleCase.NEGATED and p == negator(a)
+        else:
+            assert case is (SingleCase.NONE if independent else SingleCase.DEPENDENT)
+        assert (p is None) == (report.single is None), (str(a), str(b))
+        assert p is None or (p.norm() != 0 and sandwich(p, a) == b)
+        if case is SingleCase.DEPENDENT and not (a != b and _parallel(a, b)):
+            assert p.norm() == 1  # s not in F (a - b): p = 1 + p0
+        if not s:
+            continue
+        assert report.nullity == (2 if independent else alg.dim // 2), (str(a), str(b))
         basis = closed_form(a, b)
         assert (basis is not None) == independent, (str(a), str(b))
         assert basis is None or basis == report.nullspace_basis
@@ -483,6 +515,147 @@ def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
         nullities.add(report.nullity)
     if alg.is_division:
         assert nullities == {2}
+        assert cases == {SingleCase.SUM, SingleCase.NEGATED}
     else:
-        assert nullities == {2, 4}
+        assert nullities == {2, alg.dim // 2}
         assert classes == {(False, False), (False, True), (True, False), (True, True)}
+        assert SingleCase.DEPENDENT in cases
+        assert (SingleCase.NONE in cases) == (alg.dim == 8)
+
+
+def _null_multiples(rng, alg, count):
+    """(a, c a) for null pure a and c outside {0, 1, -1}, rational or
+    (over Q(i)) Gaussian."""
+    scalars = [2, -3, Fraction(1, 2), Fraction(-5, 3)]
+    if alg.complex_field:
+        scalars += [I, -I, GaussRational(1, 2), GaussRational(Fraction(-1, 3), 4)]
+    for _ in range(count):
+        a = random_null_pure(rng, alg)
+        yield a, rng.choice(scalars) * a
+
+
+@pytest.mark.parametrize("name", ["Hs", "Hc", "Os", "Oc"])
+def test_null_multiples_take_the_theorems_single(name):
+    # b = c a with a null and c not in {0, 1, -1}: p = (1 + c) + (c - 1) h
+    # with h a = a, a h = -a, so N(p) = 4 c
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"null-multiples:{name}")
+    for a, b in _null_multiples(rng, alg, 60):
+        c = next(exact_div(y, x) for x, y in zip(a.coeffs, b.coeffs) if x != 0)
+        case, p = _single_conjugator(a, b)
+        assert case is SingleCase.DEPENDENT
+        assert p.norm() == 4 * c and sandwich(p, a) == b, (str(a), str(b))
+        h = (p - (1 + c)) * exact_div(1, c - 1)
+        assert h.is_pure and h * a == a and a * h == -a and h.norm() == -1
+        assert single_conjugator_search(a, b).single_exists
+        w = conjugacy_witness(a, b, minimal=True)
+        assert (w.p, w.q, w.branch) == (p, None, Branch.COMMUTANT_SINGLE)
+
+
+def test_minimal_witnesses_never_search(monkeypatch):
+    # the theorem decides every minimal witness: the search is never run,
+    # and witnesses imports nothing from commutant
+    def search(a, b):
+        raise AssertionError("commutant search run for a minimal witness")
+
+    monkeypatch.setattr(compalg.commutant, "single_conjugator_search", search)
+    monkeypatch.setattr(compalg, "single_conjugator_search", search)
+    rng = random.Random("minimal-no-search")
+    branches = set()
+    for alg in ALGEBRAS.values():
+        for a, b in _commutant_pairs(alg, rng, 40):
+            if a.is_pure and b.is_pure and a and b and a.norm() == b.norm():
+                w = conjugacy_witness(a, b, minimal=True)
+                assert verify_witness(a, b, w).ok
+                branches.add(w.branch)
+        if not alg.is_division:
+            for a, b in [random_orthogonal_null_pair(rng, alg) for _ in range(10)]:
+                branches.add(conjugacy_witness(a, b, minimal=True).branch)
+    for _, a, b, _ in counterexample_instances():
+        assert not conjugacy_witness(a, b, minimal=True).is_single
+    assert branches >= {
+        Branch.SUM_INVERTIBLE,
+        Branch.COMMUTANT_SINGLE,
+        Branch.NULL_PAIR,
+    }
+    tree = ast.parse(Path(compalg.witnesses.__file__).read_text())
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "commutant" not in imported
+
+
+# -- the elimination's work ----------------------------------------------------
+
+
+def _count_combines(monkeypatch):
+    calls = []
+    combine = compalg.commutant._combine
+
+    def counted(*args):
+        calls.append(None)
+        return combine(*args)
+
+    monkeypatch.setattr(compalg.commutant, "_combine", counted)
+    return calls
+
+
+def _dense(rng, n, bits, gaussian=False):
+    def entry():
+        x = rng.choice((1, -1)) * rng.randint(2 ** (bits - 1), 2**bits)
+        return GaussRational(x, rng.randint(1, 2**bits)) if gaussian else x
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["real", "gaussian"])
+def test_full_rank_elimination_clears_below_pivots_only(monkeypatch, gaussian):
+    # a dense full-rank n x n matrix takes at most n (n - 1) / 2 row
+    # combinations, and its rows above the pivots are never cleared
+    rng = random.Random(f"full-rank:{gaussian}")
+    calls = _count_combines(monkeypatch)
+    monkeypatch.setattr(compalg.commutant, "_reduce_above", _forbidden)
+    for n in (2, 4, 8):
+        for bits in (3, 40):
+            calls.clear()
+            assert nullspace(_dense(rng, n, bits, gaussian)) == []
+            assert 0 < len(calls) <= n * (n - 1) // 2
+    # a full-rank search of each algebra takes no reduce-above step either
+    for alg in ALGEBRAS.values():
+        a, b = alg.basis(1), 2 * alg.basis(2)
+        assert single_conjugator_search(a, b).nullity == 0
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_rank_deficient_big_matrices_match_the_oracle(gaussian):
+    # 8 x 8 products of an 8 x r and an r x 8 factor, entries over 100 bits
+    rng = random.Random(f"rank-deficient:{gaussian}")
+    for r in (1, 3, 5, 7):
+        for _ in range(2):
+            left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(8)]
+            right = _dense(rng, 8, 120, gaussian)[:r]
+            if not gaussian:
+                right = [[Fraction(x, rng.randint(1, 9)) for x in row] for row in right]
+            m = [
+                [sum((x * row[j] for x, row in zip(lrow, right)), 0) for j in range(8)]
+                for lrow in left
+            ]
+            parts = [Fraction(getattr(x, "re", x)) for row in m for x in row]
+            assert max(abs(x.numerator) for x in parts) > 2**100
+            assert [tuple(v) for v in nullspace(m)] == rref_nullspace(m)
+            assert len(nullspace(m)) >= 8 - r
+
+
+def test_span_membership_runs_no_reduce_above(monkeypatch):
+    # span_contains reads only the pivots of the echelon form
+    def rank(rows, n):
+        return n - len(rref_nullspace(rows)) if rows else 0
+
+    monkeypatch.setattr(compalg.commutant, "_reduce_above", _forbidden)
+    rng = random.Random("span-echelon")
+    for n in range(1, 9):
+        for k in range(n + 1):
+            vectors = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            target = [rng.randint(-1, 1) for _ in range(n)]
+            combo = [sum(v[i] for v in vectors) for i in range(n)]
+            assert span_contains(vectors, combo)
+            expected = rank(vectors, n) == rank(vectors + [target], n)
+            assert span_contains(vectors, target) == expected

@@ -17,6 +17,7 @@ import compalg
 import compalg.commutant
 import compalg.selftest
 import compalg.witnesses
+from compalg.witnesses import SingleCase
 from compalg import (
     ALGEBRAS,
     Algebra,
@@ -461,6 +462,46 @@ def test_witness_checks_catch_an_injected_fault(monkeypatch, capsys, fault):
     assert err.startswith("internal consistency failure: ")
     assert "Traceback" not in err
     fn(*args)
+
+
+def test_search_check_catches_a_verdict_against_the_theorem(monkeypatch, capsys):
+    # the search's always-on check: its verdict on a pure nonzero pair of
+    # equal norm must be the theorem's, in both directions
+    _, a, b, _ = counterexample_instances()[0]
+    pairs = [(H.basis(1), H.basis(2), SingleCase.NONE), (a, b, SingleCase.DEPENDENT)]
+    for a, b, case in pairs:
+
+        def wrong(a, b, case=case):
+            return case, None, None
+
+        with monkeypatch.context() as m:
+            m.setattr(compalg.commutant, "_single_case", wrong)
+            with pytest.raises(ConsistencyError, match="contradicts the single"):
+                single_conjugator_search(a, b)
+            argv = ["commutant", "--algebra", a.algebra.name, "--", str(a), str(b)]
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal consistency failure: commutant verdict")
+        assert "Traceback" not in err
+        single_conjugator_search(a, b)
+
+
+def test_dependent_case_check_catches_a_failed_scan(monkeypatch, capsys):
+    # the theorem's scan for a pure x with <x, a - b> = 0 and <x, a + b> != 0;
+    # b = a takes it (p = 1), b = 2 a does not
+    a = Os.element([0, 1, 1, 0, 0, 0, 0, 0])
+    assert a.norm() == 0
+    assert conjugacy_witness(a, a, minimal=True).p == Os.one()
+    with monkeypatch.context() as m:
+        m.setattr(compalg.witnesses, "_orthogonal", lambda alg, d: iter(()))
+        with pytest.raises(ConsistencyError, match="no pure x with"):
+            conjugacy_witness(a, a, minimal=True)
+        assert conjugacy_witness(a, 2 * a, minimal=True).is_single
+        argv = ["conjugate-witness", "--algebra", "Os", "--minimal", str(a), str(a)]
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: no pure x with")
+    assert "Traceback" not in err
 
 
 def test_counterexample_check_lets_bugs_propagate(monkeypatch):

@@ -268,6 +268,8 @@ def test_witness_minimal_mode():
     w = conjugacy_witness(a, -a, minimal=True)
     assert w.is_single and w.branch is Branch.COMMUTANT_SINGLE
     assert sandwich(w.p, a) == -a
+    # b = -a takes the negator
+    assert w.p == negator(a)
     # where no single exists the double is kept
     a2 = Os.element([0, 4, 5, 3, -5, 4, 0, 3])
     b2 = Os.element([0, 0, 3, 0, 0, 0, 4, 5])
