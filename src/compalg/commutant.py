@@ -7,32 +7,39 @@ single conjugator) exists: the restricted form is given by the Gram matrix
 of the inner product on a null-space basis, and it vanishes identically
 exactly when no solution has nonzero norm.
 
-The pipeline is integer-native.  The matrix of p -> p*a - b*p, the left
-multiplication by a minus the right multiplication by b, is read off the
-structure table and the stored integer forms of a and b, as rows in
-core's integer form ``(re, im)`` over one denominator.  The elimination
-is fraction-free and echelon first: ``_echelon`` divides each row by its
-content and clears the rows below each pivot with Gaussian-integer
-multipliers (a real row is the ``im is None`` case).  That settles the
-rank, and a full-rank matrix, the common case, stops there with an empty
-null space.  Only a null space to write down takes ``_reduce_above``,
-which clears the rows above each pivot top-down, in pivot order: every
-row combination is then the one a Gauss-Jordan elimination makes, so the
-result and the cost are those of one Gauss-Jordan pass (clearing
-bottom-up works on rows grown by the later pivots, and is slower).  One
-back-substitution writes each basis vector over the lcm of its reduced
-pivot divisors, without a ``Fraction``.  Core's canonical forms reduce
-it: the search builds its basis elements with ``_normal``, and
-``twisted_commutant_matrix`` and ``nullspace`` are exact-scalar views of
-the same code.  ``span_contains`` reads the pivots of ``_echelon`` alone.
+The search takes one of three paths, each integer-native:
 
-For pure a, b of equal norm the search first writes the solution space
-down in closed form, from s = a + b and t = s*a, which always solve the
-equation.  A theorem, proved in ``single_conjugator_search`` for dim 4 and
-dim 8 alike, says they span it whenever s != 0 and s, t are independent;
-the same elimination, run on s and t with their coordinates reversed,
-then reduces them to exactly the elimination's basis.  Every other case
-takes the elimination.
+1. Rank test.  A pair outside the closed form (path 2) is first asked
+   whether p -> p*a - b*p is invertible.  Its determinant is a polynomial
+   in c = Re a - Re b, N(Im a), N(Im b) and N(Im a + Im b), proved in
+   ``_nonsingular`` and evaluated there on the stored numerators.  A
+   nonzero determinant, the common case, means the null space is {0}: no
+   matrix is built.
+2. Closed form.  For pure a, b of equal norm the solution space is
+   written down from s = a + b and t = s*a, which always solve the
+   equation.  A theorem, proved in ``single_conjugator_search`` for dim 4
+   and dim 8 alike, says they span it whenever s != 0 and s, t are
+   independent; the elimination's ``_echelon`` and ``_reduce_above``, run
+   on s and t with their coordinates reversed, then reduce them to
+   exactly the elimination's basis.  The rank of s, t also gives the case
+   of the single-conjugator theorem.
+3. Elimination.  A singular map the closed form does not answer is
+   eliminated.  Its matrix, the left multiplication by a minus the right
+   multiplication by b, is read off the structure table and the stored
+   integer forms of a and b, as rows in core's integer form ``(re, im)``
+   over one denominator.  The elimination is fraction-free and echelon
+   first: ``_echelon`` divides each row by its content and clears the
+   rows below each pivot with Gaussian-integer multipliers (a real row is
+   the ``im is None`` case), and ``_reduce_above`` clears the rows above
+   each pivot top-down, in pivot order: every row combination is then the
+   one a Gauss-Jordan elimination makes, so the result and the cost are
+   those of one Gauss-Jordan pass (clearing bottom-up works on rows grown
+   by the later pivots, and is slower).  One back-substitution writes
+   each basis vector over the lcm of its reduced pivot divisors, without
+   a ``Fraction``.  Core's canonical forms reduce it: the search builds
+   its basis elements with ``_normal``, and ``twisted_commutant_matrix``
+   and ``nullspace`` are exact-scalar views of the same code.
+   ``span_contains`` reads the pivots of ``_echelon`` alone.
 
 The verdict walks the grid {0, 1, 2}^d of combinations of the basis and
 keeps its first point of nonzero norm, decided on the integers by
@@ -41,10 +48,10 @@ of the norm form on the basis is derived on access, like the matrix.
 
 For a pure nonzero pair of equal norm the single-conjugator theorem in
 ``witnesses`` says in closed form whether a single conjugator exists;
-the search checks its verdict against the theorem's case on every such
-pair.  Minimal witnesses come from the theorem, so ``witnesses`` imports
-nothing from this module.  The paper's counterexample suite, which uses
-both, is in ``selftest``.
+the search checks its verdict against the case path 2 found on every
+such pair.  Minimal witnesses come from the theorem, so ``witnesses``
+imports nothing from this module.  The paper's counterexample suite,
+which uses both, is in ``selftest``.
 """
 
 from __future__ import annotations
@@ -57,7 +64,9 @@ from .core import (
     Element,
     _coefficients,
     _divided,
+    _dot,
     _entry,
+    _gmul,
     _invertible,
     _lincomb,
     _normal,
@@ -67,7 +76,7 @@ from .core import (
     sandwich,
 )
 from .errors import ConsistencyError
-from .witnesses import SingleCase, _single_case
+from .witnesses import SingleCase
 
 
 def twisted_commutant_matrix(a, b):
@@ -250,19 +259,24 @@ def _combine(row, pivot_row, c):
 
 
 def _closed_form(a, b):
-    """For pure a, b of equal norm: the canonical null-space basis of p*a =
-    b*p built from s = a + b and t = s*a when s != 0 and s, t are
-    independent, which makes them span it (see ``single_conjugator_search``);
-    None otherwise."""
+    """``(case, basis)`` for pure a, b of equal norm, from s = a + b and t
+    = s*a: the case of the single-conjugator theorem, and the canonical
+    null-space basis of p*a = b*p when s != 0 and s, t are independent,
+    which makes them span it (see ``single_conjugator_search``), else None.
+
+    The rank of s, t decides the case: below 2 it is NEGATED (s = 0) or
+    DEPENDENT, and at 2 it is SUM when N(s) != 0 and NONE otherwise.
+    """
     alg = a.algebra
     s = _lincomb(b.den, a.num, a.den, b.num)  # (a + b) d e
     t = _product(alg.mul, s, a.num)
     rows, pivots = _echelon([_reversed(t), _reversed(s)], alg.dim)
     if len(pivots) < 2:  # s = 0 (b = -a) or s, t dependent
-        return None
+        return (SingleCase.NEGATED, SingleCase.DEPENDENT)[len(pivots)], None
     _reduce_above(rows, pivots)
+    case = SingleCase.SUM if _dot(alg.dot, s, s) != (0, 0) else SingleCase.NONE
     # row i is the basis vector of free column dim - 1 - pivots[i]
-    return tuple(
+    return case, tuple(
         _divided(alg, _reversed(u), _entry(u, c), 1)
         for u, c in zip(rows[::-1], pivots[::-1])
     )
@@ -272,6 +286,63 @@ def _reversed(u):
     """An integer-form vector with its coordinates in reverse order."""
     re, im = u
     return re[::-1], im[::-1] if im and any(im) else None
+
+
+def _nonsingular(a, b):
+    """Whether p -> p*a - b*p is invertible, decided from its determinant
+    in closed form; no matrix is built.
+
+    With c = Re a - Re b, A = N(Im a), B = N(Im b) and S = N(Im a + Im b),
+    the determinant is (c^2 + A + B)^2 - 4 A B in dim 4 and (c^2 + S)^2
+    ((c^2 + A + B)^2 - 4 A B) in dim 8.  Proof, with X = R_(Im a) and Y =
+    L_(Im b), so that the map is c + X - Y:
+    * dim 4.  Over C the quaternions are M_2(C), where left and right
+      multiplications act as M_2 (x) 1 and 1 (x) M_2: X and Y commute, and
+      the eigenvalues of X - Y are the differences of theirs, all four
+      pairs.  X^2 = -A and Y^2 = -B with trace 0, so those are +-i sqrt(A)
+      and +-i sqrt(B), and c + X - Y has the eigenvalues c +- i(sqrt(A) -
+      sqrt(B)) and c +- i(sqrt(A) + sqrt(B)), each once.  Their product is
+      the formula; it is a polynomial, so it holds where A B = 0 as well.
+    * dim 8.  An automorphism g takes the map of (a, b) to that of (g a, g
+      b) by conjugation, so the determinant is a G2-invariant polynomial in
+      c, Im a and Im b, hence (first fundamental theorem for G2, G. W.
+      Schwarz 1988) a polynomial in c, A, B and <Im a, Im b>.  G2 moves
+      every real pair to the frame Im a = x e1, Im b = y e1 + z e2, where
+      sympy factors the determinant as (c^2 + x^2 + 2 x y + y^2 + z^2)^2
+      ((c^2 + A + B)^2 - 4 A B) with S = (x + y)^2 + z^2
+      (``tests/test_commutant.py`` repeats this computation).
+    * Hs, Hc, Os, Oc.  The identity is polynomial in the coefficients, and
+      each of these is a form of H_C or O_C: an isomorphism over C keeps
+      the norm and conjugates the map.
+    With a = u / d and b = v / e and u', v' the pure parts of u and v, the
+    invariants times powers of d e are Gaussian integers: c d e = u_0 e -
+    v_0 d, A (d e)^2 = N(u') e^2, B (d e)^2 = N(v') d^2 and S (d e)^2 =
+    N(e u' + d v').  Each factor is homogeneous in c^2, A, B and S, so it
+    vanishes exactly when the same expression in those integers does.
+    """
+    dot, d, e = a.algebra.dot, a.den, b.den
+    u, v = a.num, b.num
+    (ur, ui), (vr, vi) = _entry(u, 0), _entry(v, 0)
+    c = ur * e - vr * d, ui * e - vi * d
+    cr, ci = _gmul(c, c)
+    ar, ai = _pure_norm(dot, u, e)
+    br, bi = _pure_norm(dot, v, d)
+    h = cr + ar + br, ci + ai + bi
+    mr, mi = _gmul((ar, ai), (br, bi))
+    if _gmul(h, h) == (4 * mr, 4 * mi):  # (c^2 + A + B)^2 = 4 A B
+        return False
+    if a.algebra.dim == 4:
+        return True
+    sr, si = _pure_norm(dot, _lincomb(e, u, d, v), 1)
+    return (cr + sr, ci + si) != (0, 0)
+
+
+def _pure_norm(dot, u, m):
+    """N(u') m^2 as a Gaussian integer, for an integer-form vector u with
+    pure part u' and an int m: N(u) less the square of entry 0."""
+    (nr, ni), (x, y) = _dot(dot, u, u), _entry(u, 0)
+    m *= m
+    return (nr - x * x + y * y) * m, (ni - 2 * x * y) * m
 
 
 def span_contains(vectors, target):
@@ -335,7 +406,8 @@ def single_conjugator_search(a, b):
     0 or comes after one of these.  The p found is verified to conjugate a
     onto b, and for pure nonzero a, b of equal norm the verdict is checked
     against the case of the single-conjugator theorem
-    (``witnesses._single_conjugator``); both checks are always on.
+    (``witnesses._single_conjugator``), which ``_closed_form`` reads off
+    the s and t it builds; both checks are always on.
 
     Closed form.  For pure a, b with N(a) = N(b), let s = a + b and t =
     s*a.  Then s*a = a^2 + b*a = b*a + b^2 = b*s, since x^2 = -N(x) for
@@ -375,25 +447,26 @@ def single_conjugator_search(a, b):
     those positions, and after the reduce-above step each row divided by
     its pivot is the same basis, read from the right.  A rank below 2
     means s = 0 (b = -a) or dependent s, t; those pairs, and every other
-    one, take the elimination.
+    one, take the rank test (``_nonsingular``), and the elimination when
+    the map is singular, as it always is for a pure pair of equal norm.
     """
     Element._check_same(a, b)
     alg = a.algebra
     pure_pair = a.is_pure and b.is_pure and _same_norm(a, b)
-    basis = _closed_form(a, b) if pure_pair else None
+    case, basis = _closed_form(a, b) if pure_pair else (None, None)
     if basis is None:
-        rows = _matrix_form(a, b)[1]
-        basis = tuple(
-            _normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim)
-        )
+        basis = ()
+        if not _nonsingular(a, b):
+            rows = _matrix_form(a, b)[1]
+            basis = tuple(
+                _normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim)
+            )
     single = next(filter(_invertible, _grid(basis)), None)
     if single is not None and sandwich(single, a) != b:
         raise ConsistencyError(
             "invertible commutant solution fails to conjugate a onto b"
         )
-    if pure_pair and a and b and (single is None) != (
-        _single_case(a, b)[0] is SingleCase.NONE
-    ):
+    if pure_pair and a and b and (single is None) != (case is SingleCase.NONE):
         raise ConsistencyError(
             "commutant verdict contradicts the single-conjugator theorem"
         )

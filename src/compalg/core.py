@@ -214,6 +214,11 @@ def _entry(u, k):
     return re[k], im[k] if im else 0
 
 
+def _gmul(x, y):
+    """The product of two Gaussian integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
 def _invertible(x):
     """N(x) != 0, decided on the integer numerators."""
     return _dot(x.algebra.dot, x.num, x.num) != (0, 0)

@@ -43,6 +43,7 @@ from .core import (
     _divided,
     _dot,
     _entry,
+    _gmul,
     _invertible,
     _lincomb,
     _norms,
@@ -158,6 +159,12 @@ def separator(a, b):
     disjoint-support case needs support on the positive-norm indices, which
     only null elements guarantee).
     """
+    return _separated(a, b)[0]
+
+
+def _separated(a, b):
+    """``(p, q)``: p = separator(a, b) and q = p a p^-1 + b, both checked
+    invertible."""
     _require_pure_nonzero("separator", a, b)
     alg = a.algebra
     if _dot(alg.dot, a.num, b.num) != (0, 0):
@@ -188,9 +195,11 @@ def separator(a, b):
             raise ConsistencyError("separator index search failed")
         p = alg.basis(k) + alg.basis(l)
 
-    if not (_invertible(p) and _invertible(sandwich(p, a) + b)):
-        raise ConsistencyError(f"separator {p!s} fails for {a!s}, {b!s}")
-    return p
+    if _invertible(p):
+        q = sandwich(p, a) + b
+        if _invertible(q):
+            return p, q
+    raise ConsistencyError(f"separator {p!s} fails for {a!s}, {b!s}")
 
 
 class SingleCase(Enum):
@@ -228,11 +237,6 @@ def _parallel(u, v, k):
     (xr, xi), (yr, yi) = _scaled(v, _entry(u, k)), _scaled(u, _entry(v, k))
     zero = [0] * len(xr)
     return xr == yr and (xi or zero) == (yi or zero)
-
-
-def _gmul(x, y):
-    """The product of two Gaussian integers (re, im)."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
 def _shifted(u, z):
@@ -370,9 +374,7 @@ def conjugacy_witness(a, b, *, minimal=False):
         w = ConjugacyWitness.double(d, negator(b), Branch.DIFF_INVERTIBLE)
     else:
         # N(a+b) = N(a-b) = 0 forces inner(a, b) = 0 and N(a) = N(b) = 0
-        p = separator(a, b)
-        q = sandwich(p, a) + b
-        w = ConjugacyWitness.double(p, q, Branch.NULL_PAIR)
+        w = ConjugacyWitness.double(*_separated(a, b), Branch.NULL_PAIR)
 
     report = verify_witness(a, b, w)
     if not report.ok:

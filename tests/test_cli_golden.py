@@ -3,7 +3,8 @@
 Each case's expected stdout is stored verbatim in ``tests/cli_golden/<case>.out``,
 and for the error cases the expected stderr in ``<case>.err``.  The cases
 cover every ladder branch, both commutant verdicts (including a nullity-6
-solution space whose witness needs two basis vectors), and the error paths,
+solution space whose witness needs two basis vectors, a full-rank pair the
+rank test decides and a singular pair of odd nullity), and the error paths,
 one per parse error message, that print nothing on stdout.
 """
 
@@ -102,6 +103,14 @@ CASES = {
     ),
     "commutant-Os-nonpure": (
         ["commutant", "--algebra", "Os", "--", "1+2e1'", "-2e1'-e3'+2e4+e5'+e6+2e7'"],
+        0,
+    ),
+    "commutant-Oc-nonsingular": (
+        ["commutant", "--algebra", "Oc", "--", "1+e1", "2ie2"],
+        0,
+    ),
+    "commutant-Hc-odd-nullity": (
+        ["commutant", "--algebra", "Hc", "--", "i+e1", "e1+ie2"],
         0,
     ),
     "verify-remark": (["verify-remark"], 0),

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 import compalg
 import compalg.commutant
@@ -15,6 +16,7 @@ from compalg import (
     GaussRational,
     H,
     I,
+    O,
     Oc,
     Os,
     check_counterexample,
@@ -41,7 +43,13 @@ from compalg.sampling import (
 from compalg.cli import main
 from compalg.witnesses import SingleCase, _single_conjugator
 
-from helpers import grid_single_conjugator, rref_nullspace, same_span, sympy_nullity
+from helpers import (
+    grid_single_conjugator,
+    rref_nullspace,
+    same_span,
+    sympy_matrix,
+    sympy_nullity,
+)
 
 
 def test_matrix_of_zero_pair_is_zero():
@@ -277,17 +285,23 @@ def _both_paths(monkeypatch, a, b):
     answered = []
 
     def spy(*args):
-        basis = closed_form(*args)
+        case, basis = closed_form(*args)
         answered.append(basis is not None)
-        return basis
+        return case, basis
 
     monkeypatch.setattr(compalg.commutant, "_closed_form", spy)
     fast = single_conjugator_search(a, b)
-    monkeypatch.setattr(compalg.commutant, "_closed_form", lambda *args: None)
+    monkeypatch.setattr(compalg.commutant, "_closed_form", _case_only(closed_form))
     slow = single_conjugator_search(a, b)
     monkeypatch.setattr(compalg.commutant, "_closed_form", closed_form)
     assert _fingerprint(fast) == _fingerprint(slow), (str(a), str(b))
     return answered == [True], slow.nullity
+
+
+def _case_only(closed_form):
+    """A ``_closed_form`` that keeps the theorem's case but gives no basis,
+    which forces the search's elimination."""
+    return lambda a, b: (closed_form(a, b)[0], None)
 
 
 def _independent(a, b):
@@ -409,9 +423,9 @@ def test_forced_elimination_keeps_reports_and_cli_output(monkeypatch, capsys):
             runs.append((code, capsys.readouterr()))
         return reports, runs
 
-    assert all(cm._closed_form(a, b) is not None for a, b in pairs)
+    assert all(cm._closed_form(a, b)[1] is not None for a, b in pairs)
     closed = outcomes()
-    monkeypatch.setattr(cm, "_closed_form", lambda a, b: None)
+    monkeypatch.setattr(cm, "_closed_form", _case_only(cm._closed_form))
     assert outcomes() == closed
 
 
@@ -434,10 +448,10 @@ def test_search_builds_no_exact_scalars(monkeypatch, name):
         m.setattr(GaussRational, "__init__", _forbidden)
         m.setattr(GaussRational, "_make", _forbidden)
         fast = [single_conjugator_search(a, b) for a, b in pairs]
-        m.setattr(compalg.commutant, "_closed_form", lambda a, b: None)
+        m.setattr(compalg.commutant, "_closed_form", _case_only(closed_form))
         slow = [single_conjugator_search(a, b) for a, b in pairs]
     assert list(map(_fingerprint, fast)) == list(map(_fingerprint, slow))
-    assert any(closed_form(a, b) is not None for a, b in pairs)
+    assert any(closed_form(a, b)[1] is not None for a, b in pairs)
     assert {r.verdict for r in fast} == {"SingleExists", "NoSingleConjugator"}
 
 
@@ -487,7 +501,7 @@ def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
     if not alg.is_division:
         pairs += [random_orthogonal_null_pair(rng, alg) for _ in range(count // 10)]
     closed_form = compalg.commutant._closed_form
-    monkeypatch.setattr(compalg.commutant, "_closed_form", lambda a, b: None)
+    monkeypatch.setattr(compalg.commutant, "_closed_form", _case_only(closed_form))
     classes, nullities, cases = set(), set(), set()
     for a, b in pairs:
         s = a + b
@@ -495,6 +509,7 @@ def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
         report = single_conjugator_search(a, b)
         case, p = _single_conjugator(a, b)
         cases.add(case)
+        assert closed_form(a, b)[0] is case, (str(a), str(b))
         if s.norm() != 0:
             assert case is SingleCase.SUM and p == s
         elif not s:
@@ -508,7 +523,7 @@ def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
         if not s:
             continue
         assert report.nullity == (2 if independent else alg.dim // 2), (str(a), str(b))
-        basis = closed_form(a, b)
+        basis = closed_form(a, b)[1]
         assert (basis is not None) == independent, (str(a), str(b))
         assert basis is None or basis == report.nullspace_basis
         classes.add(((a + b).norm() == 0, (a - b).norm() == 0))
@@ -659,3 +674,99 @@ def test_span_membership_runs_no_reduce_above(monkeypatch):
             assert span_contains(vectors, combo)
             expected = rank(vectors, n) == rank(vectors + [target], n)
             assert span_contains(vectors, target) == expected
+
+
+# -- the rank test ---------------------------------------------------------------
+
+
+def _singular_by_design(rng, alg):
+    """Pairs outside the closed form, chosen so that many have a singular
+    map p -> p a - b p: conjugates with equal and with unequal scalar
+    parts, pure pairs of unequal norm (singular in dim 8 when N(a + b) =
+    0), scalars, and pairs of odd nullity over Q(i)."""
+    pairs = []
+    for _ in range(3):
+        a = random_element(rng, alg, density=0.75, max_abs=3, frac_prob=0.3)
+        b = sandwich(random_invertible(rng, alg, max_abs=2, frac_prob=0.3), a)
+        pairs += [(a, b), (a, b + 1)]
+        p, q = random_pure_nonzero(rng, alg, max_abs=3), random_pure_nonzero(rng, alg)
+        pairs += [(p, q), (p, 2 * p), (p, -q + p)]
+    pairs += [(alg.one(), alg.one()), (alg.one(), 2 * alg.one())]
+    pairs += [(Fraction(1, 3) * alg.one(), alg.zero()), (alg.zero(), alg.zero())]
+    texts = {
+        "Hc": [("i+e1", "e1+ie2"), ("1+i+e1", "1+e1+ie2"), ("i+e1", "e2+ie3")],
+        "Oc": [("e1", "ie2"), ("1+e1", "2ie2"), ("i+e1", "e1+ie2"), ("e1", "ie4-e1")],
+        "Os": [("e1'", "e2+e3'"), ("e2", "e1'"), ("1+e2", "1+2e1'")],
+        "Hs": [("e1'", "e2"), ("e1'+e2", "e3'"), ("1+e2", "1+e1'")],
+    }.get(alg.name, [])
+    pairs += [(parse_element(x, alg), parse_element(y, alg)) for x, y in texts]
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_rank_test_matches_the_elimination_and_sympy(name):
+    # the closed-form determinant is zero exactly when the map has a null
+    # space, for random, conjugate, shifted, pure, scalar and odd pairs
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"rank-test:{name}")
+    pairs = _singular_by_design(rng, alg) + list(_commutant_pairs(alg, rng, 8))
+    nullities = set()
+    for a, b in pairs:
+        rows = compalg.commutant._matrix_form(a, b)[1]
+        nullity = len(compalg.commutant._nullspace_form(rows, alg.dim))
+        assert nullity == sympy_nullity(twisted_commutant_matrix(a, b))
+        assert compalg.commutant._nonsingular(a, b) == (nullity == 0), (str(a), str(b))
+        assert single_conjugator_search(a, b).nullity == nullity
+        nullities.add(nullity)
+    assert {0, alg.dim} <= nullities and len(nullities) >= 3
+    if alg.complex_field:
+        assert nullities & {1, 3, 5, 7}
+
+
+def _symbolic_map(alg, a, b):
+    """The sympy matrix of p -> p a - b p for coefficient lists a, b."""
+    m = sympy.zeros(alg.dim, alg.dim)
+    for j in range(alg.dim):
+        for i in range(alg.dim):
+            k, s = alg.table[j][i]
+            m[k, j] += s * a[i]
+            k, s = alg.table[i][j]
+            m[k, j] -= s * b[i]
+    return m
+
+
+def test_determinant_is_the_closed_form():
+    # the rank test's proof: a general pair of H, and the frame Im a = x e1,
+    # Im b = y e1 + z e2 of O, which every real pair reaches by an
+    # automorphism; c = Re a - Re b
+    c, x, y, z = sympy.symbols("c x y z")
+    xs, ys = sympy.symbols("x1:4"), sympy.symbols("y1:4")
+    A, B = sum(t**2 for t in xs), sum(t**2 for t in ys)
+    det = _symbolic_map(H, [c, *xs], [0, *ys]).det(method="berkowitz")
+    assert sympy.expand(det - ((c**2 + A + B) ** 2 - 4 * A * B)) == 0
+    A, B, S = x**2, y**2 + z**2, (x + y) ** 2 + z**2
+    frame = _symbolic_map(O, [c, x] + [0] * 6, [0, y, z] + [0] * 5)
+    det = frame.det(method="berkowitz")
+    assert sympy.expand(det - (c**2 + S) ** 2 * ((c**2 + A + B) ** 2 - 4 * A * B)) == 0
+    # the symbolic map is the library's
+    values = {c: 2, x: 3, y: -1, z: 5}
+    a, b = O.element([2, 3] + [0] * 6), O.element([0, -1, 5] + [0] * 5)
+    assert frame.subs(values) == sympy_matrix(twisted_commutant_matrix(a, b))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_full_rank_search_builds_no_matrix(monkeypatch, name):
+    # a non-pure pair of full rank is decided by the rank test alone
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"no-matrix:{name}")
+    pairs = [(alg.one() + alg.basis(1), 2 * alg.basis(2))]
+    while len(pairs) < 5:
+        a = random_element(rng, alg, max_abs=3, frac_prob=0.3)
+        b = random_element(rng, alg, max_abs=3, frac_prob=0.3)
+        if not a.is_pure and sympy_nullity(twisted_commutant_matrix(a, b)) == 0:
+            pairs.append((a, b))
+    with monkeypatch.context() as m:
+        m.setattr(compalg.commutant, "_matrix_form", _forbidden)
+        m.setattr(compalg.commutant, "_echelon", _forbidden)
+        reports = [single_conjugator_search(a, b) for a, b in pairs]
+    assert all(r.nullity == 0 and r.single is None for r in reports)

@@ -356,9 +356,9 @@ def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):
     answered = []
 
     def spy(*args):
-        basis = closed_form(*args)
+        case, basis = closed_form(*args)
         answered.append(basis is not None)
-        return basis
+        return case, basis
 
     monkeypatch.setattr(compalg.commutant, "_closed_form", spy)
     monkeypatch.setattr(compalg.commutant, "sandwich", lambda p, x: x)
@@ -469,13 +469,14 @@ def test_search_check_catches_a_verdict_against_the_theorem(monkeypatch, capsys)
     # equal norm must be the theorem's, in both directions
     _, a, b, _ = counterexample_instances()[0]
     pairs = [(H.basis(1), H.basis(2), SingleCase.NONE), (a, b, SingleCase.DEPENDENT)]
+    closed_form = compalg.commutant._closed_form
     for a, b, case in pairs:
 
         def wrong(a, b, case=case):
-            return case, None, None
+            return case, closed_form(a, b)[1]
 
         with monkeypatch.context() as m:
-            m.setattr(compalg.commutant, "_single_case", wrong)
+            m.setattr(compalg.commutant, "_closed_form", wrong)
             with pytest.raises(ConsistencyError, match="contradicts the single"):
                 single_conjugator_search(a, b)
             argv = ["commutant", "--algebra", a.algebra.name, "--", str(a), str(b)]
