@@ -7,22 +7,23 @@ single conjugator) exists: the restricted form is given by the Gram matrix
 of the inner product on a null-space basis, and it vanishes identically
 exactly when no solution has nonzero norm.
 
-The search takes one of three paths, each integer-native:
+The search sends each pair down one path, integer-native throughout: a
+pure pair of equal norm takes the closed form, or else the elimination,
+and every other pair takes the rank test, or else the elimination.
 
-1. Rank test.  A pair outside the closed form (path 2) is first asked
-   whether p -> p*a - b*p is invertible.  Its determinant is a polynomial
-   in c = Re a - Re b, N(Im a), N(Im b) and N(Im a + Im b), proved in
-   ``_nonsingular`` and evaluated there on the stored numerators.  A
-   nonzero determinant, the common case, means the null space is {0}: no
-   matrix is built.
-2. Closed form.  For pure a, b of equal norm the solution space is
-   written down from s = a + b and t = s*a, which always solve the
-   equation.  A theorem, proved in ``single_conjugator_search`` for dim 4
-   and dim 8 alike, says they span it whenever s != 0 and s, t are
-   independent; the elimination's ``_echelon`` and ``_reduce_above``, run
-   on s and t with their coordinates reversed, then reduce them to
-   exactly the elimination's basis.  The rank of s, t also gives the case
-   of the single-conjugator theorem.
+1. Closed form.  The solutions are written down from s = a + b and t =
+   s*a, which always solve the equation.  A theorem, proved in
+   ``single_conjugator_search`` for dim 4 and dim 8 alike, says they span
+   them in the cases SUM and NONE of the single-conjugator theorem (s !=
+   0 and s, t independent), which ``witnesses._single_case`` decides; in
+   the others the map is singular.  The elimination's ``_echelon`` and
+   ``_reduce_above``, run on s and t with their coordinates reversed,
+   reduce them to exactly the elimination's basis.
+2. Rank test.  Whether p -> p*a - b*p is invertible is read from its
+   determinant, a polynomial in c = Re a - Re b, N(Im a), N(Im b) and
+   N(Im a + Im b), proved in ``_nonsingular`` and evaluated there on the
+   stored numerators.  A nonzero determinant, the common case, means the
+   null space is {0}: no matrix is built.
 3. Elimination.  A singular map the closed form does not answer is
    eliminated.  Its matrix, the left multiplication by a minus the right
    multiplication by b, is read off the structure table and the stored
@@ -48,8 +49,8 @@ of the norm form on the basis is derived on access, like the matrix.
 
 For a pure nonzero pair of equal norm the single-conjugator theorem in
 ``witnesses`` says in closed form whether a single conjugator exists;
-the search checks its verdict against the case path 2 found on every
-such pair.  Minimal witnesses come from the theorem, so ``witnesses``
+the search checks its verdict against the theorem's case on every such
+pair.  Minimal witnesses come from the theorem, so ``witnesses``
 imports nothing from this module.  The paper's counterexample suite,
 which uses both, is in ``selftest``.
 """
@@ -70,13 +71,12 @@ from .core import (
     _invertible,
     _lincomb,
     _normal,
-    _product,
     _same_norm,
     integer_form,
     sandwich,
 )
 from .errors import ConsistencyError
-from .witnesses import SingleCase
+from .witnesses import SingleCase, _single_case
 
 
 def twisted_commutant_matrix(a, b):
@@ -259,22 +259,20 @@ def _combine(row, pivot_row, c):
 
 
 def _closed_form(a, b):
-    """``(case, basis)`` for pure a, b of equal norm, from s = a + b and t
-    = s*a: the case of the single-conjugator theorem, and the canonical
-    null-space basis of p*a = b*p when s != 0 and s, t are independent,
-    which makes them span it (see ``single_conjugator_search``), else None.
+    """``(case, basis)`` for pure a, b of equal norm: the case of the
+    single-conjugator theorem from ``witnesses._single_case``, and the
+    canonical null-space basis of p*a = b*p when s = a + b and t = s*a span
+    it (see ``single_conjugator_search``), else None.
 
-    The rank of s, t decides the case: below 2 it is NEGATED (s = 0) or
-    DEPENDENT, and at 2 it is SUM when N(s) != 0 and NONE otherwise.
+    In the cases SUM and NONE, s != 0 and s, t are independent, so the
+    reversed t, s have rank 2; NEGATED (s = 0) and DEPENDENT have no basis.
     """
+    case, s, t = _single_case(a, b)
+    if case is SingleCase.NEGATED or case is SingleCase.DEPENDENT:
+        return case, None
     alg = a.algebra
-    s = _lincomb(b.den, a.num, a.den, b.num)  # (a + b) d e
-    t = _product(alg.mul, s, a.num)
     rows, pivots = _echelon([_reversed(t), _reversed(s)], alg.dim)
-    if len(pivots) < 2:  # s = 0 (b = -a) or s, t dependent
-        return (SingleCase.NEGATED, SingleCase.DEPENDENT)[len(pivots)], None
     _reduce_above(rows, pivots)
-    case = SingleCase.SUM if _dot(alg.dot, s, s) != (0, 0) else SingleCase.NONE
     # row i is the basis vector of free column dim - 1 - pivots[i]
     return case, tuple(
         _divided(alg, _reversed(u), _entry(u, c), 1)
@@ -405,9 +403,8 @@ def single_conjugator_search(a, b):
     N(v_r + v_j) = 2 g_rj, and every other grid point led by v_r has norm
     0 or comes after one of these.  The p found is verified to conjugate a
     onto b, and for pure nonzero a, b of equal norm the verdict is checked
-    against the case of the single-conjugator theorem
-    (``witnesses._single_conjugator``), which ``_closed_form`` reads off
-    the s and t it builds; both checks are always on.
+    against the case of the single-conjugator theorem, which
+    ``_closed_form`` returns; both checks are always on.
 
     Closed form.  For pure a, b with N(a) = N(b), let s = a + b and t =
     s*a.  Then s*a = a^2 + b*a = b*a + b^2 = b*s, since x^2 = -N(x) for
@@ -445,22 +442,21 @@ def single_conjugator_search(a, b):
     are the last-nonzero positions of the solution space.  So the same
     elimination, run on t and s with their coordinates reversed, pivots on
     those positions, and after the reduce-above step each row divided by
-    its pivot is the same basis, read from the right.  A rank below 2
-    means s = 0 (b = -a) or dependent s, t; those pairs, and every other
-    one, take the rank test (``_nonsingular``), and the elimination when
-    the map is singular, as it always is for a pure pair of equal norm.
+    its pivot is the same basis, read from the right.  The pure pairs of
+    equal norm it leaves, s = 0 (b = -a) or dependent s, t, have a
+    singular map and take the elimination; every other pair takes the
+    rank test (``_nonsingular``), and the elimination when it fails.
     """
     Element._check_same(a, b)
     alg = a.algebra
     pure_pair = a.is_pure and b.is_pure and _same_norm(a, b)
-    case, basis = _closed_form(a, b) if pure_pair else (None, None)
+    if pure_pair:
+        case, basis = _closed_form(a, b)
+    else:
+        case, basis = None, () if _nonsingular(a, b) else None
     if basis is None:
-        basis = ()
-        if not _nonsingular(a, b):
-            rows = _matrix_form(a, b)[1]
-            basis = tuple(
-                _normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim)
-            )
+        rows = _matrix_form(a, b)[1]
+        basis = tuple(_normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim))
     single = next(filter(_invertible, _grid(basis)), None)
     if single is not None and sandwich(single, a) != b:
         raise ConsistencyError(

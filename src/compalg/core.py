@@ -648,6 +648,7 @@ class Classification:
 
 
 def classify(a):
+    Element._check_same(a, a)
     return Classification(a.is_pure, not a.is_zero, _invertible(a))
 
 
@@ -665,6 +666,7 @@ CAYLEY_EXTENSION = {H: O, Hs: Os, Hc: Oc}
 
 def embed_in_cayley(a):
     """Embed a dim-4 element into its dim-8 extension (identity on dim 8)."""
+    Element._check_same(a, a)
     if a.algebra.dim == 8:
         return a
     (re, im), pad = a.num, (0,) * 4

@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .core import _normal, integer_form
+from .core import Element, _normal, integer_form
 from .errors import CompalgError
 
 
@@ -253,6 +253,7 @@ def _term_text(label, re, im, den):
 
 def format_element(a):
     """Canonical text form of an element; inverse of ``parse_element``."""
+    Element._check_same(a, a)
     (re, im), den, out = a.num, a.den, []
     for k, x in enumerate(re):
         y = im[k] if im else 0

@@ -117,6 +117,7 @@ _CANDIDATE_PAIRS = {
 
 def negator_candidates(a):
     """The candidate list for ``negator``, in scan order."""
+    Element._check_same(a, a)
     alg, (re, im), out = a.algebra, a.num, []
     for i, j in _CANDIDATE_PAIRS[alg.name]:
         u = [[0] * alg.dim, [0] * alg.dim]
@@ -213,16 +214,18 @@ class SingleCase(Enum):
 
 
 def _single_case(a, b):
-    """``(case, s, t)`` for pure nonzero a, b of equal norm: s = a + b, and
-    t = s.num * a.num as an integer form, None in the cases that do not
-    need it."""
-    s = a + b
-    if _invertible(s):
-        return SingleCase.SUM, s, None
-    if not s:
+    """``(case, s, t)`` for pure a, b of equal norm: the case of the
+    single-conjugator theorem, decided here only, and the integer forms s =
+    (a + b) d e (d = a.den, e = b.den) and t = s * a.num (None if s = 0).
+    It is total on these pairs, zeros included: with a = 0 or b = 0 the
+    case is NEGATED (both zero) or DEPENDENT (t = 0)."""
+    alg, s = a.algebra, _lincomb(b.den, a.num, a.den, b.num)
+    if not any(s[0]) and not any(s[1] or ()):
         return SingleCase.NEGATED, s, None
-    t = _product(a.algebra.mul, s.num, a.num)
-    if _parallel(s.num, t, _first_nonzero(s.num)):
+    t = _product(alg.mul, s, a.num)
+    if _dot(alg.dot, s, s) != (0, 0):
+        return SingleCase.SUM, s, t
+    if _parallel(s, t, _first_nonzero(s)):
         return SingleCase.DEPENDENT, s, t
     return SingleCase.NONE, s, t
 
@@ -288,22 +291,21 @@ def _single_conjugator(a, b):
     null, so a single conjugator of a dependent pair always lies outside
     it.
 
-    Everything is computed on integer forms and decided with
-    ``_invertible``: with a = u / d', b = v / e', s = S / g and T = S u,
+    Everything is computed on integer forms, from the case, S = (a + b) d'
+    e' and T = S u of ``_single_case``, with a = u / d' and b = v / e':
     lambda d' = T_k / S_k for the first k with S_k != 0, W = S_k d d' e' -
-    2 e' T_k = S_k d' e' w and p = (m - g x W) / m with m = 2 d' e' S_k <S,
-    x>; and p = ((1 + c) 2 <u, e_k> + (c - 1)(e_k u - u e_k)) / (2 <u,
+    2 e' T_k = S_k d' e' w and p = (m - d' e' x W) / m with m = 2 d' e' S_k
+    <S, x>; and p = ((1 + c) 2 <u, e_k> + (c - 1)(e_k u - u e_k)) / (2 <u,
     e_k>) with c = v_k d' / (u_k e').
     """
     case, s, t = _single_case(a, b)
-    alg = a.algebra
+    alg, u, d, e = a.algebra, a.num, a.den, b.den
     if case is SingleCase.SUM:
-        return case, s
+        return case, _normal(alg, s, d * e)
     if case is SingleCase.NEGATED:
         return case, negator(a)
     if case is SingleCase.NONE:
         return case, None
-    u, d, e = a.num, a.den, b.den
     k = _first_nonzero(u)
     uk = _entry(u, k)
     # c = (vr + vi i) / (ur + ui i) whenever b = c a
@@ -316,15 +318,15 @@ def _single_conjugator(a, b):
         comm = _lincomb(1, _product(alg.mul, ek, u), -1, _product(alg.mul, u, ek))
         p = _shifted(_scaled(comm, (vr - ur, vi - ui)), _gmul((vr + ur, vi + ui), n))
         return case, _divided(alg, p, _gmul(n, uk), e)
-    dv, sv = _lincomb(e, u, -d, b.num), s.num  # (a - b) d e and s s.den
-    k = _first_nonzero(sv)
-    sk, tk = _entry(sv, k), _entry(t, k)
+    dv = _lincomb(e, u, -d, b.num)  # (a - b) d e
+    k = _first_nonzero(s)
+    sk, tk = _entry(s, k), _entry(t, k)
     w = _shifted(_scaled(dv, sk), (-2 * e * tk[0], -2 * e * tk[1]))
-    x = next((x for x in _orthogonal(alg, dv) if _dot(alg.dot, x, sv) != (0, 0)), None)
+    x = next((x for x in _orthogonal(alg, dv) if _dot(alg.dot, x, s) != (0, 0)), None)
     if x is None:
         raise ConsistencyError("no pure x with <x, a - b> = 0 and <x, a + b> != 0")
-    m = _gmul((2 * d * e * sk[0], 2 * d * e * sk[1]), _dot(alg.dot, sv, x))
-    p = _shifted(_scaled(_product(alg.mul, x, w), (-s.den, 0)), m)
+    m = _gmul((2 * d * e * sk[0], 2 * d * e * sk[1]), _dot(alg.dot, s, x))
+    p = _shifted(_scaled(_product(alg.mul, x, w), (-d * e, 0)), m)
     return case, _divided(alg, p, m, 1)
 
 
@@ -363,7 +365,7 @@ def conjugacy_witness(a, b, *, minimal=False):
     if _invertible(s):
         w = ConjugacyWitness.single(s, Branch.SUM_INVERTIBLE)
     elif alg.is_division:
-        if b != -a:
+        if s:
             raise ConsistencyError(
                 "zero norm(a+b) with a definite norm form must force b = -a"
             )

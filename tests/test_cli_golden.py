@@ -2,10 +2,11 @@
 
 Each case's expected stdout is stored verbatim in ``tests/cli_golden/<case>.out``,
 and for the error cases the expected stderr in ``<case>.err``.  The cases
-cover every ladder branch, both commutant verdicts (including a nullity-6
-solution space whose witness needs two basis vectors, a full-rank pair the
-rank test decides and a singular pair of odd nullity), and the error paths,
-one per parse error message, that print nothing on stdout.
+cover every ladder branch, every case of the single-conjugator theorem, both
+commutant verdicts (including a nullity-6 solution space whose witness needs
+two basis vectors, a full-rank pair the rank test decides and a singular pair
+of odd nullity), and the error paths, one per parse error message, that print
+nothing on stdout.
 """
 
 from pathlib import Path
@@ -18,6 +19,8 @@ GOLDEN = Path(__file__).parent / "cli_golden"
 
 OS_NULL_PAIR = ["4e1'+5e2+3e3'-5e4+4e5'+3e7'", "3e2+4e6+5e7'"]
 OC_PAIR_RULE = ["e1+e2+ie6+ie7", "-e1-e2-ie6-ie7"]
+# s = a + b not in F (a - b): the theorem's dependent case with p = 1 + p0
+OS_SCAN_PAIR = ["e2-e7'", "1/2e1'+1/2e4"]
 
 CASES = {
     "table-H": (["table", "--algebra", "H"], 0),
@@ -83,6 +86,15 @@ CASES = {
         ["conjugate-witness", "--algebra", "Os", "--minimal", "e1'+e2", "2e1'+2e2"],
         0,
     ),
+    "conjugate-witness-Os-minimal-scan": (
+        ["conjugate-witness", "--algebra", "Os", "--minimal", "--", *OS_SCAN_PAIR],
+        0,
+    ),
+    "conjugate-witness-Os-minimal-scan-json": (
+        ["conjugate-witness", "--algebra", "Os", "--minimal", "--json"]
+        + ["--", *OS_SCAN_PAIR],
+        0,
+    ),
     "conjugate-witness-Oc-minimal": (
         ["conjugate-witness", "--algebra", "Oc", "--minimal", "--", *OC_PAIR_RULE],
         0,
@@ -99,6 +111,10 @@ CASES = {
     "commutant-Os-none": (["commutant", "--algebra", "Os", *OS_NULL_PAIR], 0),
     "commutant-Os-none-json": (
         ["commutant", "--algebra", "Os", "--json", *OS_NULL_PAIR],
+        0,
+    ),
+    "commutant-Os-dependent": (
+        ["commutant", "--algebra", "Os", "--", *OS_SCAN_PAIR],
         0,
     ),
     "commutant-Os-nonpure": (

@@ -723,6 +723,31 @@ def test_rank_test_matches_the_elimination_and_sympy(name):
         assert nullities & {1, 3, 5, 7}
 
 
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_pure_pairs_of_equal_norm_never_take_the_rank_test(monkeypatch, name):
+    # their map is always singular: the pairs the closed form leaves, b = -a
+    # and dependent s, t (null multiples, and s not in F (a - b)), go
+    # straight to the elimination
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"no-rank-test:{name}")
+    pairs = []
+    for _ in range(4):
+        a = random_pure_nonzero(rng, alg, max_abs=3, frac_prob=0.5)
+        pairs.append((a, -a))
+    if not alg.is_division:
+        pairs += list(_null_multiples(rng, alg, 6))
+    if alg is Os:
+        pairs.append(tuple(parse_element(x, Os) for x in ("e2-e7'", "1/2e1'+1/2e4")))
+    with monkeypatch.context() as m:
+        m.setattr(compalg.commutant, "_nonsingular", _forbidden)
+        reports = [single_conjugator_search(a, b) for a, b in pairs]
+    for (a, b), report in zip(pairs, reports):
+        case = _single_conjugator(a, b)[0]
+        assert case in (SingleCase.NEGATED, SingleCase.DEPENDENT), (str(a), str(b))
+        assert report.nullity == sympy_nullity(twisted_commutant_matrix(a, b))
+        assert report.single_exists
+
+
 def _symbolic_map(alg, a, b):
     """The sympy matrix of p -> p a - b p for coefficient lists a, b."""
     m = sympy.zeros(alg.dim, alg.dim)

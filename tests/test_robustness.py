@@ -32,12 +32,16 @@ from compalg import (
     O,
     Os,
     ParseError,
+    classify,
     collapse_quaternion,
     conjugacy_witness,
     counterexample_instances,
+    embed_in_cayley,
     exact_div,
+    format_element,
     format_scalar,
     negator,
+    negator_candidates,
     nullspace,
     parse_element,
     sandwich,
@@ -279,6 +283,14 @@ WITNESS = conjugacy_witness(H.basis(1), H.basis(2))
 def test_witnesses_reject_non_elements(fn, args):
     with pytest.raises(AlgebraMismatch, match="expected two elements"):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn", [classify, embed_in_cayley, negator_candidates, format_element]
+)
+def test_element_views_reject_non_elements(fn):
+    with pytest.raises(AlgebraMismatch, match="expected two elements, got int"):
+        fn(5)
 
 
 @pytest.mark.parametrize(
