@@ -15,10 +15,10 @@ and every other pair takes the rank test, or else the elimination.
    s*a, which always solve the equation.  A theorem, proved in
    ``single_conjugator_search`` for dim 4 and dim 8 alike, says they span
    them in the cases SUM and NONE of the single-conjugator theorem (s !=
-   0 and s, t independent), which ``witnesses._single_case`` decides; in
-   the others the map is singular.  The elimination's ``_echelon`` and
-   ``_reduce_above``, run on s and t with their coordinates reversed,
-   reduce them to exactly the elimination's basis.
+   0 and s, t independent); in the others the map is singular.
+   ``witnesses._single_case`` decides the case from the echelon form of t
+   and s with their coordinates reversed, and ``_closed_form`` only clears
+   its rows above the pivots: that is exactly the elimination's basis.
 2. Rank test.  Whether p -> p*a - b*p is invertible is read from its
    determinant, a polynomial in c = Re a - Re b, N(Im a), N(Im b) and
    N(Im a + Im b), proved in ``_nonsingular`` and evaluated there on the
@@ -28,14 +28,10 @@ and every other pair takes the rank test, or else the elimination.
    eliminated.  Its matrix, the left multiplication by a minus the right
    multiplication by b, is read off the structure table and the stored
    integer forms of a and b, as rows in core's integer form ``(re, im)``
-   over one denominator.  The elimination is fraction-free and echelon
-   first: ``_echelon`` divides each row by its content and clears the
-   rows below each pivot with Gaussian-integer multipliers (a real row is
-   the ``im is None`` case), and ``_reduce_above`` clears the rows above
-   each pivot top-down, in pivot order: every row combination is then the
-   one a Gauss-Jordan elimination makes, so the result and the cost are
-   those of one Gauss-Jordan pass (clearing bottom-up works on rows grown
-   by the later pivots, and is slower).  One back-substitution writes
+   over one denominator.  Core's fraction-free kernel eliminates it
+   echelon first: ``_echelon`` clears the rows below each pivot and
+   ``_reduce_above`` those above it, top-down, so the result and the cost
+   are those of one Gauss-Jordan pass.  One back-substitution writes
    each basis vector over the lcm of its reduced pivot divisors, without
    a ``Fraction``.  Core's canonical forms reduce it: the search builds
    its basis elements with ``_normal``, and ``twisted_commutant_matrix``
@@ -66,11 +62,14 @@ from .core import (
     _coefficients,
     _divided,
     _dot,
+    _echelon,
     _entry,
     _gmul,
     _invertible,
     _lincomb,
     _normal,
+    _reduce_above,
+    _reversed,
     _same_norm,
     integer_form,
     sandwich,
@@ -174,116 +173,24 @@ def _nullspace_form(rows, ncols):
     return basis
 
 
-def _echelon(rows, ncols):
-    """``(rows, pivots)``: integer-form rows ``(re, im)`` brought to row
-    echelon form with leftmost-nonzero pivoting, row i carrying pivot
-    column ``pivots[i]`` and the rows below it 0 there; the rows past the
-    last pivot are 0.
-
-    The elimination is fraction-free: each row is divided by its content,
-    and a row is cleared against the pivot row as ``pivot * row - entry *
-    pivot_row`` with Gaussian-integer multipliers (a real row has im None).
-    A rank decision ends here; ``_reduce_above`` completes a null space.
-    """
-    rows = [_primitive(u) for u in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        for pr in range(r, len(rows)):
-            re, im = rows[pr]
-            if re[c] or im and im[c]:
-                break
-        else:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(r + 1, len(rows)):
-            re, im = rows[i]
-            if re[c] or im and im[c]:
-                rows[i] = _combine(rows[i], rows[r], c)
-        pivots.append(c)
-    return rows, pivots
-
-
-def _reduce_above(rows, pivots):
-    """``_echelon``'s rows brought to reduced row echelon form, in place:
-    row i keeps pivot column ``pivots[i]`` and is 0 at the other pivot
-    columns.
-
-    It runs top-down: pivot row r, in pivot order, clears its column in
-    the rows above it.  Row r is then still as ``_echelon`` left it, and
-    each row above has met the pivot rows between them in order, so every
-    ``_combine`` is the one a Gauss-Jordan elimination (clear above and
-    below at each pivot) makes, on the same two rows: the result is the
-    same, and a rank-deficient matrix costs what it costs in one pass.
-    Clearing bottom-up instead meets rows that carry the later pivot
-    rows' growth, and was slower on large Gaussian eliminations.
-    """
-    for r, c in enumerate(pivots):
-        for i in range(r):
-            re, im = rows[i]
-            if re[c] or im and im[c]:
-                rows[i] = _combine(rows[i], rows[r], c)
-
-
-def _primitive(u):
-    """An integer-form vector divided by the gcd of all its parts."""
-    re, im = u
-    g = gcd(*re, *(im or ()))
-    if g > 1:
-        return [x // g for x in re], im and [x // g for x in im]
-    return u
-
-
-def _combine(row, pivot_row, c):
-    """``p * row - f * pivot_row`` with p, f the Gaussian-integer column-c
-    entries of pivot_row and row over the gcd of their parts, so column c
-    clears; the new row is divided by its content."""
-    (xr, xi), (yr, yi) = row, pivot_row
-    p, f = yr[c], xr[c]
-    if xi is None and yi is None:
-        g = gcd(p, f)
-        p, f = p // g, f // g
-        new = [p * x - f * y for x, y in zip(xr, yr)]
-        g = gcd(*new)
-        return [x // g for x in new] if g > 1 else new, None
-    zero = (0,) * len(xr)
-    xi, yi = xi or zero, yi or zero
-    q, h = yi[c], xi[c]
-    g = gcd(p, q, f, h)
-    p, q, f, h = p // g, q // g, f // g, h // g
-    re = [p * a - q * b - f * s + h * t for a, b, s, t in zip(xr, xi, yr, yi)]
-    im = [p * b + q * a - f * t - h * s for a, b, s, t in zip(xr, xi, yr, yi)]
-    return _primitive((re, im if any(im) else None))
-
-
 def _closed_form(a, b):
     """``(case, basis)`` for pure a, b of equal norm: the case of the
     single-conjugator theorem from ``witnesses._single_case``, and the
     canonical null-space basis of p*a = b*p when s = a + b and t = s*a span
     it (see ``single_conjugator_search``), else None.
 
-    In the cases SUM and NONE, s != 0 and s, t are independent, so the
-    reversed t, s have rank 2; NEGATED (s = 0) and DEPENDENT have no basis.
+    In the cases SUM and NONE the rows of ``_single_case``'s echelon, cleared
+    above their pivots, are the basis; NEGATED and DEPENDENT have none.
     """
-    case, s, t = _single_case(a, b)
+    case, _, _, rows, pivots = _single_case(a, b)
     if case is SingleCase.NEGATED or case is SingleCase.DEPENDENT:
         return case, None
-    alg = a.algebra
-    rows, pivots = _echelon([_reversed(t), _reversed(s)], alg.dim)
     _reduce_above(rows, pivots)
     # row i is the basis vector of free column dim - 1 - pivots[i]
     return case, tuple(
-        _divided(alg, _reversed(u), _entry(u, c), 1)
+        _divided(a.algebra, _reversed(u), _entry(u, c), 1)
         for u, c in zip(rows[::-1], pivots[::-1])
     )
-
-
-def _reversed(u):
-    """An integer-form vector with its coordinates in reverse order."""
-    re, im = u
-    return re[::-1], im[::-1] if im and any(im) else None
 
 
 def _nonsingular(a, b):

@@ -41,7 +41,9 @@ same way (``Algebra.dot``).  Inverse and sandwich fold the norm into the
 common denominator.  Sums, negation and conjugation are integer vector
 operations; a field scalar operand is written in integer form once, so a
 scalar product scales the numerators and a scalar sum changes index 0 only.
-``commutant`` builds its matrix, null space and basis on the same form.
+The one fraction-free elimination is here too: ``_echelon`` decides every
+rank (``commutant``'s null spaces and span tests, ``witnesses``' theorem
+cases) and ``_reduce_above`` completes a null space on the same rows.
 
 ``coeffs`` is derived from the stored form on each access and nothing is
 cached.  It is in normal form: an ``int`` when integral, else a reduced
@@ -294,6 +296,96 @@ def _divided(algebra, u, m, den):
         u = _scaled(u, (mr, -mi))
         mr = mr * mr + mi * mi
     return _normal(algebra, u, mr * den)
+
+
+def _echelon(rows, ncols):
+    """``(rows, pivots)``: integer-form rows ``(re, im)`` brought to row
+    echelon form with leftmost-nonzero pivoting, row i carrying pivot
+    column ``pivots[i]`` and the rows below it 0 there; the rows past the
+    last pivot are 0.
+
+    The elimination is fraction-free: each row is divided by its content,
+    and a row is cleared against the pivot row as ``pivot * row - entry *
+    pivot_row`` with Gaussian-integer multipliers (a real row has im None).
+    A rank decision ends here; ``_reduce_above`` completes a null space.
+    """
+    rows = [_primitive(u) for u in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        for pr in range(r, len(rows)):
+            re, im = rows[pr]
+            if re[c] or im and im[c]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        for i in range(r + 1, len(rows)):
+            re, im = rows[i]
+            if re[c] or im and im[c]:
+                rows[i] = _combine(rows[i], rows[r], c)
+        pivots.append(c)
+    return rows, pivots
+
+
+def _reduce_above(rows, pivots):
+    """``_echelon``'s rows brought to reduced row echelon form, in place:
+    row i keeps pivot column ``pivots[i]`` and is 0 at the other pivot
+    columns.
+
+    It runs top-down: pivot row r, in pivot order, clears its column in
+    the rows above it.  Row r is then still as ``_echelon`` left it, and
+    each row above has met the pivot rows between them in order, so every
+    ``_combine`` is the one a Gauss-Jordan elimination (clear above and
+    below at each pivot) makes, on the same two rows: the result is the
+    same, and a rank-deficient matrix costs what it costs in one pass.
+    Clearing bottom-up instead meets rows that carry the later pivot
+    rows' growth, and was slower on large Gaussian eliminations.
+    """
+    for r, c in enumerate(pivots):
+        for i in range(r):
+            re, im = rows[i]
+            if re[c] or im and im[c]:
+                rows[i] = _combine(rows[i], rows[r], c)
+
+
+def _primitive(u):
+    """An integer-form vector divided by the gcd of all its parts."""
+    re, im = u
+    g = gcd(*re, *(im or ()))
+    if g > 1:
+        return [x // g for x in re], im and [x // g for x in im]
+    return u
+
+
+def _combine(row, pivot_row, c):
+    """``p * row - f * pivot_row`` with p, f the Gaussian-integer column-c
+    entries of pivot_row and row over the gcd of their parts, so column c
+    clears; the new row is divided by its content."""
+    (xr, xi), (yr, yi) = row, pivot_row
+    p, f = yr[c], xr[c]
+    if xi is None and yi is None:
+        g = gcd(p, f)
+        p, f = p // g, f // g
+        new = [p * x - f * y for x, y in zip(xr, yr)]
+        g = gcd(*new)
+        return [x // g for x in new] if g > 1 else new, None
+    zero = (0,) * len(xr)
+    xi, yi = xi or zero, yi or zero
+    q, h = yi[c], xi[c]
+    g = gcd(p, q, f, h)
+    p, q, f, h = p // g, q // g, f // g, h // g
+    re = [p * a - q * b - f * s + h * t for a, b, s, t in zip(xr, xi, yr, yi)]
+    im = [p * b + q * a - f * t - h * s for a, b, s, t in zip(xr, xi, yr, yi)]
+    return _primitive((re, im if any(im) else None))
+
+
+def _reversed(u):
+    """An integer-form vector with its coordinates in reverse order."""
+    re, im = u
+    return re[::-1], im[::-1] if im and any(im) else None
 
 
 def _conj4(u):

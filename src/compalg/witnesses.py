@@ -42,6 +42,7 @@ from .core import (
     Hs,
     _divided,
     _dot,
+    _echelon,
     _entry,
     _gmul,
     _invertible,
@@ -49,6 +50,7 @@ from .core import (
     _norms,
     _normal,
     _product,
+    _reversed,
     _same_norm,
     _scaled,
     sandwich,
@@ -214,32 +216,28 @@ class SingleCase(Enum):
 
 
 def _single_case(a, b):
-    """``(case, s, t)`` for pure a, b of equal norm: the case of the
-    single-conjugator theorem, decided here only, and the integer forms s =
-    (a + b) d e (d = a.den, e = b.den) and t = s * a.num (None if s = 0).
-    It is total on these pairs, zeros included: with a = 0 or b = 0 the
-    case is NEGATED (both zero) or DEPENDENT (t = 0)."""
+    """``(case, s, t, rows, pivots)`` for pure a, b of equal norm: the case
+    of the single-conjugator theorem, decided here only, the integer forms
+    s = (a + b) d e (d = a.den, e = b.den) and t = s * a.num, and the rows
+    and pivots of the ``_echelon`` of the reversed t and s (t, rows and
+    pivots are None for s = 0, NEGATED).  N(s) != 0 gives SUM; else rank 1
+    gives DEPENDENT and rank 2 NONE, which the 2 x 2 minor of s, t at the
+    pivots, checked nonzero, confirms apart from the elimination.  It is
+    total on these pairs, zeros included: with a = 0 or b = 0 the case is
+    NEGATED (both zero) or DEPENDENT (t = 0)."""
     alg, s = a.algebra, _lincomb(b.den, a.num, a.den, b.num)
     if not any(s[0]) and not any(s[1] or ()):
-        return SingleCase.NEGATED, s, None
+        return SingleCase.NEGATED, s, None, None, None
     t = _product(alg.mul, s, a.num)
+    rows, pivots = _echelon([_reversed(t), _reversed(s)], alg.dim)
     if _dot(alg.dot, s, s) != (0, 0):
-        return SingleCase.SUM, s, t
-    if _parallel(s, t, _first_nonzero(s)):
-        return SingleCase.DEPENDENT, s, t
-    return SingleCase.NONE, s, t
-
-
-def _first_nonzero(u):
-    """The first index at which a nonzero integer-form vector is nonzero."""
-    return next(k for k in range(len(u[0])) if _entry(u, k) != (0, 0))
-
-
-def _parallel(u, v, k):
-    """Whether v is a multiple of u, for u nonzero at k: u_k v == v_k u."""
-    (xr, xi), (yr, yi) = _scaled(v, _entry(u, k)), _scaled(u, _entry(v, k))
-    zero = [0] * len(xr)
-    return xr == yr and (xi or zero) == (yi or zero)
+        return SingleCase.SUM, s, t, rows, pivots
+    if len(pivots) == 1:
+        return SingleCase.DEPENDENT, s, t, rows, pivots
+    k, j = (alg.dim - 1 - c for c in pivots)
+    if _gmul(_entry(s, k), _entry(t, j)) == _gmul(_entry(s, j), _entry(t, k)):
+        raise ConsistencyError("s, t read as independent have a zero pivot minor")
+    return SingleCase.NONE, s, t, rows, pivots
 
 
 def _shifted(u, z):
@@ -292,13 +290,15 @@ def _single_conjugator(a, b):
     it.
 
     Everything is computed on integer forms, from the case, S = (a + b) d'
-    e' and T = S u of ``_single_case``, with a = u / d' and b = v / e':
-    lambda d' = T_k / S_k for the first k with S_k != 0, W = S_k d d' e' -
-    2 e' T_k = S_k d' e' w and p = (m - d' e' x W) / m with m = 2 d' e' S_k
-    <S, x>; and p = ((1 + c) 2 <u, e_k> + (c - 1)(e_k u - u e_k)) / (2 <u,
-    e_k>) with c = v_k d' / (u_k e').
+    e', T = S u and the echelon of ``_single_case``, with a = u / d' and b
+    = v / e': lambda d' = T_k / S_k for the last k with S_k != 0, read off
+    pivot 0 (any such k gives the same p), W = S_k d d' e' - 2 e' T_k = S_k
+    d' e' w and p = (m - d' e' x W) / m with m = 2 d' e' S_k <S, x>.  b = c
+    a when the echelon of u, v has rank 1, its pivot the first k with u_k !=
+    0: then p = ((1 + c) 2 <u, e_k> + (c - 1)(e_k u - u e_k)) / (2 <u, e_k>)
+    with c = v_k d' / (u_k e').
     """
-    case, s, t = _single_case(a, b)
+    case, s, t, _, pivots = _single_case(a, b)
     alg, u, d, e = a.algebra, a.num, a.den, b.den
     if case is SingleCase.SUM:
         return case, _normal(alg, s, d * e)
@@ -306,11 +306,11 @@ def _single_conjugator(a, b):
         return case, negator(a)
     if case is SingleCase.NONE:
         return case, None
-    k = _first_nonzero(u)
+    k, *more = _echelon([u, b.num], alg.dim)[1]  # rank 1 iff b = c a
     uk = _entry(u, k)
     # c = (vr + vi i) / (ur + ui i) whenever b = c a
     (vr, vi), (ur, ui) = _gmul(_entry(b.num, k), (d, 0)), _gmul(uk, (e, 0))
-    if (vr, vi) != (ur, ui) and _parallel(u, b.num, k):
+    if not more and (vr, vi) != (ur, ui):
         # p = ((1 + c) n + (c - 1)(e_k u - u e_k)) / n for n = 2 <u, e_k>,
         # numerator and denominator times uk e
         ek = alg.basis(k).num
@@ -319,7 +319,7 @@ def _single_conjugator(a, b):
         p = _shifted(_scaled(comm, (vr - ur, vi - ui)), _gmul((vr + ur, vi + ui), n))
         return case, _divided(alg, p, _gmul(n, uk), e)
     dv = _lincomb(e, u, -d, b.num)  # (a - b) d e
-    k = _first_nonzero(s)
+    k = alg.dim - 1 - pivots[0]  # the last k with s_k != 0
     sk, tk = _entry(s, k), _entry(t, k)
     w = _shifted(_scaled(dv, sk), (-2 * e * tk[0], -2 * e * tk[1]))
     x = next((x for x in _orthogonal(alg, dv) if _dot(alg.dot, x, s) != (0, 0)), None)

@@ -21,6 +21,8 @@ OS_NULL_PAIR = ["4e1'+5e2+3e3'-5e4+4e5'+3e7'", "3e2+4e6+5e7'"]
 OC_PAIR_RULE = ["e1+e2+ie6+ie7", "-e1-e2-ie6-ie7"]
 # s = a + b not in F (a - b): the theorem's dependent case with p = 1 + p0
 OS_SCAN_PAIR = ["e2-e7'", "1/2e1'+1/2e4"]
+# b = i a: the theorem's dependent case with p = (1 + c) + (c - 1) h
+OC_MULTIPLE_PAIR = ["e1+ie2", "ie1-e2"]
 
 CASES = {
     "table-H": (["table", "--algebra", "H"], 0),
@@ -97,6 +99,14 @@ CASES = {
     ),
     "conjugate-witness-Oc-minimal": (
         ["conjugate-witness", "--algebra", "Oc", "--minimal", "--", *OC_PAIR_RULE],
+        0,
+    ),
+    "conjugate-witness-Os-minimal-none": (
+        ["conjugate-witness", "--algebra", "Os", "--minimal", *OS_NULL_PAIR],
+        0,
+    ),
+    "conjugate-witness-Oc-minimal-multiple": (
+        ["conjugate-witness", "--algebra", "Oc", "--minimal", "--", *OC_MULTIPLE_PAIR],
         0,
     ),
     "commutant-H": (["commutant", "--algebra", "H", "e1", "e2"], 0),

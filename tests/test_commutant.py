@@ -41,7 +41,7 @@ from compalg.sampling import (
     random_pure_nonzero,
 )
 from compalg.cli import main
-from compalg.witnesses import SingleCase, _single_conjugator
+from compalg.witnesses import SingleCase, _single_case, _single_conjugator
 
 from helpers import (
     grid_single_conjugator,
@@ -398,6 +398,45 @@ def test_closed_form_answers_deep_oc_pairs_and_golden_instances(monkeypatch):
         assert _both_paths(monkeypatch, a, b) == (True, 2)
 
 
+def _second_elimination(*args):
+    raise AssertionError("the closed form ran an elimination of its own")
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_closed_form_reuses_the_theorems_echelon(monkeypatch, name):
+    # on SUM and NONE pairs the echelon that decides the theorem's case is
+    # the one the closed form reduces: a search runs exactly one elimination
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"one-echelon:{name}")
+    pairs = [(a, b) for kind, a, b in _differential_pairs(alg, rng) if kind != "whole"]
+    pairs += [(a, b) for g, a, b, _ in counterexample_instances() if g is alg]
+    if alg is Os:
+        texts = ("4e1'+5e2+3e3'-5e4+4e5'+3e7'", "3e2+4e6+5e7'")
+        pairs.append(tuple(parse_element(x, Os) for x in texts))
+    cases = {_single_case(a, b)[0] for a, b in pairs}
+    pairs = [
+        (a, b)
+        for a, b in pairs
+        if _single_case(a, b)[0] in (SingleCase.SUM, SingleCase.NONE)
+    ]
+    calls = []
+    echelon = compalg.core._echelon
+
+    def counted(*args):
+        calls.append(None)
+        return echelon(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(compalg.commutant, "_echelon", _second_elimination)
+        m.setattr(compalg.witnesses, "_echelon", counted)
+        for a, b in pairs:
+            calls.clear()
+            assert single_conjugator_search(a, b).nullity == 2, (str(a), str(b))
+            assert len(calls) == 1, (str(a), str(b))
+    assert SingleCase.SUM in cases
+    assert (SingleCase.NONE in cases) == (name in ("Os", "Oc"))
+
+
 def test_forced_elimination_keeps_reports_and_cli_output(monkeypatch, capsys):
     cm = compalg.commutant
     rng = random.Random("unlucky-prime")
@@ -598,18 +637,39 @@ def test_minimal_witnesses_never_search(monkeypatch):
     assert "commutant" not in imported
 
 
+@pytest.mark.parametrize("name", ["Hs", "Hc", "Os", "Oc"])
+def test_single_case_is_total_on_zero_operands(name):
+    # pure pairs of equal norm with a zero side: (0, n) and (n, 0) for a
+    # null n are DEPENDENT (t = 0), (0, 0) is NEGATED, and the search's
+    # elimination gives the oracle's nullity
+    alg = ALGEBRAS[name]
+    rng = random.Random(f"zero-operands:{name}")
+    zero = alg.zero()
+    for _ in range(3):
+        n = random_null_pure(rng, alg)
+        expected = [
+            (zero, n, SingleCase.DEPENDENT),
+            (n, zero, SingleCase.DEPENDENT),
+            (zero, zero, SingleCase.NEGATED),
+        ]
+        for a, b, case in expected:
+            assert _single_case(a, b)[0] is case, (str(a), str(b))
+            report = single_conjugator_search(a, b)
+            assert report.nullity == sympy_nullity(twisted_commutant_matrix(a, b))
+
+
 # -- the elimination's work ----------------------------------------------------
 
 
 def _count_combines(monkeypatch):
     calls = []
-    combine = compalg.commutant._combine
+    combine = compalg.core._combine
 
     def counted(*args):
         calls.append(None)
         return combine(*args)
 
-    monkeypatch.setattr(compalg.commutant, "_combine", counted)
+    monkeypatch.setattr(compalg.core, "_combine", counted)
     return calls
 
 

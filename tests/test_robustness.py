@@ -517,6 +517,46 @@ def test_dependent_case_check_catches_a_failed_scan(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+
+# (algebra, a, b, message, minimal): dependent pairs.  Under the fault the
+# first three keep rank 1 in the theorem's echelon (t = 0) and the
+# elimination's basis contradicts the case; the last two (t != 0) read as
+# rank 2, which the pivot minor refutes.  Minimal witnesses of b = c a read
+# a, b as independent and find no x for the scan.
+KERNEL_FAULT_PAIRS = [
+    ("Os", "e2-e7'", "1/2e1'+1/2e4", "contradicts the single", False),
+    ("Os", "e1'+e2", "2e1'+2e2", "contradicts the single", True),
+    ("Oc", "e1+ie2", "ie1-e2", "contradicts the single", True),
+    ("Os", "e1'+e3'-e6", "-e3'-e4+e7'", "zero pivot minor", False),
+    ("Hs", "e1'+e2-e3'", "e3'", "zero pivot minor", False),
+]
+
+
+@pytest.mark.parametrize("name, x, y, message, minimal", KERNEL_FAULT_PAIRS)
+def test_shared_kernel_fault_trips_the_theorem_check(
+    monkeypatch, capsys, name, x, y, message, minimal
+):
+    # one echelon decides the theorem's case and feeds the closed form, so a
+    # fault in the shared elimination kernel, a row combination that never
+    # clears its column, must not turn into a wrong verdict
+    alg = ALGEBRAS[name]
+    a, b = parse_element(x, alg), parse_element(y, alg)
+    assert single_conjugator_search(a, b).single_exists
+    with monkeypatch.context() as m:
+        m.setattr(compalg.core, "_combine", lambda row, pivot_row, c: row)
+        with pytest.raises(ConsistencyError, match=message):
+            single_conjugator_search(a, b)
+        assert main(["commutant", "--algebra", name, "--", x, y]) == 3
+        if minimal:
+            with pytest.raises(ConsistencyError, match="no pure x with"):
+                conjugacy_witness(a, b, minimal=True)
+            argv = ["conjugate-witness", "--algebra", name, "--minimal", "--", x, y]
+            assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal consistency failure: ")
+    assert "Traceback" not in err
+    assert conjugacy_witness(a, b, minimal=True).is_single
+
 def test_counterexample_check_lets_bugs_propagate(monkeypatch):
     def buggy(a, b):
         raise RuntimeError("bug")
