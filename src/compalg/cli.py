@@ -129,7 +129,9 @@ def _cmd_conjugate_witness(args):
     w = conjugacy_witness(a, b, minimal=args.minimal)
     if a.algebra.dim == 4:
         w = collapse_quaternion(w)
-    report = verify_witness(a, b, w)
+    report = verify_witness(a, b, w)  # the collapse is checked here only
+    if not report.ok:
+        raise ConsistencyError(f"witness failed checks: {report.failures}")
     lines = [
         f"kind: {'single' if w.is_single else 'double'}",
         f"branch: {w.branch.value}",

@@ -16,9 +16,9 @@ and every other pair takes the rank test, or else the elimination.
    ``single_conjugator_search`` for dim 4 and dim 8 alike, says they span
    them in the cases SUM and NONE of the single-conjugator theorem (s !=
    0 and s, t independent); in the others the map is singular.
-   ``witnesses._single_case`` decides the case from the echelon form of t
-   and s with their coordinates reversed, and ``_closed_form`` only clears
-   its rows above the pivots: that is exactly the elimination's basis.
+   ``witnesses._single_case`` decides the case from one echelon of t and
+   s and hands out that echelon, reduced, as exactly the elimination's
+   basis; the search only divides each row by its pivot entry.
 2. Rank test.  Whether p -> p*a - b*p is invertible is read from its
    determinant, a polynomial in c = Re a - Re b, N(Im a), N(Im b) and
    N(Im a + Im b), proved in ``_nonsingular`` and evaluated there on the
@@ -69,7 +69,6 @@ from .core import (
     _lincomb,
     _normal,
     _reduce_above,
-    _reversed,
     _same_norm,
     integer_form,
     sandwich,
@@ -171,26 +170,6 @@ def _nullspace_form(rows, ncols):
             re[c], im[c] = -x * m, -y * m
         basis.append((den, (re, im if any(im) else None)))
     return basis
-
-
-def _closed_form(a, b):
-    """``(case, basis)`` for pure a, b of equal norm: the case of the
-    single-conjugator theorem from ``witnesses._single_case``, and the
-    canonical null-space basis of p*a = b*p when s = a + b and t = s*a span
-    it (see ``single_conjugator_search``), else None.
-
-    In the cases SUM and NONE the rows of ``_single_case``'s echelon, cleared
-    above their pivots, are the basis; NEGATED and DEPENDENT have none.
-    """
-    case, _, _, rows, pivots = _single_case(a, b)
-    if case is SingleCase.NEGATED or case is SingleCase.DEPENDENT:
-        return case, None
-    _reduce_above(rows, pivots)
-    # row i is the basis vector of free column dim - 1 - pivots[i]
-    return case, tuple(
-        _divided(a.algebra, _reversed(u), _entry(u, c), 1)
-        for u, c in zip(rows[::-1], pivots[::-1])
-    )
 
 
 def _nonsingular(a, b):
@@ -311,7 +290,7 @@ def single_conjugator_search(a, b):
     0 or comes after one of these.  The p found is verified to conjugate a
     onto b, and for pure nonzero a, b of equal norm the verdict is checked
     against the case of the single-conjugator theorem, which
-    ``_closed_form`` returns; both checks are always on.
+    ``witnesses._single_case`` returns; both checks are always on.
 
     Closed form.  For pure a, b with N(a) = N(b), let s = a + b and t =
     s*a.  Then s*a = a^2 + b*a = b*a + b^2 = b*s, since x^2 = -N(x) for
@@ -344,23 +323,21 @@ def single_conjugator_search(a, b):
     t = lambda s forces N(s) = 0 (else a = s^-1 (s a) = lambda, so a = 0
     and N(s) = N(b) = 0).  Then K lies in d^perp, so the nullity is even
     and dim K or dim K + 1: 4 in dim 8 and 2 in dim 4.
-    The elimination's basis vector for a free column f is the solution
-    that is 1 at f and 0 at the other free columns, and the free columns
-    are the last-nonzero positions of the solution space.  So the same
-    elimination, run on t and s with their coordinates reversed, pivots on
-    those positions, and after the reduce-above step each row divided by
-    its pivot is the same basis, read from the right.  The pure pairs of
-    equal norm it leaves, s = 0 (b = -a) or dependent s, t, have a
-    singular map and take the elimination; every other pair takes the
-    rank test (``_nonsingular``), and the elimination when it fails.
+    In those cases ``witnesses._single_case`` hands out the elimination's
+    basis of span{s, t}.  The pure pairs of equal norm it leaves, s = 0
+    (b = -a) or dependent s, t, have a singular map and take the
+    elimination; every other pair takes the rank test (``_nonsingular``),
+    and the elimination when it fails.
     """
     Element._check_same(a, b)
     alg = a.algebra
     pure_pair = a.is_pure and b.is_pure and _same_norm(a, b)
+    case = basis = None
     if pure_pair:
-        case, basis = _closed_form(a, b)
-    else:
-        case, basis = None, () if _nonsingular(a, b) else None
+        case, _, _, rows = _single_case(a, b)
+        basis = rows and tuple(_divided(alg, u, m, 1) for u, m in rows)
+    elif _nonsingular(a, b):
+        basis = ()
     if basis is None:
         rows = _matrix_form(a, b)[1]
         basis = tuple(_normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim))

@@ -50,6 +50,7 @@ from .core import (
     _norms,
     _normal,
     _product,
+    _reduce_above,
     _reversed,
     _same_norm,
     _scaled,
@@ -216,28 +217,44 @@ class SingleCase(Enum):
 
 
 def _single_case(a, b):
-    """``(case, s, t, rows, pivots)`` for pure a, b of equal norm: the case
-    of the single-conjugator theorem, decided here only, the integer forms
-    s = (a + b) d e (d = a.den, e = b.den) and t = s * a.num, and the rows
-    and pivots of the ``_echelon`` of the reversed t and s (t, rows and
-    pivots are None for s = 0, NEGATED).  N(s) != 0 gives SUM; else rank 1
-    gives DEPENDENT and rank 2 NONE, which the 2 x 2 minor of s, t at the
-    pivots, checked nonzero, confirms apart from the elimination.  It is
-    total on these pairs, zeros included: with a = 0 or b = 0 the case is
-    NEGATED (both zero) or DEPENDENT (t = 0)."""
+    """``(case, s, t, basis)`` for pure a, b of equal norm: the case of the
+    single-conjugator theorem, decided here only; the integer forms s = (a +
+    b) d e (d = a.den, e = b.den) and t = s * a.num (None for NEGATED); and
+    for SUM and NONE the canonical null-space basis of p*a = b*p as pairs
+    (u, m), the element u / m for an integer-form u and a Gaussian integer
+    m (else None).  It is total on these pairs, zeros included: with a = 0
+    or b = 0 the case is NEGATED (both zero) or DEPENDENT (t = 0).
+
+    One ``_echelon`` of t and s with their coordinates reversed decides the
+    case: N(s) != 0 gives SUM; else rank 1 gives DEPENDENT and rank 2 NONE,
+    confirmed apart from the elimination by a nonzero 2 x 2 minor of s, t
+    at the pivots.  In SUM and NONE, s and t span the solutions (proved in
+    ``commutant.single_conjugator_search``).  The elimination's basis
+    vector for a free column f is 1 at f and 0 at the other free columns,
+    which are the last-nonzero positions of the solutions.  The reversed
+    echelon pivots there, so after ``_reduce_above`` each row over its
+    pivot entry is that basis, read from the right.  Its shape is checked,
+    not its span: rank 2, and each row 0 at the other's pivot column."""
     alg, s = a.algebra, _lincomb(b.den, a.num, a.den, b.num)
     if not any(s[0]) and not any(s[1] or ()):
-        return SingleCase.NEGATED, s, None, None, None
+        return SingleCase.NEGATED, s, None, None
     t = _product(alg.mul, s, a.num)
     rows, pivots = _echelon([_reversed(t), _reversed(s)], alg.dim)
     if _dot(alg.dot, s, s) != (0, 0):
-        return SingleCase.SUM, s, t, rows, pivots
-    if len(pivots) == 1:
-        return SingleCase.DEPENDENT, s, t, rows, pivots
-    k, j = (alg.dim - 1 - c for c in pivots)
-    if _gmul(_entry(s, k), _entry(t, j)) == _gmul(_entry(s, j), _entry(t, k)):
-        raise ConsistencyError("s, t read as independent have a zero pivot minor")
-    return SingleCase.NONE, s, t, rows, pivots
+        case = SingleCase.SUM
+    elif len(pivots) == 1:
+        return SingleCase.DEPENDENT, s, t, None
+    else:
+        k, j = (alg.dim - 1 - c for c in pivots)
+        if _gmul(_entry(s, k), _entry(t, j)) == _gmul(_entry(s, j), _entry(t, k)):
+            raise ConsistencyError("s, t read as independent have a zero pivot minor")
+        case = SingleCase.NONE
+    _reduce_above(rows, pivots)
+    # at rank 1, f = c is the pivot of u, so the check trips
+    (u, v), c, f = rows, pivots[0], pivots[-1]
+    if _entry(u, f) != (0, 0) or _entry(v, c) != (0, 0):
+        raise ConsistencyError("closed-form basis is not a reduced echelon of rank 2")
+    return case, s, t, ((_reversed(v), _entry(v, f)), (_reversed(u), _entry(u, c)))
 
 
 def _shifted(u, z):
@@ -290,15 +307,15 @@ def _single_conjugator(a, b):
     it.
 
     Everything is computed on integer forms, from the case, S = (a + b) d'
-    e', T = S u and the echelon of ``_single_case``, with a = u / d' and b
-    = v / e': lambda d' = T_k / S_k for the last k with S_k != 0, read off
-    pivot 0 (any such k gives the same p), W = S_k d d' e' - 2 e' T_k = S_k
-    d' e' w and p = (m - d' e' x W) / m with m = 2 d' e' S_k <S, x>.  b = c
-    a when the echelon of u, v has rank 1, its pivot the first k with u_k !=
-    0: then p = ((1 + c) 2 <u, e_k> + (c - 1)(e_k u - u e_k)) / (2 <u, e_k>)
-    with c = v_k d' / (u_k e').
+    e' and T = S u of ``_single_case``, with a = u / d' and b = v / e':
+    lambda d' = T_k / S_k for the last k with S_k != 0 (any such k gives
+    the same p), W = S_k d d' e' - 2 e' T_k = S_k d' e' w and p = (m - d'
+    e' x W) / m with m = 2 d' e' S_k <S, x>.  b = c a when the echelon of
+    u, v has rank 1, its pivot the first k with u_k != 0: then p = ((1 +
+    c) 2 <u, e_k> + (c - 1)(e_k u - u e_k)) / (2 <u, e_k>) with c = v_k d'
+    / (u_k e').
     """
-    case, s, t, _, pivots = _single_case(a, b)
+    case, s, t, _ = _single_case(a, b)
     alg, u, d, e = a.algebra, a.num, a.den, b.den
     if case is SingleCase.SUM:
         return case, _normal(alg, s, d * e)
@@ -319,7 +336,7 @@ def _single_conjugator(a, b):
         p = _shifted(_scaled(comm, (vr - ur, vi - ui)), _gmul((vr + ur, vi + ui), n))
         return case, _divided(alg, p, _gmul(n, uk), e)
     dv = _lincomb(e, u, -d, b.num)  # (a - b) d e
-    k = alg.dim - 1 - pivots[0]  # the last k with s_k != 0
+    k = max(i for i in range(alg.dim) if _entry(s, i) != (0, 0))  # the last s_k != 0
     sk, tk = _entry(s, k), _entry(t, k)
     w = _shifted(_scaled(dv, sk), (-2 * e * tk[0], -2 * e * tk[1]))
     x = next((x for x in _orthogonal(alg, dv) if _dot(alg.dot, x, s) != (0, 0)), None)
@@ -398,6 +415,8 @@ def collapse_quaternion(w):
 def _check_witness(w):
     if not isinstance(w, ConjugacyWitness):
         raise AlgebraMismatch(f"expected a witness, got {type(w).__name__}")
+    for x in (w.p, w.p if w.q is None else w.q):
+        Element._check_same(x, x)  # each against itself: a lone non-element
 
 
 @dataclass(frozen=True)

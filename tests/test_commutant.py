@@ -41,6 +41,7 @@ from compalg.sampling import (
     random_pure_nonzero,
 )
 from compalg.cli import main
+from compalg.core import _divided
 from compalg.witnesses import SingleCase, _single_case, _single_conjugator
 
 from helpers import (
@@ -281,27 +282,27 @@ def _fingerprint(report):
 def _both_paths(monkeypatch, a, b):
     """Whether the closed form answered the search of (a, b), after checking
     that its report equals the one from forced elimination."""
-    closed_form = compalg.commutant._closed_form
+    single_case = compalg.commutant._single_case
     answered = []
 
     def spy(*args):
-        case, basis = closed_form(*args)
-        answered.append(basis is not None)
-        return case, basis
+        out = single_case(*args)
+        answered.append(out[3] is not None)
+        return out
 
-    monkeypatch.setattr(compalg.commutant, "_closed_form", spy)
+    monkeypatch.setattr(compalg.commutant, "_single_case", spy)
     fast = single_conjugator_search(a, b)
-    monkeypatch.setattr(compalg.commutant, "_closed_form", _case_only(closed_form))
+    monkeypatch.setattr(compalg.commutant, "_single_case", _case_only(single_case))
     slow = single_conjugator_search(a, b)
-    monkeypatch.setattr(compalg.commutant, "_closed_form", closed_form)
+    monkeypatch.setattr(compalg.commutant, "_single_case", single_case)
     assert _fingerprint(fast) == _fingerprint(slow), (str(a), str(b))
     return answered == [True], slow.nullity
 
 
-def _case_only(closed_form):
-    """A ``_closed_form`` that keeps the theorem's case but gives no basis,
-    which forces the search's elimination."""
-    return lambda a, b: (closed_form(a, b)[0], None)
+def _case_only(single_case):
+    """A ``_single_case`` that keeps the theorem's case, s and t but gives
+    no basis, which forces the search's elimination."""
+    return lambda a, b: (*single_case(a, b)[:3], None)
 
 
 def _independent(a, b):
@@ -462,9 +463,9 @@ def test_forced_elimination_keeps_reports_and_cli_output(monkeypatch, capsys):
             runs.append((code, capsys.readouterr()))
         return reports, runs
 
-    assert all(cm._closed_form(a, b)[1] is not None for a, b in pairs)
+    assert all(cm._single_case(a, b)[3] is not None for a, b in pairs)
     closed = outcomes()
-    monkeypatch.setattr(cm, "_closed_form", _case_only(cm._closed_form))
+    monkeypatch.setattr(cm, "_single_case", _case_only(cm._single_case))
     assert outcomes() == closed
 
 
@@ -481,16 +482,16 @@ def test_search_builds_no_exact_scalars(monkeypatch, name):
     pairs = [(a, b) for _, a, b in _differential_pairs(alg, rng)]
     pairs += list(_commutant_pairs(alg, rng, 8))
     pairs += [(a, b) for g, a, b, _ in counterexample_instances() if g is alg]
-    closed_form = compalg.commutant._closed_form
+    single_case = compalg.commutant._single_case
     with monkeypatch.context() as m:
         m.setattr(Fraction, "__new__", _forbidden)
         m.setattr(GaussRational, "__init__", _forbidden)
         m.setattr(GaussRational, "_make", _forbidden)
         fast = [single_conjugator_search(a, b) for a, b in pairs]
-        m.setattr(compalg.commutant, "_closed_form", _case_only(closed_form))
+        m.setattr(compalg.commutant, "_single_case", _case_only(single_case))
         slow = [single_conjugator_search(a, b) for a, b in pairs]
     assert list(map(_fingerprint, fast)) == list(map(_fingerprint, slow))
-    assert any(closed_form(a, b)[1] is not None for a, b in pairs)
+    assert any(single_case(a, b)[3] is not None for a, b in pairs)
     assert {r.verdict for r in fast} == {"SingleExists", "NoSingleConjugator"}
 
 
@@ -539,8 +540,8 @@ def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
             pairs.append((a, b))
     if not alg.is_division:
         pairs += [random_orthogonal_null_pair(rng, alg) for _ in range(count // 10)]
-    closed_form = compalg.commutant._closed_form
-    monkeypatch.setattr(compalg.commutant, "_closed_form", _case_only(closed_form))
+    single_case = compalg.commutant._single_case
+    monkeypatch.setattr(compalg.commutant, "_single_case", _case_only(single_case))
     classes, nullities, cases = set(), set(), set()
     for a, b in pairs:
         s = a + b
@@ -548,7 +549,7 @@ def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
         report = single_conjugator_search(a, b)
         case, p = _single_conjugator(a, b)
         cases.add(case)
-        assert closed_form(a, b)[0] is case, (str(a), str(b))
+        assert single_case(a, b)[0] is case, (str(a), str(b))
         if s.norm() != 0:
             assert case is SingleCase.SUM and p == s
         elif not s:
@@ -562,8 +563,9 @@ def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
         if not s:
             continue
         assert report.nullity == (2 if independent else alg.dim // 2), (str(a), str(b))
-        basis = closed_form(a, b)[1]
-        assert (basis is not None) == independent, (str(a), str(b))
+        rows = single_case(a, b)[3]
+        assert (rows is not None) == independent, (str(a), str(b))
+        basis = rows and tuple(_divided(alg, u, m, 1) for u, m in rows)
         assert basis is None or basis == report.nullspace_basis
         classes.add(((a + b).norm() == 0, (a - b).norm() == 0))
         nullities.add(report.nullity)

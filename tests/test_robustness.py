@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import compalg
+import compalg.cli
 import compalg.commutant
 import compalg.selftest
 import compalg.witnesses
@@ -22,7 +23,9 @@ from compalg import (
     ALGEBRAS,
     Algebra,
     AlgebraMismatch,
+    Branch,
     CheckReport,
+    ConjugacyWitness,
     ConsistencyError,
     Element,
     GaussRational,
@@ -267,6 +270,8 @@ def test_commutant_rejects_non_elements(solve, a, b):
 
 
 WITNESS = conjugacy_witness(H.basis(1), H.basis(2))
+SCALAR_P = ConjugacyWitness(3, None, Branch.SUM_INVERTIBLE)
+STRING_Q = ConjugacyWitness(H.basis(3), "x", Branch.NULL_PAIR)
 
 
 @pytest.mark.parametrize(
@@ -278,6 +283,10 @@ WITNESS = conjugacy_witness(H.basis(1), H.basis(2))
         (verify_negator, (H.basis(1), 3)),
         (verify_witness, (3, H.basis(2), WITNESS)),
         (verify_witness, (H.basis(1), 3, WITNESS)),
+        (verify_witness, (H.basis(1), H.basis(2), SCALAR_P)),
+        (collapse_quaternion, (SCALAR_P,)),
+        (verify_witness, (H.basis(1), H.basis(2), STRING_Q)),
+        (collapse_quaternion, (STRING_Q,)),
     ],
 )
 def test_witnesses_reject_non_elements(fn, args):
@@ -364,15 +373,15 @@ def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):
     a, b = H.basis(1), H.basis(2)
     assert single_conjugator_search(a, b).single_exists
     # the basis comes from the closed form, not the elimination
-    closed_form = compalg.commutant._closed_form
+    single_case = compalg.commutant._single_case
     answered = []
 
     def spy(*args):
-        case, basis = closed_form(*args)
-        answered.append(basis is not None)
-        return case, basis
+        out = single_case(*args)
+        answered.append(out[3] is not None)
+        return out
 
-    monkeypatch.setattr(compalg.commutant, "_closed_form", spy)
+    monkeypatch.setattr(compalg.commutant, "_single_case", spy)
     monkeypatch.setattr(compalg.commutant, "sandwich", lambda p, x: x)
     with pytest.raises(ConsistencyError, match="fails to conjugate a onto b"):
         single_conjugator_search(a, b)
@@ -476,19 +485,86 @@ def test_witness_checks_catch_an_injected_fault(monkeypatch, capsys, fault):
     fn(*args)
 
 
+@pytest.mark.parametrize("argv", [[], ["--json"]])
+@pytest.mark.parametrize("name, x, y", [("H", "e1", "e2"), ("Hs", "e2", "-e2")])
+def test_cli_check_catches_a_wrong_collapsed_witness(
+    monkeypatch, capsys, argv, name, x, y
+):
+    # over H, Hs and Hc the CLI checks the witness after collapsing it, which
+    # no library call has checked against a and b
+    def wrong(w):
+        return ConjugacyWitness.single(collapse_quaternion(w).p + 1, w.branch)
+
+    monkeypatch.setattr(compalg.cli, "collapse_quaternion", wrong)
+    assert main(["conjugate-witness", "--algebra", name, *argv, "--", x, y]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal consistency failure: witness failed checks")
+    assert "Traceback" not in err
+
+
+def _second_pivot_dropped(m):
+    echelon = compalg.witnesses._echelon
+
+    def rank_one(rows, ncols):
+        rows, pivots = echelon(rows, ncols)
+        return rows, pivots[:1]
+
+    m.setattr(compalg.witnesses, "_echelon", rank_one)
+
+
+def _rows_never_cleared(m):
+    m.setattr(compalg.core, "_combine", lambda row, pivot_row, c: row)
+
+
+# (fault, algebra, a, b): the NONE golden, whose wrong basis under the
+# kernel fault used to print with exit 0, and SUM pairs; a SUM pair read as
+# rank 1 trips the check too
+CLOSED_FORM_FAULTS = [
+    (_rows_never_cleared, "Os", "4e1'+5e2+3e3'-5e4+4e5'+3e7'", "3e2+4e6+5e7'"),
+    (_rows_never_cleared, "O", "e1+2e5", "2e3-e6"),
+    (_rows_never_cleared, "Hs", "e1'+e2", "e2+e3'"),
+    (_second_pivot_dropped, "H", "e1", "e2"),
+    (_second_pivot_dropped, "Oc", "e1+ie2+2e3", "2e5+ie6+e7"),
+]
+
+
+@pytest.mark.parametrize("fault, name, x, y", CLOSED_FORM_FAULTS)
+def test_closed_form_shape_check_catches_a_kernel_fault(
+    monkeypatch, capsys, fault, name, x, y
+):
+    # the closed-form basis must be a reduced echelon of rank 2: each row 0
+    # at the other row's pivot column
+    alg = ALGEBRAS[name]
+    a, b = parse_element(x, alg), parse_element(y, alg)
+    report = single_conjugator_search(a, b)
+    assert report.nullity == 2
+    with monkeypatch.context() as m:
+        fault(m)
+        with pytest.raises(ConsistencyError, match="not a reduced echelon of rank 2"):
+            single_conjugator_search(a, b)
+        for argv in ([], ["--json"]):
+            assert main(["commutant", "--algebra", name, *argv, "--", x, y]) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("internal consistency failure: closed-form basis")
+            assert "Traceback" not in err
+    assert single_conjugator_search(a, b) == report
+
+
 def test_search_check_catches_a_verdict_against_the_theorem(monkeypatch, capsys):
     # the search's always-on check: its verdict on a pure nonzero pair of
     # equal norm must be the theorem's, in both directions
     _, a, b, _ = counterexample_instances()[0]
     pairs = [(H.basis(1), H.basis(2), SingleCase.NONE), (a, b, SingleCase.DEPENDENT)]
-    closed_form = compalg.commutant._closed_form
+    single_case = compalg.commutant._single_case
     for a, b, case in pairs:
 
         def wrong(a, b, case=case):
-            return case, closed_form(a, b)[1]
+            return (case, *single_case(a, b)[1:])
 
         with monkeypatch.context() as m:
-            m.setattr(compalg.commutant, "_closed_form", wrong)
+            m.setattr(compalg.commutant, "_single_case", wrong)
             with pytest.raises(ConsistencyError, match="contradicts the single"):
                 single_conjugator_search(a, b)
             argv = ["commutant", "--algebra", a.algebra.name, "--", str(a), str(b)]
