@@ -204,27 +204,27 @@ def _nonsingular(a, b):
     N(e u' + d v').  Each factor is homogeneous in c^2, A, B and S, so it
     vanishes exactly when the same expression in those integers does.
     """
-    dot, d, e = a.algebra.dot, a.den, b.den
+    alg, d, e = a.algebra, a.den, b.den
     u, v = a.num, b.num
     (ur, ui), (vr, vi) = _entry(u, 0), _entry(v, 0)
     c = ur * e - vr * d, ui * e - vi * d
     cr, ci = _gmul(c, c)
-    ar, ai = _pure_norm(dot, u, e)
-    br, bi = _pure_norm(dot, v, d)
+    ar, ai = _pure_norm(alg, u, e)
+    br, bi = _pure_norm(alg, v, d)
     h = cr + ar + br, ci + ai + bi
     mr, mi = _gmul((ar, ai), (br, bi))
     if _gmul(h, h) == (4 * mr, 4 * mi):  # (c^2 + A + B)^2 = 4 A B
         return False
-    if a.algebra.dim == 4:
+    if alg.dim == 4:
         return True
-    sr, si = _pure_norm(dot, _lincomb(e, u, d, v), 1)
+    sr, si = _pure_norm(alg, _lincomb(e, u, d, v), 1)
     return (cr + sr, ci + si) != (0, 0)
 
 
-def _pure_norm(dot, u, m):
+def _pure_norm(alg, u, m):
     """N(u') m^2 as a Gaussian integer, for an integer-form vector u with
     pure part u' and an int m: N(u) less the square of entry 0."""
-    (nr, ni), (x, y) = _dot(dot, u, u), _entry(u, 0)
+    (nr, ni), (x, y) = _dot(alg, u, u), _entry(u, 0)
     m *= m
     return (nr - x * x + y * y) * m, (ni - 2 * x * y) * m
 

@@ -34,13 +34,18 @@ formatter reads it directly.  No operation computes on ``Fraction`` or
 ``_norms`` writes two norms over one denominator.  Every product, the doubling
 above included, runs one integer bilinear kernel per distinct structure table
 (``Algebra.mul``), compiled once from the table into straight-line code: one
-signed sum of ``u_i * v_j`` per output index, no loop, no table lookup.  Over
-the Gaussian rationals a product takes three real products, not four.  Inner
+signed sum of ``u_i * v_j`` per output index, no loop, no table lookup.  Inner
 product and norm are the metric-weighted integer dot product, compiled the
-same way (``Algebra.dot``).  Inverse and sandwich fold the norm into the
-common denominator.  Sums, negation and conjugation are integer vector
-operations; a field scalar operand is written in integer form once, so a
-scalar product scales the numerators and a scalar sum changes index 0 only.
+same way (``Algebra.dot``).  When one side of a product or dot is real, its
+imaginary part is one more call of the same kernel.  When both sides have
+imaginary parts, it is one call of the kernel's Gaussian twin
+(``Algebra.gauss_mul``, ``Algebra.gauss_dot``), straight-line code of four
+int vectors that takes three real products, not four.  Hc and Oc compile
+their twins on first use, so importing the package compiles neither.
+Inverse and sandwich fold the norm into the common denominator.  Sums,
+negation and conjugation are integer vector operations; a field scalar
+operand is written in integer form once, so a scalar product scales the
+numerators and a scalar sum changes index 0 only.
 The one fraction-free elimination is here too: ``_echelon`` decides every
 rank (``commutant``'s null spaces and span tests, ``witnesses``' theorem
 cases) and ``_reduce_above`` completes a null space on the same rows.
@@ -53,7 +58,7 @@ cached.  It is in normal form: an ``int`` when integral, else a reduced
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -131,13 +136,8 @@ def _table_product(table):
     the entries e_i e_j = +-e_k, one straight-line expression per k.  The
     source is generated from the table's shape and signs alone, once per
     distinct table (equal tables share the function)."""
-    sums = [""] * len(table)
-    for i, row in enumerate(table):
-        for j, (k, s) in enumerate(row):
-            sums[k] += f" {'-' if s < 0 else '+'} u{i}*v{j}"
-    # lstrip drops a leading plus; a leading minus stays, as unary minus
-    sums = ", ".join(t.lstrip(" +") for t in sums)
-    return _compiled("product", len(table), f"[{sums}]")
+    sums = ", ".join(_bilinear_sums(table, "u", "v"))
+    return _compiled("product", len(table), "uv", [f"return [{sums}]"])
 
 
 @cache
@@ -145,45 +145,101 @@ def _metric_dot_kernel(metric):
     """The metric-weighted dot product sum(metric[k] u_k v_k) as one
     compiled straight-line function of two int vectors; the metric entries
     are the norms +-1 of the basis units."""
-    terms = [f" {'-' if g < 0 else '+'} u{k}*v{k}" for k, g in enumerate(metric)]
-    return _compiled("dot", len(metric), "".join(terms).lstrip(" +"))
+    (dot,) = _metric_sums(metric, "u", "v")
+    return _compiled("dot", len(metric), "uv", [f"return {dot}"])
 
 
-def _compiled(name, n, expression):
-    """``def name(u, v)``: unpack two length-n vectors into u0.., v0.. and
-    return ``expression``."""
-    u = ", ".join(f"u{i}" for i in range(n))
-    v = ", ".join(f"v{i}" for i in range(n))
-    source = f"def {name}(u, v):\n    {u}, = u\n    {v}, = v\n    return {expression}\n"
+@cache
+def _gaussian_product(table):
+    """``_table_product``'s twin for two Gaussian int vectors: the product
+    of u = a + b i and v = c + d i as one compiled function of ``(a, b, c,
+    d)``, returning the lists ``(re, im)``."""
+    n = len(table)
+    re = ", ".join(f"p{k} - q{k}" for k in range(n))
+    im = ", ".join(f"s{k} - p{k} - q{k}" for k in range(n))
+    sums = partial(_bilinear_sums, table)
+    return _gaussian("gaussian_product", n, sums, f"return [{re}], [{im}]")
+
+
+@cache
+def _gaussian_dot(metric):
+    """``_metric_dot_kernel``'s twin for two Gaussian int vectors, returning
+    the Gaussian integer ``(re, im)``."""
+    sums = partial(_metric_sums, metric)
+    return _gaussian("gaussian_dot", len(metric), sums, "return p0 - q0, s0 - p0 - q0")
+
+
+def _gaussian(name, n, sums, result):
+    """``def name(a, b, c, d)``: a bilinear form of u = a + b i and v = c +
+    d i in three real products, not four.  With x = a + b and y = c + d in
+    locals, p = a c, q = b d and s = x y are the signed sums ``sums(left,
+    right)``, and ``result`` returns re = p - q and im = s - p - q."""
+    lines = [f"x{i} = a{i} + b{i}" for i in range(n)]
+    lines += [f"y{i} = c{i} + d{i}" for i in range(n)]
+    for var, (u, v) in zip("pqs", ("ac", "bd", "xy")):
+        lines += [f"{var}{k} = {t}" for k, t in enumerate(sums(u, v))]
+    return _compiled(name, n, "abcd", lines + [result])
+
+
+def _bilinear_sums(table, u, v):
+    """Source text of the signed sum of ``u_i*v_j`` over the entries e_i e_j
+    = +-e_k of ``table``, one per output index k."""
+    terms = [[] for _ in table]
+    for i, row in enumerate(table):
+        for j, (k, s) in enumerate(row):
+            terms[k].append((s, f"{u}{i}*{v}{j}"))
+    return [_signed_sum(t) for t in terms]
+
+
+def _metric_sums(metric, u, v):
+    """Source text of sum(metric[k] u_k*v_k), the one output of the dot."""
+    return [_signed_sum((g, f"{u}{k}*{v}{k}") for k, g in enumerate(metric))]
+
+
+def _signed_sum(terms):
+    """Source text of the sum of ``sign * term`` over (sign, term) pairs."""
+    # lstrip drops a leading plus; a leading minus stays, as unary minus
+    return "".join(f" {'-' if s < 0 else '+'} {t}" for s, t in terms).lstrip(" +")
+
+
+def _compiled(name, n, params, lines):
+    """``def name(*params)``: unpack each length-n parameter p into p0,
+    p1, ..., then run the source ``lines``."""
+    unpack = [f"{', '.join(f'{p}{i}' for i in range(n))}, = {p}" for p in params]
+    body = "".join(f"    {line}\n" for line in unpack + lines)
+    source = f"def {name}({', '.join(params)}):\n{body}"
     namespace = {}
     exec(source, namespace)
     return namespace[name]
 
 
-def _product(mul, u, v):
-    """The product of two integer-form vectors under the table kernel
-    ``mul``.  With imaginary parts on both sides it takes three real
-    products, not four:
-    re = ur vr - ui vi and im = (ur + ui)(vr + vi) - ur vr - ui vi."""
+def _product(alg, u, v):
+    """The product of two integer-form vectors of ``alg``: one call of the
+    table kernel ``alg.mul`` when both are real, two when one side is (its
+    real part times the other's two parts), and one call of the Gaussian
+    kernel ``alg.gauss_mul`` when both have imaginary parts."""
     ur, ui = u
     vr, vi = v
-    re = mul(ur, vr)
-    if ui is None and vi is None:
-        return re, None
-    if ui is None:
-        im = mul(ur, vi)
-    elif vi is None:
-        im = mul(ui, vr)
+    if vi is None:
+        if ui is None:
+            return alg.mul(ur, vr), None
+        re, im = alg.mul(ur, vr), alg.mul(ui, vr)
+    elif ui is None:
+        re, im = alg.mul(ur, vr), alg.mul(ur, vi)
     else:
-        t = mul(ui, vi)
-        s = mul(_sum(ur, ui), _sum(vr, vi))
-        im = [z - x - y for x, y, z in zip(re, t, s)]
-        re = [x - y for x, y in zip(re, t)]
+        re, im = (alg.gauss_mul or _gaussian_kernels(alg)[0])(ur, ui, vr, vi)
     return re, (im if any(im) else None)
 
 
-def _sum(u, v):
-    return [x + y for x, y in zip(u, v)]
+def _gaussian_kernels(alg):
+    """``(alg.gauss_mul, alg.gauss_dot)``, those still unset compiled on
+    the first use of either: only Hc and Oc use them, and importing the
+    package compiles neither."""
+    if alg.gauss_mul is None:
+        alg.gauss_mul = _gaussian_product(alg.table)
+    if alg.gauss_dot is None:
+        alg.gauss_dot = _gaussian_dot(alg.metric)
+    return alg.gauss_mul, alg.gauss_dot
 
 
 def _lincomb(x, u, y, v):
@@ -196,18 +252,19 @@ def _lincomb(x, u, y, v):
     return re, [x * p + y * q for p, q in zip(ui or zero, vi or zero)]
 
 
-def _dot(dot, u, v):
-    """Metric-weighted dot product of two integer-form vectors under the
-    metric kernel ``dot``, as a Gaussian integer (re, im); three real dot
-    products when either side is non-real, a real side's part taken as zeros."""
+def _dot(alg, u, v):
+    """Metric-weighted dot product of two integer-form vectors of ``alg``
+    as a Gaussian integer (re, im): one call of the metric kernel
+    ``alg.dot`` when both are real, two when one side is, and one call of
+    the Gaussian kernel ``alg.gauss_dot`` when both have imaginary parts."""
     (ur, ui), (vr, vi) = u, v
-    re = dot(ur, vr)
-    if ui is None and vi is None:
-        return re, 0
-    zero = (0,) * len(ur)
-    ui, vi = ui or zero, vi or zero
-    t = dot(ui, vi)
-    return re - t, dot(_sum(ur, ui), _sum(vr, vi)) - re - t
+    if vi is None:
+        if ui is None:
+            return alg.dot(ur, vr), 0
+        return alg.dot(ur, vr), alg.dot(ui, vr)
+    if ui is None:
+        return alg.dot(ur, vr), alg.dot(ur, vi)
+    return (alg.gauss_dot or _gaussian_kernels(alg)[1])(ur, ui, vr, vi)
 
 
 def _entry(u, k):
@@ -223,14 +280,14 @@ def _gmul(x, y):
 
 def _invertible(x):
     """N(x) != 0, decided on the integer numerators."""
-    return _dot(x.algebra.dot, x.num, x.num) != (0, 0)
+    return _dot(x.algebra, x.num, x.num) != (0, 0)
 
 
 def _norms(a, b):
     """N(a) and N(b) over one denominator, as Gaussian integers: ``(n e^2,
     m d^2)`` for N(a) = n / d^2 and N(b) = m / e^2."""
-    dot, d, e = a.algebra.dot, a.den * a.den, b.den * b.den
-    (nr, ni), (mr, mi) = _dot(dot, a.num, a.num), _dot(dot, b.num, b.num)
+    alg, d, e = a.algebra, a.den * a.den, b.den * b.den
+    (nr, ni), (mr, mi) = _dot(alg, a.num, a.num), _dot(alg, b.num, b.num)
     return (nr * e, ni * e), (mr * d, mi * d)
 
 
@@ -479,6 +536,8 @@ class Algebra:
         "metric",
         "mul",
         "dot",
+        "gauss_mul",
+        "gauss_dot",
     )
 
     def __init__(self, name, dim, complex_field, primed, table):
@@ -493,6 +552,7 @@ class Algebra:
         self.metric = (1,) + tuple(-table[k][k][1] for k in range(1, dim))
         self.mul = _table_product(table)
         self.dot = _metric_dot_kernel(self.metric)
+        self.gauss_mul = self.gauss_dot = None  # see _gaussian_kernels
 
     @property
     def is_division(self):
@@ -626,7 +686,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             self._check_same(other)
-            u = _product(self.algebra.mul, self.num, other.num)
+            u = _product(self.algebra, self.num, other.num)
             return _normal(self.algebra, u, self.den * other.den)
         s = self._scalar_form(other)
         if s is None:
@@ -652,7 +712,7 @@ class Element:
         a conj(b) + b conj(a) vanishes for every pair of basis units.
         """
         self._check_same(other)
-        m = _dot(self.algebra.dot, self.num, other.num)
+        m = _dot(self.algebra, self.num, other.num)
         return scalar(*m, self.den * other.den)
 
     def norm(self):
@@ -664,7 +724,7 @@ class Element:
 
         With a = u / d and N(a) = m / d^2 this is conj(u) d / m."""
         d, u = self.den, self.num
-        m = _dot(self.algebra.dot, u, u)
+        m = _dot(self.algebra, u, u)
         if m == (0, 0):
             raise NotInvertible(f"{self!s} has zero norm")
         return _divided(self.algebra, _scaled(_conj(u), (d, 0)), m, 1)
@@ -703,12 +763,12 @@ def sandwich(p, a):
     Element._check_same(p, a)
     alg = p.algebra
     u, e, v = p.num, a.den, a.num
-    m = _dot(alg.dot, u, u)
+    m = _dot(alg, u, u)
     if m == (0, 0):
         raise NotInvertible(f"sandwich by {p!s}, which has zero norm")
     uc = _conj(u)
-    left = _product(alg.mul, _product(alg.mul, u, v), uc)
-    if left != _product(alg.mul, u, _product(alg.mul, v, uc)):
+    left = _product(alg, _product(alg, u, v), uc)
+    if left != _product(alg, u, _product(alg, v, uc)):
         raise ConsistencyError("sandwich product is not well defined")
     return _divided(alg, left, m, e)
 

@@ -100,9 +100,10 @@ class GaussRational:
         return GaussRational._make(_div(a * c + b * d, n), _div(b * c - a * d, n))
 
     def __rtruediv__(self, other):
-        if _parts(other) is None:
+        q = _parts(other)
+        if q is None:
             return NotImplemented
-        return GaussRational(other) / self
+        return GaussRational._make(*q) / self
 
     def __neg__(self):
         return GaussRational._make(-self.re, -self.im)

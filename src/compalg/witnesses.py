@@ -171,7 +171,7 @@ def _separated(a, b):
     invertible."""
     _require_pure_nonzero("separator", a, b)
     alg = a.algebra
-    if _dot(alg.dot, a.num, b.num) != (0, 0):
+    if _dot(alg, a.num, b.num) != (0, 0):
         raise PreconditionViolation("separator needs inner(a, b) = 0")
     (nr, ni), (mr, mi) = _norms(a, b)
     if nr + mr or ni + mi:
@@ -238,9 +238,9 @@ def _single_case(a, b):
     alg, s = a.algebra, _lincomb(b.den, a.num, a.den, b.num)
     if not any(s[0]) and not any(s[1] or ()):
         return SingleCase.NEGATED, s, None, None
-    t = _product(alg.mul, s, a.num)
+    t = _product(alg, s, a.num)
     rows, pivots = _echelon([_reversed(t), _reversed(s)], alg.dim)
-    if _dot(alg.dot, s, s) != (0, 0):
+    if _dot(alg, s, s) != (0, 0):
         case = SingleCase.SUM
     elif len(pivots) == 1:
         return SingleCase.DEPENDENT, s, t, None
@@ -332,18 +332,18 @@ def _single_conjugator(a, b):
         # numerator and denominator times uk e
         ek = alg.basis(k).num
         n = _gmul((2 * alg.metric[k], 0), uk)
-        comm = _lincomb(1, _product(alg.mul, ek, u), -1, _product(alg.mul, u, ek))
+        comm = _lincomb(1, _product(alg, ek, u), -1, _product(alg, u, ek))
         p = _shifted(_scaled(comm, (vr - ur, vi - ui)), _gmul((vr + ur, vi + ui), n))
         return case, _divided(alg, p, _gmul(n, uk), e)
     dv = _lincomb(e, u, -d, b.num)  # (a - b) d e
     k = max(i for i in range(alg.dim) if _entry(s, i) != (0, 0))  # the last s_k != 0
     sk, tk = _entry(s, k), _entry(t, k)
     w = _shifted(_scaled(dv, sk), (-2 * e * tk[0], -2 * e * tk[1]))
-    x = next((x for x in _orthogonal(alg, dv) if _dot(alg.dot, x, s) != (0, 0)), None)
+    x = next((x for x in _orthogonal(alg, dv) if _dot(alg, x, s) != (0, 0)), None)
     if x is None:
         raise ConsistencyError("no pure x with <x, a - b> = 0 and <x, a + b> != 0")
-    m = _gmul((2 * d * e * sk[0], 2 * d * e * sk[1]), _dot(alg.dot, s, x))
-    p = _shifted(_scaled(_product(alg.mul, x, w), (-d * e, 0)), m)
+    m = _gmul((2 * d * e * sk[0], 2 * d * e * sk[1]), _dot(alg, s, x))
+    p = _shifted(_scaled(_product(alg, x, w), (-d * e, 0)), m)
     return case, _divided(alg, p, m, 1)
 
 

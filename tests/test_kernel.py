@@ -1,7 +1,10 @@
 """The integer kernel against the per-scalar oracles.
 
 Each algebra's compiled ``mul`` and ``dot`` must equal the interpreted
-table loop and the signature sum on raw int vectors.  Products, inner
+table loop and the signature sum on raw int vectors.  The Gaussian twins
+``gauss_mul`` and ``gauss_dot`` of Hc and Oc must equal the
+three-real-product formula written with ``mul`` and ``dot``, and a fresh
+``import compalg`` must have compiled neither.  Products, inner
 products, norms, inverses and sandwiches on all six algebras must equal
 the component-formula oracles and the per-scalar table loop exactly, and
 come back in normal form; so must the linear operations against
@@ -11,11 +14,16 @@ twisted-commutant matrix, basis and Gram matrix of
 ``single_conjugator_search`` must equal those built from element products.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import compalg
 from compalg import (
     ALGEBRAS,
     GaussRational,
@@ -30,7 +38,7 @@ from compalg import (
     single_conjugator_search,
     twisted_commutant_matrix,
 )
-from compalg.core import rational
+from compalg.core import _gaussian_dot, _gaussian_kernels, _gaussian_product, rational
 
 from helpers import (
     is_normal,
@@ -162,6 +170,58 @@ def test_equal_tables_share_one_compiled_kernel():
     assert H.mul is Hc.mul and H.dot is Hc.dot
     assert O.mul is Oc.mul and O.dot is Oc.dot
     assert len({alg.mul for alg in ALGEBRAS.values()}) == 4
+
+
+def _gaussian_vectors(rng, dim):
+    """Pairs (real, imaginary) of int vectors for the Gaussian kernels:
+    3-bit and 300-bit entries, and zero imaginary parts."""
+    def vec(bits):
+        return [rng.randint(-(2**bits), 2**bits) for _ in range(dim)]
+
+    zero = [0] * dim
+    pairs = [(vec(bits), vec(bits)) for bits in (3, 3, 3, 300, 300) for _ in range(2)]
+    return pairs + [(vec(3), zero), (vec(300), zero), (zero, vec(3)), (zero, zero)]
+
+
+@pytest.mark.parametrize("name", ["Hc", "Oc"])
+def test_gaussian_kernels_match_three_real_products(name):
+    # (a + b i)(c + d i) = (p - q) + (s - p - q) i with p = a c, q = b d and
+    # s = (a + b)(c + d), for the table product and the metric dot alike
+    alg = ALGEBRAS[name]
+    mul, dot = alg.mul, alg.dot
+    gauss_mul, gauss_dot = _gaussian_kernels(alg)
+    pairs = _gaussian_vectors(random.Random(f"gaussian:{name}"), alg.dim)
+    for a, b in pairs:
+        for c, d in pairs:
+            x, y = [i + j for i, j in zip(a, b)], [i + j for i, j in zip(c, d)]
+            p, q, s = mul(a, c), mul(b, d), mul(x, y)
+            want = [i - j for i, j in zip(p, q)], [k - i - j for i, j, k in zip(p, q, s)]
+            got = gauss_mul(tuple(a), tuple(b), c, d)
+            assert got == want and type(got) is tuple
+            p, q, s = dot(a, c), dot(b, d), dot(x, y)
+            assert gauss_dot(a, b, tuple(c), tuple(d)) == (p - q, s - p - q)
+    # one compiled pair per distinct table, kept on the algebra
+    assert alg.gauss_mul is gauss_mul is _gaussian_product(alg.table)
+    assert alg.gauss_dot is gauss_dot is _gaussian_dot(alg.metric)
+
+
+def test_import_compiles_no_gaussian_kernel():
+    # compiled on first use: a fresh import compiles neither, the first
+    # product of two non-real elements compiles its algebra's pair
+    code = (
+        "from compalg import Hc, I\n"
+        "from compalg.core import _gaussian_dot as d, _gaussian_product as m\n"
+        "def state(): return m.cache_info().currsize, d.cache_info().currsize\n"
+        "print(*state(), Hc.gauss_mul, Hc.gauss_dot)\n"
+        "a = Hc.element([I, 1, 0, 0])\n"
+        "a * a\n"
+        "print(*state(), Hc.gauss_mul is m(Hc.table), Hc.gauss_dot is d(Hc.metric))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(compalg.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0 0 None None\n1 1 True True\n"
 
 
 def _scalars(alg, b):

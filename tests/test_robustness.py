@@ -33,6 +33,7 @@ from compalg import (
     Hc,
     Hs,
     O,
+    Oc,
     Os,
     ParseError,
     classify,
@@ -57,7 +58,7 @@ from compalg import (
     verify_witness,
 )
 from compalg.cli import main
-from compalg.core import _table_product
+from compalg.core import _gaussian_kernels, _gaussian_product, _table_product
 from compalg.sampling import random_orthogonal_null_pair
 
 PACKAGE = Path(compalg.__file__).parent
@@ -415,6 +416,34 @@ def test_sandwich_recheck_catches_a_corrupted_table(monkeypatch, capsys, alg):
     assert alg.mul is good is _table_product(alg.table)
     assert alg.basis(1) * alg.basis(2) == alg.basis(3)
     assert sandwich(p, a) == p * a * p.inverse()
+
+
+@pytest.mark.parametrize("alg", [Hc, Oc], ids=lambda alg: alg.name)
+def test_sandwich_recheck_catches_a_corrupted_gaussian_kernel(monkeypatch, capsys, alg):
+    # the same check on the Gaussian kernel, which only a product of two
+    # operands with imaginary parts calls
+    good = _gaussian_kernels(alg)[0]
+    table = [list(row) for row in alg.table]
+    k, s = table[1][2]
+    table[1][2] = (k, -s)
+    bad = _gaussian_product(tuple(map(tuple, table)))
+    assert bad is not good
+    i, pad = GaussRational(0, 1), [0] * (alg.dim - 3)
+    p, a = alg.element([1, 2 * i, 3] + pad), alg.element([0, i, 1] + pad)
+    with monkeypatch.context() as m:
+        m.setattr(alg, "gauss_mul", bad)
+        with pytest.raises(ConsistencyError, match="not well defined"):
+            sandwich(p, a)
+        argv = ["conjugate-witness", "--algebra", alg.name, "--", "ie1+e2", "e1+ie2"]
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "internal consistency failure: sandwich product is not well defined\n"
+    # the corrupted table is its own cache entry: the good kernel is intact
+    assert alg.gauss_mul is good is _gaussian_product(alg.table)
+    ie1, ie2 = alg.element([0, i, 0] + pad), alg.element([0, 0, i] + pad)
+    assert ie1 * ie2 == -alg.basis(3)
+    assert sandwich(p, a) == p * a * p.inverse()
+    assert main(argv) == 0
 
 
 def _failing_report(*args):

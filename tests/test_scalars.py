@@ -164,6 +164,15 @@ def test_gauss_operations_match_the_oracle():
     assert mismatches == []
 
 
+def test_gauss_bool_operands_act_as_ints():
+    # a bool acts as the int it is on either side of every operator
+    assert True / I == 1 / I == GaussRational(0, -1)
+    assert False / I == 0
+    assert True + I == 1 + I and True * I == I and I / True == I
+    q = True / I
+    assert type(q.re) is int and type(q.im) is int
+
+
 def test_gauss_zero_division_messages():
     gaussian = "division by zero Gaussian rational"
     cases = [
