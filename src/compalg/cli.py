@@ -16,7 +16,7 @@ import json
 import sys
 
 from .commutant import single_conjugator_search
-from .core import ALGEBRAS, Element
+from .core import ALGEBRAS, Element, integer_form
 from .errors import CompalgError, ConsistencyError
 from .parsing import _rational_text, format_element, format_scalar, parse_element
 from .selftest import run_selftest, verify_remark
@@ -30,9 +30,9 @@ from .witnesses import (
 
 
 def _scalar_json(x, complex_field):
-    if complex_field:
-        return [str(x.real), str(x.imag)]
-    return str(x)
+    den, ((re,), im) = integer_form((x,))
+    text = _rational_text(re, den)
+    return [text, _rational_text(im[0] if im else 0, den)] if complex_field else text
 
 
 def _element_json(e):

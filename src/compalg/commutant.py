@@ -25,8 +25,8 @@ and every other pair takes the rank test, or else the elimination.
    stored numerators.  A nonzero determinant, the common case, means the
    null space is {0}: no matrix is built.
 3. Elimination.  A singular map the closed form does not answer is
-   eliminated.  Its matrix, the left multiplication by a minus the right
-   multiplication by b, is read off the structure table and the stored
+   eliminated.  Its matrix, the right multiplication by a minus the left
+   multiplication by b, is read off the table's term list and the stored
    integer forms of a and b, as rows in core's integer form ``(re, im)``
    over one denominator.  Core's fraction-free kernel eliminates it
    echelon first: ``_echelon`` clears the rows below each pivot and
@@ -87,35 +87,38 @@ def twisted_commutant_matrix(a, b):
 
 def _matrix_form(a, b):
     """``(den, rows)``: the matrix of p -> p*a - b*p as integer-form rows
-    over one denominator, built from the structure table.
+    over one denominator, built from the algebra's term list.
 
-    With a = u / d and b = v / e, column j of row k holds s u_i e from
-    e_j e_i = s e_k and -s v_i d from e_i e_j = s e_k, over d e.
+    With a = u / d and b = v / e, over d e, each term e_i e_j = s e_k of
+    the table puts s u_j e in column i and -s v_i d in column j of row k.
     """
-    table = a.algebra.table
+    terms = a.algebra.terms
     (ur, ui), (vr, vi) = a.num, b.num
     d, e = a.den, b.den
-    re = _twisted(table, ur, e, vr, d)
+    re = _twisted(terms, ur, e, vr, d)
     if ui is None and vi is None:
         return d * e, [(row, None) for row in re]
     zero = (0,) * len(ur)
-    im = _twisted(table, ui or zero, e, vi or zero, d)
+    im = _twisted(terms, ui or zero, e, vi or zero, d)
     return d * e, [(x, y if any(y) else None) for x, y in zip(re, im)]
 
 
-def _twisted(table, u, e, v, d):
-    """Integer rows of L_u e - R_v d for int vectors u, v."""
-    n = len(u)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        x, y = u[i] * e, v[i] * d
-        if x:
-            for j in range(n):
-                k, s = table[j][i]
-                rows[k][j] += x if s > 0 else -x
-        if y:
-            for j, (k, s) in enumerate(table[i]):
-                rows[k][j] -= y if s > 0 else -y
+def _twisted(terms, u, e, v, d):
+    """Integer rows of p -> p u e - v d p for int vectors u, v and ints e,
+    d, in one loop over the terms: (s, i, j) of row k puts s u_j e in
+    column i and -s v_i d in column j."""
+    ue, vd = [x * e for x in u], [-y * d for y in v]
+    rows = []
+    for out in terms:
+        row = [0] * len(u)
+        for s, i, j in out:
+            if s < 0:
+                row[i] -= ue[j]
+                row[j] -= vd[i]
+            else:
+                row[i] += ue[j]
+                row[j] += vd[i]
+        rows.append(row)
     return rows
 
 

@@ -31,17 +31,17 @@ scalar of a field is; operations, parser and commutant search build the form
 with one normaliser, ``_normal``, which divides out one gcd, and the
 formatter reads it directly.  No operation computes on ``Fraction`` or
 ``GaussRational``; ``_invertible`` decides N(x) != 0 on the integers, and
-``_norms`` writes two norms over one denominator.  Every product, the doubling
-above included, runs one integer bilinear kernel per distinct structure table
-(``Algebra.mul``), compiled once from the table into straight-line code: one
-signed sum of ``u_i * v_j`` per output index, no loop, no table lookup.  Inner
-product and norm are the metric-weighted integer dot product, compiled the
-same way (``Algebra.dot``).  When one side of a product or dot is real, its
-imaginary part is one more call of the same kernel.  When both sides have
-imaginary parts, it is one call of the kernel's Gaussian twin
-(``Algebra.gauss_mul``, ``Algebra.gauss_dot``), straight-line code of four
-int vectors that takes three real products, not four.  Hc and Oc compile
-their twins on first use, so importing the package compiles neither.
+``_norms`` writes two norms over one denominator.  Each structure table is
+read once into a term list (``Algebra.terms``): for each output index k, the
+``(sign, i, j)`` with e_i e_j = sign e_k; the metric dot is the one-output
+list of ``(g_k, k, k)``.  ``_kernel`` compiles a term list, once per distinct
+list, into straight-line code: one signed sum of ``u_i * v_j`` per output, no
+loop, no table lookup.  ``Algebra.mul`` runs every product, the doubling above
+included, and ``Algebra.dot`` every inner product and norm; a real side costs
+one more call, and two sides with imaginary parts one call of the Gaussian
+twin (``Algebra.gauss_mul``, ``gauss_dot``, from ``_gaussian_kernel``), three
+real products, not four, compiled on first use: importing compiles neither.
+The commutant's matrix of p -> p a - b p reads the same terms.
 Inverse and sandwich fold the norm into the common denominator.  Sums,
 negation and conjugation are integer vector operations; a field scalar
 operand is written in integer form once, so a scalar product scales the
@@ -58,7 +58,7 @@ cached.  It is in normal form: an ``int`` when integral, else a reduced
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -129,88 +129,67 @@ def scalar(re, im, d):
     return GaussRational._make(rational(re, d), rational(im, d))
 
 
-@cache
-def _table_product(table):
-    """The bilinear product of a structure table as one compiled function
-    of two int vectors: ``out[k]`` is the signed sum of ``u_i * v_j`` over
-    the entries e_i e_j = +-e_k, one straight-line expression per k.  The
-    source is generated from the table's shape and signs alone, once per
-    distinct table (equal tables share the function)."""
-    sums = ", ".join(_bilinear_sums(table, "u", "v"))
-    return _compiled("product", len(table), "uv", [f"return [{sums}]"])
+def _terms(table):
+    """A structure table as a term list: for each output index k, the
+    ``(sign, i, j)`` with e_i e_j = sign e_k, in row order."""
+    n = range(len(table))
+    return tuple(
+        tuple((table[i][j][1], i, j) for i in n for j in n if table[i][j][0] == k)
+        for k in n
+    )
+
+
+def _dot_terms(metric):
+    """The metric-weighted dot product as a term list with one output."""
+    return (tuple((g, k, k) for k, g in enumerate(metric)),)
 
 
 @cache
-def _metric_dot_kernel(metric):
-    """The metric-weighted dot product sum(metric[k] u_k v_k) as one
-    compiled straight-line function of two int vectors; the metric entries
-    are the norms +-1 of the basis units."""
-    (dot,) = _metric_sums(metric, "u", "v")
-    return _compiled("dot", len(metric), "uv", [f"return {dot}"])
+def _kernel(terms, n):
+    """The bilinear map of a term list as one compiled function of two int
+    vectors of length n: output k is the signed sum of ``u_i * v_j`` over
+    the terms of ``terms[k]``, one straight-line expression per k, no loop
+    and no table lookup.  Equal term lists (equal tables) share the
+    function."""
+    return _compiled(n, "uv", [], _sums(terms, "u", "v"))
 
 
 @cache
-def _gaussian_product(table):
-    """``_table_product``'s twin for two Gaussian int vectors: the product
-    of u = a + b i and v = c + d i as one compiled function of ``(a, b, c,
-    d)``, returning the lists ``(re, im)``."""
-    n = len(table)
-    re = ", ".join(f"p{k} - q{k}" for k in range(n))
-    im = ", ".join(f"s{k} - p{k} - q{k}" for k in range(n))
-    sums = partial(_bilinear_sums, table)
-    return _gaussian("gaussian_product", n, sums, f"return [{re}], [{im}]")
-
-
-@cache
-def _gaussian_dot(metric):
-    """``_metric_dot_kernel``'s twin for two Gaussian int vectors, returning
-    the Gaussian integer ``(re, im)``."""
-    sums = partial(_metric_sums, metric)
-    return _gaussian("gaussian_dot", len(metric), sums, "return p0 - q0, s0 - p0 - q0")
-
-
-def _gaussian(name, n, sums, result):
-    """``def name(a, b, c, d)``: a bilinear form of u = a + b i and v = c +
-    d i in three real products, not four.  With x = a + b and y = c + d in
-    locals, p = a c, q = b d and s = x y are the signed sums ``sums(left,
-    right)``, and ``result`` returns re = p - q and im = s - p - q."""
+def _gaussian_kernel(terms, n):
+    """``_kernel``'s twin for two Gaussian int vectors u = a + b i and v =
+    c + d i, as one compiled function of ``(a, b, c, d)`` returning (re,
+    im), in three real products, not four.  With x = a + b and y = c + d
+    in locals, p = a c, q = b d and s = x y are the signed sums, and re =
+    p - q and im = s - p - q."""
     lines = [f"x{i} = a{i} + b{i}" for i in range(n)]
     lines += [f"y{i} = c{i} + d{i}" for i in range(n)]
     for var, (u, v) in zip("pqs", ("ac", "bd", "xy")):
-        lines += [f"{var}{k} = {t}" for k, t in enumerate(sums(u, v))]
-    return _compiled(name, n, "abcd", lines + [result])
+        lines += [f"{var}{k} = {t}" for k, t in enumerate(_sums(terms, u, v))]
+    re = [f"p{k} - q{k}" for k in range(len(terms))]
+    im = [f"s{k} - {x}" for k, x in enumerate(re)]
+    return _compiled(n, "abcd", lines, re, im)
 
 
-def _bilinear_sums(table, u, v):
-    """Source text of the signed sum of ``u_i*v_j`` over the entries e_i e_j
-    = +-e_k of ``table``, one per output index k."""
-    terms = [[] for _ in table]
-    for i, row in enumerate(table):
-        for j, (k, s) in enumerate(row):
-            terms[k].append((s, f"{u}{i}*{v}{j}"))
-    return [_signed_sum(t) for t in terms]
-
-
-def _metric_sums(metric, u, v):
-    """Source text of sum(metric[k] u_k*v_k), the one output of the dot."""
-    return [_signed_sum((g, f"{u}{k}*{v}{k}") for k, g in enumerate(metric))]
-
-
-def _signed_sum(terms):
-    """Source text of the sum of ``sign * term`` over (sign, term) pairs."""
+def _sums(terms, u, v):
+    """Source text of the signed sum of ``u_i*v_j`` per output."""
     # lstrip drops a leading plus; a leading minus stays, as unary minus
-    return "".join(f" {'-' if s < 0 else '+'} {t}" for s, t in terms).lstrip(" +")
+    return [
+        " ".join(f"{'+-'[s < 0]} {u}{i}*{v}{j}" for s, i, j in out).lstrip("+ ")
+        for out in terms
+    ]
 
 
-def _compiled(name, n, params, lines):
-    """``def name(*params)``: unpack each length-n parameter p into p0,
-    p1, ..., then run the source ``lines``."""
+def _compiled(n, params, lines, *results):
+    """``def kernel(*params)``: unpack each length-n parameter p into p0,
+    p1, ..., run the source ``lines`` and return ``results``, each a list
+    of output expressions: a lone output (a dot) as its value, more as a
+    list."""
     unpack = [f"{', '.join(f'{p}{i}' for i in range(n))}, = {p}" for p in params]
-    body = "".join(f"    {line}\n" for line in unpack + lines)
-    source = f"def {name}({', '.join(params)}):\n{body}"
+    values = ", ".join(r[0] if len(r) == 1 else f"[{', '.join(r)}]" for r in results)
+    body = "".join(f"    {line}\n" for line in unpack + lines + [f"return {values}"])
     namespace = {}
-    exec(source, namespace)
-    return namespace[name]
+    exec(f"def kernel({', '.join(params)}):\n{body}", namespace)
+    return namespace["kernel"]
 
 
 def _product(alg, u, v):
@@ -236,9 +215,9 @@ def _gaussian_kernels(alg):
     the first use of either: only Hc and Oc use them, and importing the
     package compiles neither."""
     if alg.gauss_mul is None:
-        alg.gauss_mul = _gaussian_product(alg.table)
+        alg.gauss_mul = _gaussian_kernel(alg.terms, alg.dim)
     if alg.gauss_dot is None:
-        alg.gauss_dot = _gaussian_dot(alg.metric)
+        alg.gauss_dot = _gaussian_kernel(_dot_terms(alg.metric), alg.dim)
     return alg.gauss_mul, alg.gauss_dot
 
 
@@ -342,6 +321,16 @@ def _scaled(u, m):
         [x * mr - y * mi for x, y in zip(re, im)],
         [x * mi + y * mr for x, y in zip(re, im)],
     )
+
+
+def _shifted(u, z):
+    """The integer-form vector u plus the Gaussian integer z at index 0."""
+    re, im = list(u[0]), u[1] and list(u[1])
+    re[0] += z[0]
+    if z[1]:
+        im = im or [0] * len(re)
+        im[0] += z[1]
+    return re, im
 
 
 def _divided(algebra, u, m, den):
@@ -465,7 +454,7 @@ def build_doubled_table(qtable):
     basis unit or the doubled-basis sign conventions do not come out, which
     would signal a transcription bug in the dim-4 table or the packing.
     """
-    mul = _table_product(qtable)
+    mul = _kernel(_terms(qtable), 4)
     rows = []
     for i in range(8):
         u = [0] * 8
@@ -524,8 +513,8 @@ def _check_norm_form(table, dim):
 
 
 class Algebra:
-    """One of the six algebras: dimension, scalar field, display conventions
-    and the structure table.  Instances are immutable singletons."""
+    """One of the six algebras: dimension, scalar field, display conventions,
+    structure table and its term list.  Instances are immutable singletons."""
 
     __slots__ = (
         "name",
@@ -534,6 +523,7 @@ class Algebra:
         "primed",
         "table",
         "metric",
+        "terms",
         "mul",
         "dot",
         "gauss_mul",
@@ -550,8 +540,9 @@ class Algebra:
         # metric[k] = norm of the k-th basis unit: 1 for the unit,
         # -(sign of e_k^2) for the imaginary units
         self.metric = (1,) + tuple(-table[k][k][1] for k in range(1, dim))
-        self.mul = _table_product(table)
-        self.dot = _metric_dot_kernel(self.metric)
+        self.terms = _terms(table)
+        self.mul = _kernel(self.terms, dim)
+        self.dot = _kernel(_dot_terms(self.metric), dim)
         self.gauss_mul = self.gauss_dot = None  # see _gaussian_kernels
 
     @property
@@ -662,12 +653,8 @@ class Element:
             return NotImplemented
         # a scalar moves index 0 only
         e, (sr, si) = s
-        re, im = _scaled(u, (e, 0))
-        re[0] += sign * sr * d
-        if si:
-            im = im or [0] * len(re)
-            im[0] += sign * si * d
-        return _normal(self.algebra, (re, im), d * e)
+        u = _shifted(_scaled(u, (e, 0)), (sign * sr * d, sign * si * d))
+        return _normal(self.algebra, u, d * e)
 
     def __add__(self, other):
         return self._plus(other, 1)

@@ -45,7 +45,7 @@ import re
 from math import gcd
 
 from .core import Element, _normal, integer_form
-from .errors import CompalgError
+from .errors import CompalgError, PreconditionViolation
 
 
 class ParseError(CompalgError):
@@ -234,9 +234,14 @@ def _lexical_error(text):
 
 
 def _rational_text(n, d):
-    """The reduced text of n/d for ints n and d > 0: ``n`` or ``n/d``."""
+    """The reduced text of n/d for ints n and d > 0: ``n`` or ``n/d``.  It
+    is the one place an int becomes text, so a part past the int-string
+    limit raises PreconditionViolation here."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise PreconditionViolation("result has an integer too long to print") from None
 
 
 def _term_text(label, re, im, den):

@@ -54,6 +54,7 @@ from .core import (
     _reversed,
     _same_norm,
     _scaled,
+    _shifted,
     sandwich,
 )
 from .errors import (
@@ -255,16 +256,6 @@ def _single_case(a, b):
     if _entry(u, f) != (0, 0) or _entry(v, c) != (0, 0):
         raise ConsistencyError("closed-form basis is not a reduced echelon of rank 2")
     return case, s, t, ((_reversed(v), _entry(v, f)), (_reversed(u), _entry(u, c)))
-
-
-def _shifted(u, z):
-    """The integer-form vector u plus the Gaussian integer z at index 0."""
-    re, im = list(u[0]), u[1] and list(u[1])
-    re[0] += z[0]
-    if z[1]:
-        im = im or [0] * len(re)
-        im[0] += z[1]
-    return re, im
 
 
 def _single_conjugator(a, b):

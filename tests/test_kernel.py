@@ -1,17 +1,20 @@
 """The integer kernel against the per-scalar oracles.
 
-Each algebra's compiled ``mul`` and ``dot`` must equal the interpreted
-table loop and the signature sum on raw int vectors.  The Gaussian twins
-``gauss_mul`` and ``gauss_dot`` of Hc and Oc must equal the
-three-real-product formula written with ``mul`` and ``dot``, and a fresh
-``import compalg`` must have compiled neither.  Products, inner
-products, norms, inverses and sandwiches on all six algebras must equal
-the component-formula oracles and the per-scalar table loop exactly, and
-come back in normal form; so must the linear operations against
-coefficient-wise scalar arithmetic.  ``nullspace`` must return the very
-vectors of the Gauss-Jordan oracle, in the same order, and the
-twisted-commutant matrix, basis and Gram matrix of
-``single_conjugator_search`` must equal those built from element products.
+One generator compiles each algebra's ``mul`` and ``dot`` from its term
+list, and they must equal the interpreted table loop and the signature
+sum on raw int vectors.  The Gaussian twins ``gauss_mul`` and
+``gauss_dot`` of Hc and Oc, which the twin generator compiles from the
+same terms, must equal the three-real-product formula written with
+``mul`` and ``dot``, and a fresh ``import compalg`` must have compiled
+neither.  Products, inner products, norms, inverses and sandwiches on
+all six algebras must equal the component-formula oracles and the
+per-scalar table loop exactly, and come back in normal form; so must the
+linear operations against coefficient-wise scalar arithmetic.
+``nullspace`` must return the very vectors of the Gauss-Jordan oracle,
+in the same order, and the twisted-commutant matrix, which reads the
+same term list, and the basis and Gram matrix of
+``single_conjugator_search`` must equal those built from element
+products.
 """
 
 import os
@@ -38,7 +41,7 @@ from compalg import (
     single_conjugator_search,
     twisted_commutant_matrix,
 )
-from compalg.core import _gaussian_dot, _gaussian_kernels, _gaussian_product, rational
+from compalg.core import _dot_terms, _gaussian_kernel, _gaussian_kernels, rational
 
 from helpers import (
     is_normal,
@@ -201,8 +204,9 @@ def test_gaussian_kernels_match_three_real_products(name):
             p, q, s = dot(a, c), dot(b, d), dot(x, y)
             assert gauss_dot(a, b, tuple(c), tuple(d)) == (p - q, s - p - q)
     # one compiled pair per distinct table, kept on the algebra
-    assert alg.gauss_mul is gauss_mul is _gaussian_product(alg.table)
-    assert alg.gauss_dot is gauss_dot is _gaussian_dot(alg.metric)
+    assert alg.gauss_mul is gauss_mul is _gaussian_kernel(alg.terms, alg.dim)
+    dot = _dot_terms(alg.metric)
+    assert alg.gauss_dot is gauss_dot is _gaussian_kernel(dot, alg.dim)
 
 
 def test_import_compiles_no_gaussian_kernel():
@@ -210,18 +214,19 @@ def test_import_compiles_no_gaussian_kernel():
     # product of two non-real elements compiles its algebra's pair
     code = (
         "from compalg import Hc, I\n"
-        "from compalg.core import _gaussian_dot as d, _gaussian_product as m\n"
-        "def state(): return m.cache_info().currsize, d.cache_info().currsize\n"
-        "print(*state(), Hc.gauss_mul, Hc.gauss_dot)\n"
+        "from compalg.core import _dot_terms, _gaussian_kernel as g\n"
+        "print(g.cache_info().currsize, Hc.gauss_mul, Hc.gauss_dot)\n"
         "a = Hc.element([I, 1, 0, 0])\n"
         "a * a\n"
-        "print(*state(), Hc.gauss_mul is m(Hc.table), Hc.gauss_dot is d(Hc.metric))\n"
+        "dot = _dot_terms(Hc.metric)\n"
+        "print(g.cache_info().currsize, Hc.gauss_mul is g(Hc.terms, 4), "
+        "Hc.gauss_dot is g(dot, 4))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(compalg.__file__).parent.parent))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "0 0 None None\n1 1 True True\n"
+    assert out.stdout == "0 None None\n2 True True\n"
 
 
 def _scalars(alg, b):

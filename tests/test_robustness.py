@@ -36,6 +36,7 @@ from compalg import (
     Oc,
     Os,
     ParseError,
+    PreconditionViolation,
     classify,
     collapse_quaternion,
     conjugacy_witness,
@@ -58,7 +59,7 @@ from compalg import (
     verify_witness,
 )
 from compalg.cli import main
-from compalg.core import _gaussian_kernels, _gaussian_product, _table_product
+from compalg.core import _gaussian_kernel, _gaussian_kernels, _kernel, _terms
 from compalg.sampling import random_orthogonal_null_pair
 
 PACKAGE = Path(compalg.__file__).parent
@@ -225,6 +226,46 @@ def test_hostile_literals_exit_2_without_traceback(text):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# the default int-string limit of Python 3.11+ (0, no limit, on older ones)
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "7" * 3000  # parses, but a product of two has about 6000 digits
+LONG_RESULTS = {
+    "norm": ("H", f"{LONG}e1"),
+    "mul": ("H", f"{LONG}e1", f"{LONG}e2"),
+    "inner": ("Hc", f"{LONG}ie1", f"{LONG}e1"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", LONG_RESULTS)
+def test_result_past_the_int_string_limit_exits_2(capsys, command, flags):
+    name, *operands = LONG_RESULTS[command]
+    code = main([command, "--algebra", name, *flags, "--", *operands])
+    out, err = capsys.readouterr()
+    if not 0 < _INT_LIMIT < 5990:
+        assert code == 0 and len(out) > 5990
+        return
+    assert (code, out) == (2, "")
+    assert err == "error: result has an integer too long to print\n"
+
+
+def test_formatters_past_the_int_string_limit():
+    big = 7 * 10**6000
+    cases = [
+        (format_scalar, big),
+        (format_scalar, Fraction(1, big)),
+        (format_scalar, GaussRational(1, -big)),
+        (format_element, H.element([0, big, 0, 0])),
+        (format_element, Hc.element([0, 0, GaussRational(0, Fraction(1, big)), 0])),
+    ]
+    for fn, x in cases:
+        if 0 < _INT_LIMIT < 6000:
+            with pytest.raises(PreconditionViolation, match="too long to print"):
+                fn(x)
+        else:
+            assert "7" + "0" * 6000 in fn(x)
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -402,7 +443,7 @@ def test_sandwich_recheck_catches_a_corrupted_table(monkeypatch, capsys, alg):
     table = [list(row) for row in alg.table]
     k, s = table[1][2]
     table[1][2] = (k, -s)
-    bad = _table_product(tuple(map(tuple, table)))
+    bad = _kernel(_terms(table), alg.dim)
     assert bad is not good
     p, a = alg.element([1, 2, 3] + [0] * (alg.dim - 3)), alg.basis(1)
     with monkeypatch.context() as m:
@@ -413,7 +454,7 @@ def test_sandwich_recheck_catches_a_corrupted_table(monkeypatch, capsys, alg):
     err = capsys.readouterr().err
     assert err == "internal consistency failure: sandwich product is not well defined\n"
     # the corrupted table is its own cache entry: the good kernel is intact
-    assert alg.mul is good is _table_product(alg.table)
+    assert alg.mul is good is _kernel(alg.terms, alg.dim)
     assert alg.basis(1) * alg.basis(2) == alg.basis(3)
     assert sandwich(p, a) == p * a * p.inverse()
 
@@ -426,7 +467,7 @@ def test_sandwich_recheck_catches_a_corrupted_gaussian_kernel(monkeypatch, capsy
     table = [list(row) for row in alg.table]
     k, s = table[1][2]
     table[1][2] = (k, -s)
-    bad = _gaussian_product(tuple(map(tuple, table)))
+    bad = _gaussian_kernel(_terms(table), alg.dim)
     assert bad is not good
     i, pad = GaussRational(0, 1), [0] * (alg.dim - 3)
     p, a = alg.element([1, 2 * i, 3] + pad), alg.element([0, i, 1] + pad)
@@ -439,7 +480,7 @@ def test_sandwich_recheck_catches_a_corrupted_gaussian_kernel(monkeypatch, capsy
     err = capsys.readouterr().err
     assert err == "internal consistency failure: sandwich product is not well defined\n"
     # the corrupted table is its own cache entry: the good kernel is intact
-    assert alg.gauss_mul is good is _gaussian_product(alg.table)
+    assert alg.gauss_mul is good is _gaussian_kernel(alg.terms, alg.dim)
     ie1, ie2 = alg.element([0, i, 0] + pad), alg.element([0, 0, i] + pad)
     assert ie1 * ie2 == -alg.basis(3)
     assert sandwich(p, a) == p * a * p.inverse()

@@ -103,9 +103,9 @@ def test_doubling_rejects_malformed_table():
 
 
 def _doubled_products(m):
-    product = core._table_product
+    kernel = core._kernel
     m.setattr(
-        core, "_table_product", lambda t: lambda u, v: [2 * x for x in product(t)(u, v)]
+        core, "_kernel", lambda t, n: lambda u, v: [2 * x for x in kernel(t, n)(u, v)]
     )
     return QUATERNION_TABLE
 
