@@ -53,9 +53,8 @@ which uses both, is in ``selftest``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
-from typing import Optional
 
 from .core import (
     Element,
@@ -245,14 +244,11 @@ def span_contains(vectors, target):
     return len(vectors) not in _echelon(rows, len(vectors) + 1)[1]
 
 
-@dataclass(frozen=True)
-class CommutantReport:
-    """Solution space of p*a = b*p plus the invertibility verdict."""
+class CommutantReport(namedtuple("CommutantReport", "a b nullspace_basis single")):
+    """Solution space of p*a = b*p plus the invertibility verdict: single is
+    an invertible solution, or None when there is none."""
 
-    a: Element
-    b: Element
-    nullspace_basis: tuple
-    single: Optional[Element]
+    __slots__ = ()
 
     @property
     def matrix(self):

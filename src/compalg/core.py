@@ -57,7 +57,7 @@ cached.  It is in normal form: an ``int`` when integral, else a reduced
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
@@ -760,14 +760,11 @@ def sandwich(p, a):
     return _divided(alg, left, m, e)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(namedtuple("Classification", "pure nonzero invertible")):
     """Membership flags of an element: pure (zero scalar part), nonzero, and
     invertible (nonzero norm); the four classical subsets derive from them."""
 
-    pure: bool
-    nonzero: bool
-    invertible: bool
+    __slots__ = ()
 
     @property
     def in_pure(self):

@@ -15,7 +15,7 @@ with a vanishing norm form, so only a double witness conjugates them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .commutant import single_conjugator_search, span_contains
 from .core import ALGEBRAS, Element, Oc, Os, sandwich
@@ -142,17 +142,11 @@ PROPERTIES = (
 )
 
 
-@dataclass(frozen=True)
-class SelftestRecord:
-    name: str
-    algebra: str
-    samples: int
-    failure: str
+SelftestRecord = namedtuple("SelftestRecord", "name algebra samples failure")
 
 
-@dataclass(frozen=True)
-class SelftestResult:
-    records: tuple
+class SelftestResult(namedtuple("SelftestResult", "records")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -214,9 +208,8 @@ def counterexample_instances():
     )
 
 
-@dataclass(frozen=True)
-class RemarkReport:
-    instances: tuple
+class RemarkReport(namedtuple("RemarkReport", "instances")):
+    __slots__ = ()
 
     @property
     def ok(self):

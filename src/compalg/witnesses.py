@@ -33,9 +33,8 @@ before being handed back; a failure raises ConsistencyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Optional
 
 from .core import (
     Element,
@@ -77,14 +76,11 @@ class Branch(Enum):
     COMMUTANT_SINGLE = "CommutantSingle"
 
 
-@dataclass(frozen=True)
-class ConjugacyWitness:
+class ConjugacyWitness(namedtuple("ConjugacyWitness", "p q branch")):
     """Either a single conjugator p or a pair (p, q), with the branch of the
-    construction that produced it."""
+    construction that produced it; q is None for a single."""
 
-    p: Element
-    q: Optional[Element]
-    branch: Branch
+    __slots__ = ()
 
     @classmethod
     def single(cls, p, branch):
@@ -410,12 +406,11 @@ def _check_witness(w):
         Element._check_same(x, x)  # each against itself: a lone non-element
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Named exact checks on one algebra; failures are report content."""
+class CheckReport(namedtuple("CheckReport", "algebra_name checks")):
+    """Named exact checks on one algebra, a tuple of (name, ok) pairs;
+    failures are report content."""
 
-    algebra_name: str
-    checks: tuple
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -25,6 +25,8 @@ from compalg import (
     AlgebraMismatch,
     Branch,
     CheckReport,
+    Classification,
+    CommutantReport,
     ConjugacyWitness,
     ConsistencyError,
     Element,
@@ -61,6 +63,7 @@ from compalg import (
 from compalg.cli import main
 from compalg.core import _gaussian_kernel, _gaussian_kernels, _kernel, _terms
 from compalg.sampling import random_orthogonal_null_pair
+from compalg.selftest import RemarkReport, SelftestRecord, SelftestResult
 
 PACKAGE = Path(compalg.__file__).parent
 
@@ -144,6 +147,58 @@ def test_library_imports_at_module_level():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == [("core.py", "__str__")]
+
+
+def test_import_loads_no_dataclass_machinery():
+    """A fresh ``import compalg`` and ``compalg.cli`` leaves ``dataclasses``
+    and ``inspect`` unloaded: the records are named tuples, so the cold
+    start does not pay for either module."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = (
+        "import sys, compalg, compalg.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout == "[]\n"
+
+
+# Each record with its field names, in order, and one value per field.
+RECORDS = {
+    "Classification": (Classification, "pure nonzero invertible", (True, True, False)),
+    "ConjugacyWitness": (
+        ConjugacyWitness, "p q branch", (H.basis(1), None, Branch.SUM_INVERTIBLE)
+    ),
+    "CheckReport": (CheckReport, "algebra_name checks", ("H", (("norm(p) != 0", True),))),
+    "CommutantReport": (
+        CommutantReport,
+        "a b nullspace_basis single",
+        (H.basis(1), H.basis(2), (H.one(), H.basis(3)), H.one()),
+    ),
+    "SelftestRecord": (SelftestRecord, "name algebra samples failure", ("p", "O", 5, "")),
+    "SelftestResult": (SelftestResult, "records", ((SelftestRecord("p", "O", 5, ""),),)),
+    "RemarkReport": (RemarkReport, "instances", ((CheckReport("Os", ()),),)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    """Positional construction, field reads, equality and hashing by
+    fields, a ``Name(field=value, ...)`` repr, and no assignment."""
+    cls, fields, values = RECORDS[name]
+    fields = fields.split()
+    record = cls(*values)
+    assert [getattr(record, f) for f in fields] == list(values)
+    twin = cls(*values)
+    assert record == twin and hash(record) == hash(twin)
+    assert record != cls(*values[:-1], "other")
+    pairs = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+    assert repr(record) == f"{name}({pairs})"
+    for attribute in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, values[0])
 
 
 # Each exact-scalar entry point with one bad scalar x: every one must raise
