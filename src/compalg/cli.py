@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .commutant import single_conjugator_search
@@ -288,7 +289,11 @@ def main(argv=None):
     except CompalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(payload) if args.json else "\n".join(lines))
+    try:
+        print(json.dumps(payload) if args.json else "\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader left: quiet the interpreter's final flush, keep the code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if payload.get("ok", True) else 1
 
 

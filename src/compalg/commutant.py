@@ -146,7 +146,7 @@ def _nullspace_form(rows, ncols):
     over the lcm of those reduced divisors: ``_normal`` and
     ``_coefficients`` take it to the canonical form.
     """
-    rows, pivots = _echelon(rows, ncols)
+    rows, pivots = _echelon(rows, range(ncols))
     if len(pivots) == ncols:
         return []
     _reduce_above(rows, pivots)
@@ -241,7 +241,7 @@ def span_contains(vectors, target):
     if any(len(v) != len(target) for v in vectors):
         raise ValueError("span_contains needs vectors as long as the target")
     rows = [integer_form(r)[1] for r in zip(*vectors, target)]
-    return len(vectors) not in _echelon(rows, len(vectors) + 1)[1]
+    return len(vectors) not in _echelon(rows, range(len(vectors) + 1))[1]
 
 
 class CommutantReport(namedtuple("CommutantReport", "a b nullspace_basis single")):

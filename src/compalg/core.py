@@ -228,7 +228,8 @@ def _lincomb(x, u, y, v):
     if ui is None and vi is None:
         return re, None
     zero = (0,) * len(ur)
-    return re, [x * p + y * q for p, q in zip(ui or zero, vi or zero)]
+    im = [x * p + y * q for p, q in zip(ui or zero, vi or zero)]
+    return re, im if any(im) else None
 
 
 def _dot(alg, u, v):
@@ -344,11 +345,11 @@ def _divided(algebra, u, m, den):
     return _normal(algebra, u, mr * den)
 
 
-def _echelon(rows, ncols):
+def _echelon(rows, cols):
     """``(rows, pivots)``: integer-form rows ``(re, im)`` brought to row
-    echelon form with leftmost-nonzero pivoting, row i carrying pivot
-    column ``pivots[i]`` and the rows below it 0 there; the rows past the
-    last pivot are 0.
+    echelon form, pivoting on the first nonzero column in the order
+    ``cols`` gives, row i carrying pivot column ``pivots[i]`` and the rows
+    below it 0 there; the rows past the last pivot are 0.
 
     The elimination is fraction-free: each row is divided by its content,
     and a row is cleared against the pivot row as ``pivot * row - entry *
@@ -357,7 +358,7 @@ def _echelon(rows, ncols):
     """
     rows = [_primitive(u) for u in rows]
     pivots = []
-    for c in range(ncols):
+    for c in cols:
         r = len(pivots)
         if r == len(rows):
             break
@@ -415,9 +416,7 @@ def _combine(row, pivot_row, c):
     if xi is None and yi is None:
         g = gcd(p, f)
         p, f = p // g, f // g
-        new = [p * x - f * y for x, y in zip(xr, yr)]
-        g = gcd(*new)
-        return [x // g for x in new] if g > 1 else new, None
+        return _primitive(([p * x - f * y for x, y in zip(xr, yr)], None))
     zero = (0,) * len(xr)
     xi, yi = xi or zero, yi or zero
     q, h = yi[c], xi[c]
@@ -426,12 +425,6 @@ def _combine(row, pivot_row, c):
     re = [p * a - q * b - f * s + h * t for a, b, s, t in zip(xr, xi, yr, yi)]
     im = [p * b + q * a - f * t - h * s for a, b, s, t in zip(xr, xi, yr, yi)]
     return _primitive((re, im if any(im) else None))
-
-
-def _reversed(u):
-    """An integer-form vector with its coordinates in reverse order."""
-    re, im = u
-    return re[::-1], im[::-1] if im and any(im) else None
 
 
 def _conj4(u):

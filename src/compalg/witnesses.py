@@ -50,7 +50,6 @@ from .core import (
     _normal,
     _product,
     _reduce_above,
-    _reversed,
     _same_norm,
     _scaled,
     _shifted,
@@ -222,27 +221,27 @@ def _single_case(a, b):
     m (else None).  It is total on these pairs, zeros included: with a = 0
     or b = 0 the case is NEGATED (both zero) or DEPENDENT (t = 0).
 
-    One ``_echelon`` of t and s with their coordinates reversed decides the
+    One ``_echelon`` of t and s, pivoting from the last column, decides the
     case: N(s) != 0 gives SUM; else rank 1 gives DEPENDENT and rank 2 NONE,
     confirmed apart from the elimination by a nonzero 2 x 2 minor of s, t
     at the pivots.  In SUM and NONE, s and t span the solutions (proved in
     ``commutant.single_conjugator_search``).  The elimination's basis
     vector for a free column f is 1 at f and 0 at the other free columns,
-    which are the last-nonzero positions of the solutions.  The reversed
-    echelon pivots there, so after ``_reduce_above`` each row over its
-    pivot entry is that basis, read from the right.  Its shape is checked,
-    not its span: rank 2, and each row 0 at the other's pivot column."""
+    which are the last-nonzero positions of the solutions.  This echelon
+    pivots there, so after ``_reduce_above`` each row over its pivot entry
+    is that basis.  Its shape is checked, not its span: rank 2, and each
+    row 0 at the other's pivot column."""
     alg, s = a.algebra, _lincomb(b.den, a.num, a.den, b.num)
     if not any(s[0]) and not any(s[1] or ()):
         return SingleCase.NEGATED, s, None, None
     t = _product(alg, s, a.num)
-    rows, pivots = _echelon([_reversed(t), _reversed(s)], alg.dim)
+    rows, pivots = _echelon([t, s], range(alg.dim - 1, -1, -1))
     if _dot(alg, s, s) != (0, 0):
         case = SingleCase.SUM
     elif len(pivots) == 1:
         return SingleCase.DEPENDENT, s, t, None
     else:
-        k, j = (alg.dim - 1 - c for c in pivots)
+        k, j = pivots
         if _gmul(_entry(s, k), _entry(t, j)) == _gmul(_entry(s, j), _entry(t, k)):
             raise ConsistencyError("s, t read as independent have a zero pivot minor")
         case = SingleCase.NONE
@@ -251,7 +250,7 @@ def _single_case(a, b):
     (u, v), c, f = rows, pivots[0], pivots[-1]
     if _entry(u, f) != (0, 0) or _entry(v, c) != (0, 0):
         raise ConsistencyError("closed-form basis is not a reduced echelon of rank 2")
-    return case, s, t, ((_reversed(v), _entry(v, f)), (_reversed(u), _entry(u, c)))
+    return case, s, t, ((v, _entry(v, f)), (u, _entry(u, c)))
 
 
 def _single_conjugator(a, b):
@@ -310,7 +309,7 @@ def _single_conjugator(a, b):
         return case, negator(a)
     if case is SingleCase.NONE:
         return case, None
-    k, *more = _echelon([u, b.num], alg.dim)[1]  # rank 1 iff b = c a
+    k, *more = _echelon([u, b.num], range(alg.dim))[1]  # rank 1 iff b = c a
     uk = _entry(u, k)
     # c = (vr + vi i) / (ur + ui i) whenever b = c a
     (vr, vi), (ur, ui) = _gmul(_entry(b.num, k), (d, 0)), _gmul(uk, (e, 0))

@@ -41,7 +41,15 @@ from compalg import (
     single_conjugator_search,
     twisted_commutant_matrix,
 )
-from compalg.core import _dot_terms, _gaussian_kernel, _gaussian_kernels, rational
+from compalg.core import (
+    _dot_terms,
+    _echelon,
+    _entry,
+    _gaussian_kernel,
+    _gaussian_kernels,
+    _reduce_above,
+    rational,
+)
 
 from helpers import (
     is_normal,
@@ -342,6 +350,61 @@ def test_nullspace_equals_gauss_jordan(complex_field):
         assert all(is_normal(x) for v in got for x in v)
         nullities.add(len(got))
     assert {0, 1, 2} <= nullities
+
+
+def _integer_rows(rng, n, gaussian):
+    """Integer-form rows of n columns and rank at most a random r, 0 and n
+    included: a product of sparse nrows x r and r x n Gaussian integer
+    factors (real ones unless ``gaussian``), an all-zero imaginary part
+    written as None or as zeros."""
+    nrows = rng.randint(1, 8)
+    rank = rng.randint(0, min(nrows, n))
+
+    def z():
+        if rng.random() < 0.4:
+            return 0, 0
+        return rng.randint(-9, 9), rng.randint(-9, 9) if gaussian else 0
+
+    left = [[z() for _ in range(rank)] for _ in range(nrows)]
+    right = [[z() for _ in range(n)] for _ in range(rank)]
+    rows = []
+    for x in left:
+        terms = [[(p, s, *right[r][k]) for r, (p, s) in enumerate(x)] for k in range(n)]
+        re = [sum(p * q - s * t for p, s, q, t in col) for col in terms]
+        im = [sum(p * t + s * q for p, s, q, t in col) for col in terms]
+        rows.append((re, im if any(im) else rng.choice([None, im])))
+    return rows
+
+
+def _flipped(u):
+    re, im = u
+    return re[::-1], im and im[::-1]
+
+
+def _entries(rows, n):
+    return [[_entry(u, k) for k in range(n)] for u in rows]
+
+
+@pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+def test_echelon_pivots_in_the_given_column_order(gaussian):
+    # right-to-left pivoting is the left-to-right elimination of the
+    # reversed rows, reversed back: the same rows, entry by entry, and
+    # pivot n - 1 - c for its pivot c, also once reduced above the pivots
+    rng = random.Random(f"echelon-order:{gaussian}")
+    ranks = set()
+    for n in range(1, 9):
+        for _ in range(40):
+            rows = _integer_rows(rng, n, gaussian)
+            want, ref_pivots = _echelon([_flipped(u) for u in rows], range(n))
+            got, pivots = _echelon(rows, range(n - 1, -1, -1))
+            assert pivots == [n - 1 - c for c in ref_pivots]
+            assert _entries(got, n) == _entries(map(_flipped, want), n)
+            _reduce_above(want, ref_pivots)
+            _reduce_above(got, pivots)
+            assert _entries(got, n) == _entries(map(_flipped, want), n)
+            full = len(pivots) == min(n, len(rows))
+            ranks.add("full" if full else "deficient" if pivots else "zero")
+    assert ranks == {"zero", "deficient", "full"}
 
 
 @pytest.mark.parametrize("name", ALL)

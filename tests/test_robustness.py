@@ -68,7 +68,7 @@ from compalg.selftest import RemarkReport, SelftestRecord, SelftestResult
 PACKAGE = Path(compalg.__file__).parent
 
 
-def run_cli(*argv, optimize=False):
+def run_cli(*argv, optimize=False, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -76,7 +76,8 @@ def run_cli(*argv, optimize=False):
     flags = ["-O"] if optimize else []
     return subprocess.run(
         [sys.executable, *flags, "-m", "compalg.cli", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=120,
@@ -263,6 +264,28 @@ def test_checks_survive_optimized_mode(argv):
     proc = run_cli(*argv, optimize=True)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# seven 4000-digit terms: conj prints about 28 KB, more than a pipe holds
+BIG_O = "+".join(f"{'7' * 4000}e{k}" for k in range(1, 8))
+CLOSED_STDOUT = {
+    "selftest": ("selftest", "--samples", "2"),
+    "conj-28KB": ("conj", "--algebra", "O", BIG_O),
+}
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT.values(), ids=CLOSED_STDOUT.keys())
+def test_closed_stdout_keeps_the_exit_code(argv):
+    # stdout's reader is gone before the command prints: the exit code is
+    # the one an open pipe gets, and stderr carries no traceback or note
+    assert run_cli(*argv).returncode == 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_cli(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 HOSTILE_LITERALS = {
