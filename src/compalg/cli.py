@@ -81,9 +81,8 @@ def _cmd_table(args):
         [labels[k] if s == 1 else f"-{labels[k]}" for k, s in row] for row in alg.table
     ]
     width = max(len(c) for row in cells for c in row) + 2
-    lines = [" " * 4 + "".join(label.rjust(width) for label in labels)]
-    for label, row in zip(labels, cells):
-        lines.append(label.ljust(4) + "".join(c.rjust(width) for c in row))
+    rows = [("", labels), *zip(labels, cells)]
+    lines = [h.ljust(4) + "".join(c.rjust(width) for c in row) for h, row in rows]
     return payload, lines
 
 
@@ -167,14 +166,11 @@ def _cmd_commutant(args):
         lines.append("norm Gram matrix:")
         for row in gram:
             lines.append("  [" + ", ".join(format_scalar(g) for g in row) + "]")
-    if report.single_exists:
-        lines.append(
-            f"verdict: single conjugator exists, p = {format_element(report.single)}"
-        )
-    else:
-        lines.append(
-            "verdict: no single conjugator (norm form vanishes on the solution space)"
-        )
+    lines.append(
+        f"verdict: single conjugator exists, p = {format_element(report.single)}"
+        if report.single_exists
+        else "verdict: no single conjugator (norm form vanishes on the solution space)"
+    )
     return payload, lines
 
 

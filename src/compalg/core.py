@@ -11,8 +11,9 @@ Naming and basis conventions
 * ``Oc`` -- octonions with Gaussian-rational coefficients
 
 Coefficients are positional: index 0 is the unit, indices 1..dim-1 are the
-imaginary units.  Primes are display-only.  The dim-8 tables are generated
-from the dim-4 ones through the doubling product
+imaginary units.  Primes are display-only.  ``Algebra(name, complex_field,
+table)`` reads the dimension and the primed units off its table.  The dim-8
+tables are generated from the dim-4 ones through the doubling product
 
     (m1 + n1*e4)(m2 + n2*e4) = (m1*m2 - conj(n2)*n1) + (n1*conj(m2) + n2*m1)*e4
 
@@ -448,16 +449,11 @@ def build_doubled_table(qtable):
     would signal a transcription bug in the dim-4 table or the packing.
     """
     mul = _kernel(_terms(qtable), 4)
+    units = [_split_halves([int(k == i) for k in range(8)]) for i in range(8)]
     rows = []
-    for i in range(8):
-        u = [0] * 8
-        u[i] = 1
-        m1, n1 = _split_halves(u)
+    for i, (m1, n1) in enumerate(units):
         row = []
-        for j in range(8):
-            v = [0] * 8
-            v[j] = 1
-            m2, n2 = _split_halves(v)
+        for j, (m2, n2) in enumerate(units):
             m = [a - b for a, b in zip(mul(m1, m2), mul(_conj4(n2), n1))]
             n = [a + b for a, b in zip(mul(n1, _conj4(m2)), mul(n2, m1))]
             w = _join_halves(m, n)
@@ -485,15 +481,15 @@ def build_doubled_table(qtable):
     return table
 
 
-def _check_norm_form(table, dim):
+def _check_norm_form(table):
     """Raise ConsistencyError unless a conj(b) + b conj(a) is a scalar for
     all a, b: the unit squares to itself and commutes with every e_j, each
     imaginary unit squares to a scalar, and distinct imaginary units
     anticommute.  By bilinearity this makes the inner product the
     metric-weighted dot product for every input."""
-    for i in range(dim):
-        for j in range(i, dim):
-            k, s = table[i][j]
+    for i, row in enumerate(table):
+        for j in range(i, len(table)):
+            k, s = row[j]
             if i == j:
                 ok = k == 0 and (i > 0 or s == 1)
             else:
@@ -506,8 +502,9 @@ def _check_norm_form(table, dim):
 
 
 class Algebra:
-    """One of the six algebras: dimension, scalar field, display conventions,
-    structure table and its term list.  Instances are immutable singletons."""
+    """One of the six algebras: a name, a scalar field and a structure table,
+    which fixes the dimension, the primed units (those squaring to +1), the
+    metric and the term list.  Instances are immutable singletons."""
 
     __slots__ = (
         "name",
@@ -523,16 +520,16 @@ class Algebra:
         "gauss_dot",
     )
 
-    def __init__(self, name, dim, complex_field, primed, table):
+    def __init__(self, name, complex_field, table):
+        _check_norm_form(table)
         self.name = name
-        self.dim = dim
+        self.dim = dim = len(table)
         self.complex_field = complex_field
-        self.primed = frozenset(primed)
         self.table = table
-        _check_norm_form(table, dim)
         # metric[k] = norm of the k-th basis unit: 1 for the unit,
         # -(sign of e_k^2) for the imaginary units
         self.metric = (1,) + tuple(-table[k][k][1] for k in range(1, dim))
+        self.primed = frozenset(k for k in range(1, dim) if table[k][k] == (0, 1))
         self.terms = _terms(table)
         self.mul = _kernel(self.terms, dim)
         self.dot = _kernel(_dot_terms(self.metric), dim)
@@ -781,12 +778,12 @@ def classify(a):
     return Classification(a.is_pure, not a.is_zero, _invertible(a))
 
 
-H = Algebra("H", 4, False, (), QUATERNION_TABLE)
-Hs = Algebra("Hs", 4, False, (1, 3), SPLIT_QUATERNION_TABLE)
-Hc = Algebra("Hc", 4, True, (), QUATERNION_TABLE)
-O = Algebra("O", 8, False, (), build_doubled_table(QUATERNION_TABLE))
-Os = Algebra("Os", 8, False, (1, 3, 5, 7), build_doubled_table(SPLIT_QUATERNION_TABLE))
-Oc = Algebra("Oc", 8, True, (), O.table)
+H = Algebra("H", False, QUATERNION_TABLE)
+Hs = Algebra("Hs", False, SPLIT_QUATERNION_TABLE)
+Hc = Algebra("Hc", True, QUATERNION_TABLE)
+O = Algebra("O", False, build_doubled_table(QUATERNION_TABLE))
+Os = Algebra("Os", False, build_doubled_table(SPLIT_QUATERNION_TABLE))
+Oc = Algebra("Oc", True, O.table)
 
 ALGEBRAS = {alg.name: alg for alg in (H, Hs, Hc, O, Os, Oc)}
 
@@ -798,5 +795,5 @@ def embed_in_cayley(a):
     Element._check_same(a, a)
     if a.algebra.dim == 8:
         return a
-    (re, im), pad = a.num, (0,) * 4
+    (re, im), pad = a.num, (0,) * a.algebra.dim
     return _normal(CAYLEY_EXTENSION[a.algebra], (re + pad, im and im + pad), a.den)

@@ -7,7 +7,7 @@ Grammar (whitespace insignificant)::
     scalar   := rational | rational 'i' | 'i'
               | '(' rational (('+'|'-') rational 'i') ')'
     rational := integer ['/' positive-integer]
-    basis    := 'e' digit ['\''] | '1'
+    basis    := 'e' digit ['\'']
 
 Primes (ASCII apostrophe) are required on exactly the indices the algebra
 displays primed ({1, 3} for Hs; {1, 3, 5, 7} for Os) and are rejected
@@ -128,14 +128,16 @@ def _parse(text, algebra):
             y = 0
             if ni:
                 x, y, at = 0, x, m.start("ni")
-        elif a:  # (a/b + c/d i) = (a d + c b i) / (b d)
+        elif a:  # (a/b + c/d i) = (a d/g + c b/g i) / lcm(b, d), g = gcd(b, d)
             x, p = int(a), int(b) if b else 1
             if not p:
                 raise ParseError("zero denominator", m.start("b"))
             y, q = int(c), int(d) if d else 1
             if not q:
                 raise ParseError("zero denominator", m.start("d"))
-            x, y, q = (-x if neg else x) * q, (-y if op == "-" else y) * p, p * q
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            x, y, q = (-x if neg else x) * q, (-y if op == "-" else y) * p, p * q * g
             at = m.start("i")
         elif bare_i:
             x, y, q, at = 0, 1, 1, m.start("bare_i")

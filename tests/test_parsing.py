@@ -130,11 +130,16 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as exc:
         parse_element("e1 ? e2", H)
     assert exc.value.position == 3
-    for text, alg in (("", H), ("1/0", H), ("e", H), ("(1+2i", Oc)):
+    cases = (("", H), ("1/0", H), ("e", H), ("(1+2i", Oc), ("(1+2i)1", Hc), ("i1", Hc))
+    for text, alg in cases:
         with pytest.raises(ParseError) as exc:
             parse_element(text, alg)
         got = type(exc.value), str(exc.value), exc.value.position
         assert got == _outcome(reference_parse, text, alg), text
+    # '1' is a scalar, never a basis label, so it cannot follow a scalar
+    for text, at in (("(1+2i)1", 6), ("i1", 1)):
+        want = f"expected '+', '-' or end of expression (at position {at})"
+        assert _outcome(parse_element, text, Hc) == (ParseError, want, at), text
     # a zero denominator in the real part of a parenthesized scalar, read
     # by the term regex or, with the ')' missing, by the grammar's walk
     for text in ("(1/0+2i)", "(1/00-2i)e1", "(1/0+2i"):

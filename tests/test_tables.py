@@ -147,7 +147,16 @@ def test_algebra_rejects_a_table_whose_norm_form_breaks(at):
     # inner() is the metric dot product only if a conj(b) + b conj(a) is
     # always scalar; one flipped sign breaks that for some pair of units
     with pytest.raises(ConsistencyError):
-        Algebra("bad", 4, False, (), _flip(QUATERNION_TABLE, at))
+        Algebra("bad", False, _flip(QUATERNION_TABLE, at))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_dimension_and_primes_are_read_off_the_table(name):
+    alg = ALGEBRAS[name]
+    assert alg.dim == len(alg.table) == (4 if name[0] == "H" else 8)
+    units = [alg.basis(k) for k in range(alg.dim)]
+    assert alg.primed == {k for k, e in enumerate(units) if k and e * e == alg.one()}
+    assert alg.primed == {"Hs": {1, 3}, "Os": {1, 3, 5, 7}}.get(name, set())
 
 
 @pytest.mark.parametrize("name", ALL)
