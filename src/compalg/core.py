@@ -12,14 +12,20 @@ Naming and basis conventions
 
 Coefficients are positional: index 0 is the unit, indices 1..dim-1 are the
 imaginary units.  Primes are display-only.  ``Algebra(name, complex_field,
-table)`` reads the dimension and the primed units off its table.  The dim-8
+table)`` reads the dimension and the primed units off its table, and
+``_check_table`` holds every table to one contract: 4x4 or 8x8, each entry a
+signed unit (k, +-1) with 0 <= k < dim, the unit's row and column the
+identity, each imaginary unit squaring to +-1 and distinct imaginary units
+anticommuting; any other table raises ConsistencyError at construction.
+The witness layer (negator candidates, Cayley extensions) serves only the
+six named algebras and raises PreconditionViolation for any other.  The dim-8
 tables are generated from the dim-4 ones through the doubling product
 
     (m1 + n1*e4)(m2 + n2*e4) = (m1*m2 - conj(n2)*n1) + (n1*conj(m2) + n2*m1)*e4
 
 with the index-6 unit fixed as -(e2*e4), so the derived units satisfy
 e5 = e1*e4, e6 = -e2*e4, e7 = e3*e4; the generated tables are cross-checked
-against those sign conventions at import time.
+against those sign conventions and the contract above at import time.
 
 Storage and integer kernel
 --------------------------
@@ -63,7 +69,12 @@ from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import AlgebraMismatch, ConsistencyError, NotInvertible
+from .errors import (
+    AlgebraMismatch,
+    ConsistencyError,
+    NotInvertible,
+    PreconditionViolation,
+)
 from .scalars import RATIONAL_TYPES, GaussRational
 
 # dim-4 tables: table[i][j] = (k, sign) meaning e_i * e_j = sign * e_k.
@@ -466,9 +477,7 @@ def build_doubled_table(qtable):
         rows.append(tuple(row))
     table = tuple(rows)
 
-    for j in range(8):
-        if table[0][j] != (j, 1) or table[j][0] != (j, 1):
-            raise ConsistencyError("unit row/column of the doubled table is broken")
+    _check_table(table)
     for i in range(4):
         for j in range(4):
             if table[i][j] != qtable[i][j]:
@@ -481,24 +490,24 @@ def build_doubled_table(qtable):
     return table
 
 
-def _check_norm_form(table):
-    """Raise ConsistencyError unless a conj(b) + b conj(a) is a scalar for
-    all a, b: the unit squares to itself and commutes with every e_j, each
-    imaginary unit squares to a scalar, and distinct imaginary units
-    anticommute.  By bilinearity this makes the inner product the
-    metric-weighted dot product for every input."""
+def _check_table(table):
+    """Raise ConsistencyError unless ``table`` meets the contract in the
+    module docstring.  Its last two conditions make a conj(b) + b conj(a)
+    a scalar, so the inner product is the metric-weighted dot product."""
+    n = len(table)
+    if n not in (4, 8) or any(len(row) != n for row in table):
+        raise ConsistencyError("a structure table is square, 4x4 or 8x8")
+    units = [(k, s) for k in range(n) for s in (1, -1)]
     for i, row in enumerate(table):
-        for j in range(i, len(table)):
-            k, s = row[j]
-            if i == j:
-                ok = k == 0 and (i > 0 or s == 1)
+        for j in range(i, n):
+            x, y = row[j], table[j][i]
+            if i == 0:
+                ok, what = x == y == (j, 1), "the unit row/column"
             else:
-                ok = table[j][i] == (k, s if i == 0 else -s)
+                ok = x in units and (x[0] == 0 if i == j else y == (x[0], -x[1]))
+                what = "the norm form"
             if not ok:
-                raise ConsistencyError(
-                    f"units {i} and {j} break the norm form: "
-                    f"{table[i][j]} and {table[j][i]}"
-                )
+                raise ConsistencyError(f"units {i} and {j} break {what}: {x} and {y}")
 
 
 class Algebra:
@@ -521,7 +530,7 @@ class Algebra:
     )
 
     def __init__(self, name, complex_field, table):
-        _check_norm_form(table)
+        _check_table(table)
         self.name = name
         self.dim = dim = len(table)
         self.complex_field = complex_field
@@ -790,9 +799,17 @@ ALGEBRAS = {alg.name: alg for alg in (H, Hs, Hc, O, Os, Oc)}
 CAYLEY_EXTENSION = {H: O, Hs: Os, Hc: Oc}
 
 
+def _one_of_six(alg):
+    """Raise PreconditionViolation unless ``alg`` is one of the six named
+    algebras, the only ones with Cayley extensions and negator candidates."""
+    if ALGEBRAS.get(alg.name) is not alg:
+        raise PreconditionViolation(f"{alg.name} is not one of the six algebras")
+
+
 def embed_in_cayley(a):
     """Embed a dim-4 element into its dim-8 extension (identity on dim 8)."""
     Element._check_same(a, a)
+    _one_of_six(a.algebra)
     if a.algebra.dim == 8:
         return a
     (re, im), pad = a.num, (0,) * a.algebra.dim

@@ -48,6 +48,7 @@ from .core import (
     _lincomb,
     _norms,
     _normal,
+    _one_of_six,
     _product,
     _reduce_above,
     _same_norm,
@@ -117,6 +118,7 @@ _CANDIDATE_PAIRS = {
 def negator_candidates(a):
     """The candidate list for ``negator``, in scan order."""
     Element._check_same(a, a)
+    _one_of_six(a.algebra)
     alg, (re, im), out = a.algebra, a.num, []
     for i, j in _CANDIDATE_PAIRS[alg.name]:
         u = [[0] * alg.dim, [0] * alg.dim]

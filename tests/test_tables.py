@@ -133,21 +133,49 @@ def test_doubling_checks_catch_an_injected_fault(monkeypatch, fault, message):
     assert build_doubled_table(QUATERNION_TABLE) == O.table
 
 
-def _flip(table, at):
+def _put(table, entries):
+    """``table`` with the entries at the given (i, j) replaced."""
     return tuple(
-        tuple((k, -s) if (i, j) == at else (k, s) for j, (k, s) in enumerate(row))
+        tuple(entries.get((i, j), e) for j, e in enumerate(row))
         for i, row in enumerate(table)
     )
 
 
-@pytest.mark.parametrize(
-    "at", [(i, j) for i in range(4) for j in range(4) if i != j or i == 0]
-)
-def test_algebra_rejects_a_table_whose_norm_form_breaks(at):
-    # inner() is the metric dot product only if a conj(b) + b conj(a) is
-    # always scalar; one flipped sign breaks that for some pair of units
+def _flip(table, at):
+    k, s = table[at[0]][at[1]]
+    return _put(table, {at: (k, -s)})
+
+
+_Q = QUATERNION_TABLE
+# one flipped sign anywhere, then tables whose unit pairs keep consistent
+# signs but which break the signed units, the unit row or the square shape
+_FLIPPED = [(i, j) for i in range(4) for j in range(4) if i != j or i == 0]
+_MALFORMED = [
+    pytest.param(_flip(_Q, at), id=f"at{n}") for n, at in enumerate(_FLIPPED)
+] + [
+    pytest.param(table, id=name)
+    for name, table in {
+        "square-is-2": _put(_Q, {(1, 1): (0, 2)}),
+        "square-is-0": _put(_Q, {(1, 1): (0, 0)}),
+        "product-is-2e3": _put(_Q, {(1, 2): (3, 2), (2, 1): (3, -2)}),
+        "product-index-7": _put(_Q, {(1, 2): (7, 1), (2, 1): (7, -1)}),
+        "unit-times-e1-is-e2": _put(_Q, {(0, 1): (2, 1), (1, 0): (2, 1)}),
+        "quaternion-3x3-corner": tuple(row[:3] for row in _Q[:3]),
+        "complex-numbers-2x2": (((0, 1), (1, 1)), ((1, 1), (0, -1))),
+        "row-too-long": _Q[:1] + (_Q[1] + ((0, 1),),) + _Q[2:],
+        "row-too-short": _Q[:1] + (_Q[1][:3],) + _Q[2:],
+    }.items()
+]
+
+
+@pytest.mark.parametrize("table", _MALFORMED)
+def test_algebra_rejects_a_table_whose_norm_form_breaks(table):
+    # the term list, the kernels and inner() as the metric dot product
+    # read only a square 4x4 or 8x8 table of signed units, with the
+    # identity unit row and column, imaginary units squaring to +-1 and
+    # distinct ones anticommuting
     with pytest.raises(ConsistencyError):
-        Algebra("bad", False, _flip(QUATERNION_TABLE, at))
+        Algebra("bad", False, table)
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from compalg import (
+    Algebra,
     AlgebraMismatch,
     Branch,
     ConjugacyWitness,
@@ -21,12 +22,14 @@ from compalg import (
     ZeroElement,
     collapse_quaternion,
     conjugacy_witness,
+    embed_in_cayley,
     negator,
     negator_candidates,
     sandwich,
     separator,
     verify_witness,
 )
+from compalg.core import QUATERNION_TABLE
 from compalg.sampling import random_invertible, random_orthogonal_null_pair
 
 
@@ -275,6 +278,19 @@ def test_witness_minimal_mode():
     b2 = Os.element([0, 0, 3, 0, 0, 0, 4, 5])
     w2 = conjugacy_witness(a2, b2, minimal=True)
     assert not w2.is_single
+
+
+@pytest.mark.parametrize(
+    "call",
+    [negator, lambda a: conjugacy_witness(a, -a), embed_in_cayley],
+    ids=["negator", "conjugacy_witness", "embed_in_cayley"],
+)
+def test_witness_layer_names_an_algebra_outside_the_six(call):
+    # a valid table, but no negator candidates or Cayley extension are
+    # tabulated for it, so each call raises a typed error naming it
+    q2 = Algebra("Q2", False, QUATERNION_TABLE)
+    with pytest.raises(PreconditionViolation, match="Q2 is not one of the six"):
+        call(q2.basis(1))
 
 
 # ----------------------------------------------------------- collapse
