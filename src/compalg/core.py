@@ -15,8 +15,11 @@ imaginary units.  Primes are display-only.  ``Algebra(name, complex_field,
 table)`` reads the dimension and the primed units off its table, and
 ``_check_table`` holds every table to one contract: 4x4 or 8x8, each entry a
 signed unit (k, +-1) with 0 <= k < dim, the unit's row and column the
-identity, each imaginary unit squaring to +-1 and distinct imaginary units
-anticommuting; any other table raises ConsistencyError at construction.
+identity, each imaginary unit squaring to +-1, distinct imaginary units
+anticommuting, and the linearized left and right alternative laws on the
+units, e_i (e_j x) + e_j (e_i x) = (e_i e_j + e_j e_i) x and its mirror for
+imaginary i <= j and every unit x; any other table raises ConsistencyError
+at construction.
 The witness layer (negator candidates, Cayley extensions) serves only the
 six named algebras and raises PreconditionViolation for any other.  The dim-8
 tables are generated from the dim-4 ones through the doubling product
@@ -492,8 +495,11 @@ def build_doubled_table(qtable):
 
 def _check_table(table):
     """Raise ConsistencyError unless ``table`` meets the contract in the
-    module docstring.  Its last two conditions make a conj(b) + b conj(a)
-    a scalar, so the inner product is the metric-weighted dot product."""
+    module docstring.  Its norm-form conditions make a conj(b) + b conj(a)
+    a scalar, so the inner product is the metric-weighted dot product; the
+    alternative laws rule out the tables that meet the rest but break
+    N(xy) = N(x) N(y), such as the quaternion table with e2 e3 and e3 e2
+    swapped.  Every product is read off the table."""
     n = len(table)
     if n not in (4, 8) or any(len(row) != n for row in table):
         raise ConsistencyError("a structure table is square, 4x4 or 8x8")
@@ -508,6 +514,29 @@ def _check_table(table):
                 what = "the norm form"
             if not ok:
                 raise ConsistencyError(f"units {i} and {j} break {what}: {x} and {y}")
+
+    def associators(*triples):  # the sum of (e_p e_q) e_r - e_p (e_q e_r)
+        w = [0] * n
+        for p, q, r in triples:
+            k, s = table[p][q]
+            k, t = table[k][r]
+            w[k] += s * t
+            k, s = table[q][r]
+            k, t = table[p][k]
+            w[k] -= s * t
+        return w
+
+    # the alternative laws, linearized: with [a, b, c] = (ab)c - a(bc),
+    # [e_i, e_j, x] + [e_j, e_i, x] = 0 = [x, e_i, e_j] + [x, e_j, e_i]
+    for i in range(1, n):
+        for j in range(i, n):
+            for x in range(n):
+                left = associators((i, j, x), (j, i, x))
+                right = associators((x, i, j), (x, j, i))
+                if any(left) or any(right):
+                    raise ConsistencyError(
+                        f"units {i}, {j} and {x} break the alternative laws"
+                    )
 
 
 class Algebra:

@@ -24,19 +24,22 @@ prints from ``num``/``den``; no ``Fraction`` or ``GaussRational`` is built.
 
 The grammar never nests parentheses, so its language is regular: one
 anchored term regex, ``_TERM``, reads the text a term and its sign at a
-time with ``match(text, pos)`` until the end of the text.  Accepted text
-takes no other path.  Rejected text takes the error path, which keeps one
-rule: a lexical error (an unexpected character, 'e' without a digit, an
-over-long integer) anywhere in the text comes before any syntax or
-semantic error.  One scan of the whole text with the lexical regex
-``_TOKEN`` alone names lexical errors, over-long literals included: the
-term regex splits digit runs as ``_TOKEN`` does, so an ``int()`` past the
-int-string limit stops the parse at a literal the scan names, or the scan
-finds an earlier error.  The parse's own error (the grammar's error at the
-term the regex stopped at, or a wrong index or prime, an 'i' over a real
-field or a zero denominator in an earlier term) is reported only when the
-scan finds none: ``e1 e2 $`` reports the '$' at 6 rather than the missing
-'+' at 3, and ``e1' + $`` over H the '$' rather than the prime.
+time with ``match(text, pos)`` until the end of the text.  Every part of a
+term is optional in the regex, so it reads every term, whole or cut short:
+``_parse`` takes a term with every part in place, and ``_syntax_error``
+reads any other term's error off the same match, at the first part missing
+or at a zero denominator read before it.  Rejected text keeps one rule: a
+lexical error (an unexpected character, 'e' without a digit, an over-long
+integer) anywhere in the text comes before any syntax or semantic error.
+One scan of the whole text with the lexical regex ``_TOKEN`` alone names
+lexical errors, over-long literals included: the term regex reads each
+digit run whole, as ``_TOKEN`` does, so an ``int()`` past the int-string
+limit stops the parse at a literal the scan names, or the scan finds an
+earlier error.  The parse's own error (the grammar's error at the term it
+stopped at, or a wrong index or prime, an 'i' over a real field or a zero
+denominator in an earlier term) is reported only when the scan finds none:
+``e1 e2 $`` reports the '$' at 6 rather than the missing '+' at 3, and
+``e1' + $`` over H the '$' rather than the prime.
 """
 
 from __future__ import annotations
@@ -68,19 +71,19 @@ class IndexOutOfRange(ParseError):
     """A basis index the algebra does not have."""
 
 
-# One term with its sign.  ASCII digits only: \d would also accept other
-# scripts' digits.  Every part is optional, so the match never fails; the
-# parse rejects an empty term and a sign out of place.  A digit run followed
-# by '/' must take a denominator, so the match never stops inside the run
-# or at the '/'.
+# One term with its sign, whole or cut short.  ASCII digits only: \d would
+# also accept other scripts' digits.  Every part is optional, so the match
+# never fails and never shortens a digit run: it reads each run whole, as
+# _TOKEN does.  A missing part of a parenthesized scalar matches "" where
+# it was expected; a denominator group is None without its '/' and "" when
+# the '/' has no digits after it.
 _TERM = re.compile(
     r"""
     \s* (?P<sign>[-+]?) \s*
-    (?: \( \s* (?P<neg>-?) \s* (?P<a>[0-9]+) \s* (?: / \s* (?P<b>[0-9]+) \s* )?
-        (?P<op>[-+]) \s* (?P<c>[0-9]+) \s* (?: / \s* (?P<d>[0-9]+) \s* )?
-        (?P<i>i) \s* \)
-      | (?P<n>[0-9]+) (?: \s* / \s* (?P<nd>[0-9]+) | (?! [0-9] | \s* / ) )
-        \s* (?P<ni>i?)
+    (?: \( \s* (?P<neg>-?) \s* (?P<a>[0-9]*) \s* (?: / \s* (?P<b>[0-9]*) \s* )?
+        (?P<op>[-+]?) \s* (?P<c>[0-9]*) \s* (?: / \s* (?P<d>[0-9]*) \s* )?
+        (?P<i>i?) \s* (?P<close>\)?)
+      | (?P<n>[0-9]+) (?: \s* / \s* (?P<nd>[0-9]*) )? \s* (?P<ni>i?)
       | (?P<bare_i>i)
     )?
     \s* (?: e (?P<k>[0-9]) (?P<prime>'?) )? \s*
@@ -90,13 +93,18 @@ _TERM = re.compile(
 # The tokens of rejected text.  Bare 'e' and any character outside the
 # grammar's alphabet are lexical errors.
 _TOKEN = re.compile(r"\s+|([0-9]+)|e[0-9]'?|[-+/()i]|(e)|(.)", re.S)
-# the parenthesized scalar after its '(' and optional '-': the expected
-# tokens (None for a digit run) up to the closing ')'
-_PAREN = (
-    (None, "an integer"),
-    ("+-", "'+' or '-' inside parentheses"),
-    (None, "an integer"),
+# What the grammar expects at each part that _TERM reads as "" when it is
+# missing, in order: a rational's denominator, then a parenthesized
+# scalar's parts after its '(' and optional '-'.
+_PARTS = (
+    ("nd", "a positive denominator"),
+    ("a", "an integer"),
+    ("b", "a positive denominator"),
+    ("op", "'+' or '-' inside parentheses"),
+    ("c", "an integer"),
+    ("d", "a positive denominator"),
     ("i", "'i'"),
+    ("close", "')'"),
 )
 
 
@@ -117,18 +125,22 @@ def _parse(text, algebra):
     pos = 0
     while True:
         m = _TERM.match(text, pos)
-        sign, neg, a, b, op, c, d, _, n, nd, ni, bare_i, k, prime = m.groups()
+        sign, neg, a, b, op, c, d, i, close, n, nd, ni, bare_i, k, prime = m.groups()
         if (not sign) if pos else sign == "+":
-            raise _syntax_error(text, pos)
+            raise _syntax_error(m)
         at = None  # the position of the term's 'i'
         if n:  # n/nd, or (n/nd) i
+            if nd == "":
+                raise _syntax_error(m)
             x, q = int(n), int(nd) if nd else 1
             if not q:
                 raise ParseError("zero denominator", m.start("nd"))
             y = 0
             if ni:
                 x, y, at = 0, x, m.start("ni")
-        elif a:  # (a/b + c/d i) = (a d/g + c b/g i) / lcm(b, d), g = gcd(b, d)
+        elif neg is not None:  # (a/b + c/d i) = (a d/g + c b/g i) / lcm(b, d)
+            if not (a and op and c and i and close) or b == "" or d == "":
+                raise _syntax_error(m)
             x, p = int(a), int(b) if b else 1
             if not p:
                 raise ParseError("zero denominator", m.start("b"))
@@ -144,7 +156,7 @@ def _parse(text, algebra):
         elif k:
             x, y, q = 1, 0, 1
         else:
-            raise _syntax_error(text, pos)
+            raise _syntax_error(m)
         if at is not None and not algebra.complex_field:
             raise ImaginaryScalarInRealAlgebra(f"'i' is not allowed in {name}", at)
         index = 0
@@ -171,52 +183,23 @@ def _parse(text, algebra):
             return _normal(algebra, (re, im), den)
 
 
-def _tokens(text, pos):
-    """The ``_TOKEN`` tokens of ``text`` from ``pos`` on, whitespace left
-    out, as ``(token, start)``; then ``("", len(text))`` for ever."""
-    for m in _TOKEN.finditer(text, pos):
-        if not m[0].isspace():
-            yield m[0], m.start()
-    while True:
-        yield "", len(text)
-
-
-def _digits(token):
-    """Whether a ``_tokens`` token is a digit run."""
-    return "0" <= token[:1] <= "9"
-
-
-def _syntax_error(text, pos):
-    """The error the grammar gives for the term at ``pos``, its sign
-    included, that ``_TERM`` cannot read: at the first token that breaks
-    the grammar, or at a zero denominator read before it.  Exact for
-    lexically clean text, the only text whose parse error is reported."""
-    tokens = _tokens(text, pos)
-    tok, at = next(tokens)
-    if tok == "-" or tok == "+" and pos:
-        tok, at = next(tokens)
-    elif pos:
-        return ParseError("expected '+', '-' or end of expression", at)
-    if _digits(tok):  # _TERM rejects a rational only after its '/'
-        next(tokens)
-        return ParseError("expected a positive denominator", next(tokens)[1])
-    if tok != "(":
-        return ParseError("expected a term", at)
-    tok, at = next(tokens)
-    if tok == "-":
-        tok, at = next(tokens)
-    for chars, what in _PAREN:
-        if not (tok and tok in chars if chars else _digits(tok)):
-            return ParseError(f"expected {what}", at)
-        tok, at = next(tokens)
-        if not chars and tok == "/":
-            tok, at = next(tokens)
-            if not _digits(tok):
-                return ParseError("expected a positive denominator", at)
-            if not tok.strip("0"):
-                return ParseError("zero denominator", at)
-            tok, at = next(tokens)
-    return ParseError("expected ')'", at)  # or _TERM would have matched
+def _syntax_error(m):
+    """The error the grammar gives for the term ``m`` that ``_parse``
+    rejects: at its sign, at the first part missing from it, at a zero
+    denominator read before that part, or where a term was expected.
+    Exact for lexically clean text, the only text whose parse error is
+    reported."""
+    sign = m["sign"]
+    if (not sign) if m.pos else sign == "+":
+        what = "'+', '-' or end of expression" if m.pos else "a term"
+        return ParseError(f"expected {what}", m.start("sign"))
+    for name, what in _PARTS:
+        part = m[name]
+        if part == "":
+            return ParseError(f"expected {what}", m.start(name))
+        if part and name in ("b", "d") and not part.strip("0"):
+            return ParseError("zero denominator", m.start(name))
+    return ParseError("expected a term", m.end())  # nothing read after the sign
 
 
 def _lexical_error(text):

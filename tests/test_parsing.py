@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -140,8 +141,8 @@ def test_parse_error_positions():
     for text, at in (("(1+2i)1", 6), ("i1", 1)):
         want = f"expected '+', '-' or end of expression (at position {at})"
         assert _outcome(parse_element, text, Hc) == (ParseError, want, at), text
-    # a zero denominator in the real part of a parenthesized scalar, read
-    # by the term regex or, with the ')' missing, by the grammar's walk
+    # a zero denominator in the real part of a parenthesized scalar, in a
+    # whole term or, with the ')' missing, in one cut short
     for text in ("(1/0+2i)", "(1/00-2i)e1", "(1/0+2i"):
         got = _outcome(parse_element, text, Hc)
         assert got == _outcome(reference_parse, text, Hc), text
@@ -233,6 +234,25 @@ def test_parse_matches_reference_parser(name):
         assert _outcome(parse_element, text, alg) == _outcome(
             reference_parse, text, alg
         ), text
+
+
+# two digits, '7' (a basis index over O but not over H), the operators,
+# parentheses, 'i', 'e', the prime and a space
+_SHORT_ALPHABET = "01/()+-ie' 7"
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_every_short_text_matches_reference_parser(name):
+    # every text of up to four symbols: a parenthesized scalar cut short
+    # before each of its parts up to the 'i', and each kind of error
+    # ahead of another kind
+    alg = ALGEBRAS[name]
+    for n in range(5):
+        for chars in itertools.product(_SHORT_ALPHABET, repeat=n):
+            text = "".join(chars)
+            assert _outcome(parse_element, text, alg) == _outcome(
+                reference_parse, text, alg
+            ), text
 
 
 _WHITESPACE = [f for f in _FRAGMENTS if f.isspace()]

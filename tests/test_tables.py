@@ -1,10 +1,13 @@
 """Structure-table fidelity: the defining relations hold and every unit
 product agrees with the independent pair-arithmetic oracle."""
 
+import itertools
+import random
+
 import pytest
 
 from compalg import ALGEBRAS, Algebra, H, Hc, Hs, O, Oc, Os, core
-from compalg.core import QUATERNION_TABLE, build_doubled_table
+from compalg.core import QUATERNION_TABLE, SPLIT_QUATERNION_TABLE, build_doubled_table
 from compalg.errors import ConsistencyError
 
 from helpers import oracle_mul
@@ -146,6 +149,11 @@ def _flip(table, at):
     return _put(table, {at: (k, -s)})
 
 
+def _swap(table, i, j):
+    """``table`` with the products e_i e_j and e_j e_i exchanged."""
+    return _put(table, {(i, j): table[j][i], (j, i): table[i][j]})
+
+
 _Q = QUATERNION_TABLE
 # one flipped sign anywhere, then tables whose unit pairs keep consistent
 # signs but which break the signed units, the unit row or the square shape
@@ -164,6 +172,10 @@ _MALFORMED = [
         "complex-numbers-2x2": (((0, 1), (1, 1)), ((1, 1), (0, -1))),
         "row-too-long": _Q[:1] + (_Q[1] + ((0, 1),),) + _Q[2:],
         "row-too-short": _Q[:1] + (_Q[1][:3],) + _Q[2:],
+        # these meet every other condition but are not alternative
+        "quaternion-e2e3-swapped": _swap(_Q, 2, 3),
+        "octonion-e2e3-swapped": _swap(O.table, 2, 3),
+        "octonion-e5e6-swapped": _swap(O.table, 5, 6),
     }.items()
 ]
 
@@ -172,10 +184,62 @@ _MALFORMED = [
 def test_algebra_rejects_a_table_whose_norm_form_breaks(table):
     # the term list, the kernels and inner() as the metric dot product
     # read only a square 4x4 or 8x8 table of signed units, with the
-    # identity unit row and column, imaginary units squaring to +-1 and
-    # distinct ones anticommuting
+    # identity unit row and column, imaginary units squaring to +-1,
+    # distinct ones anticommuting and the alternative laws
     with pytest.raises(ConsistencyError):
         Algebra("bad", False, table)
+
+
+def _contract_tables():
+    """The 4,096 4x4 tables that meet the contract but for the alternative
+    laws: each imaginary unit squares to +-1 and each pair of distinct ones
+    anticommutes with any signed unit as product."""
+    units = [(k, s) for k in range(4) for s in (1, -1)]
+    for squares in itertools.product((1, -1), repeat=3):
+        for products in itertools.product(units, repeat=3):
+            entries = {(i, i): (0, s) for i, s in enumerate(squares, 1)}
+            for (i, j), (k, s) in zip(((1, 2), (1, 3), (2, 3)), products):
+                entries[i, j], entries[j, i] = (k, s), (k, -s)
+            yield _put(_Q, entries)
+
+
+def _multiplicative(table, rng):
+    """Whether N(xy) = N(x) N(y) on 30 random integer pairs, with the
+    product read off the table."""
+    metric = [1] + [-table[k][k][1] for k in (1, 2, 3)]
+
+    def norm(v):
+        return sum(g * c * c for g, c in zip(metric, v))
+
+    for _ in range(30):
+        x = [rng.randint(-9, 9) for _ in range(4)]
+        y = [rng.randint(-9, 9) for _ in range(4)]
+        xy = [0] * 4
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                k, s = table[i][j]
+                xy[k] += s * a * b
+        if norm(xy) != norm(x) * norm(y):
+            return False
+    return True
+
+
+def test_table_check_accepts_exactly_the_composition_tables():
+    rng = random.Random("composition")
+    tables = list(_contract_tables())
+    assert len(set(tables)) == 4096
+    accepted, composition = set(), set()
+    for table in tables:
+        try:
+            core._check_table(table)
+            accepted.add(table)
+        except ConsistencyError:
+            pass
+        if _multiplicative(table, rng):
+            composition.add(table)
+    assert accepted == composition
+    assert len(accepted) == 8
+    assert {QUATERNION_TABLE, SPLIT_QUATERNION_TABLE} <= accepted
 
 
 @pytest.mark.parametrize("name", ALL)
