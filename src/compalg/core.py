@@ -16,10 +16,10 @@ table)`` reads the dimension and the primed units off its table, and
 ``_check_table`` holds every table to one contract: 4x4 or 8x8, each entry a
 signed unit (k, +-1) with 0 <= k < dim, the unit's row and column the
 identity, each imaginary unit squaring to +-1, distinct imaginary units
-anticommuting, and the linearized left and right alternative laws on the
-units, e_i (e_j x) + e_j (e_i x) = (e_i e_j + e_j e_i) x and its mirror for
-imaginary i <= j and every unit x; any other table raises ConsistencyError
-at construction.
+anticommuting, and the linearized left alternative law on the units,
+e_i (e_j x) + e_j (e_i x) = (e_i e_j + e_j e_i) x for imaginary i <= j and
+every unit x, which with the rest implies its mirror, the right law; any
+other table raises ConsistencyError at construction.
 The witness layer (negator candidates, Cayley extensions) serves only the
 six named algebras and raises PreconditionViolation for any other.  The dim-8
 tables are generated from the dim-4 ones through the doubling product
@@ -27,8 +27,10 @@ tables are generated from the dim-4 ones through the doubling product
     (m1 + n1*e4)(m2 + n2*e4) = (m1*m2 - conj(n2)*n1) + (n1*conj(m2) + n2*m1)*e4
 
 with the index-6 unit fixed as -(e2*e4), so the derived units satisfy
-e5 = e1*e4, e6 = -e2*e4, e7 = e3*e4; the generated tables are cross-checked
-against those sign conventions and the contract above at import time.
+e5 = e1*e4, e6 = -e2*e4, e7 = e3*e4; the doubling checks the dim-4 table
+against the contract above and the generated table against the dim-4 table
+and those sign conventions, and ``Algebra`` checks the generated table
+against the contract, at import time.
 
 Storage and integer kernel
 --------------------------
@@ -458,10 +460,15 @@ def _join_halves(m, n):
 def build_doubled_table(qtable):
     """Generate a dim-8 structure table from a dim-4 one by doubling.
 
-    Raises ConsistencyError if any derived unit product fails to be a signed
-    basis unit or the doubled-basis sign conventions do not come out, which
-    would signal a transcription bug in the dim-4 table or the packing.
+    The dim-4 table is held to ``_check_table``'s contract before a kernel
+    is compiled from it.  The generated table is left to ``Algebra``, which
+    checks every table it is built from; here ConsistencyError is raised if
+    a derived unit product fails to be a signed basis unit, the generated
+    table does not extend the dim-4 one or the doubled-basis sign
+    conventions do not come out, which would signal a slip in the doubling
+    or the packing.
     """
+    _check_table(qtable)
     mul = _kernel(_terms(qtable), 4)
     units = [_split_halves([int(k == i) for k in range(8)]) for i in range(8)]
     rows = []
@@ -480,7 +487,6 @@ def build_doubled_table(qtable):
         rows.append(tuple(row))
     table = tuple(rows)
 
-    _check_table(table)
     for i in range(4):
         for j in range(4):
             if table[i][j] != qtable[i][j]:
@@ -497,11 +503,28 @@ def _check_table(table):
     """Raise ConsistencyError unless ``table`` meets the contract in the
     module docstring.  Its norm-form conditions make a conj(b) + b conj(a)
     a scalar, so the inner product is the metric-weighted dot product; the
-    alternative laws rule out the tables that meet the rest but break
+    left alternative law rules out the tables that meet the rest but break
     N(xy) = N(x) N(y), such as the quaternion table with e2 e3 and e3 e2
-    swapped.  Every product is read off the table."""
-    n = len(table)
-    if n not in (4, 8) or any(len(row) != n for row in table):
+    swapped.  Every product is read off the table.
+
+    The right law, [x, e_i, e_j] + [x, e_j, e_i] = 0 with [a, b, d] = (ab)d
+    - a(bd), is implied, so it is not checked.  On a table that meets the
+    rest and the left law, conjugation c (e0 -> e0, e_k -> -e_k) reverses
+    every unit product, c(e_i e_j) = c(e_j) c(e_i): at a unit or a square
+    both sides are equal, and for distinct imaginary i and j, e_i e_j =
+    s e_k with k != 0, since k = 0 would make the left law at (i, i, j),
+    e_i^2 e_j = e_i (e_i e_j), read +-e_j = s e_i; so c(e_i e_j) = -s e_k =
+    e_j e_i.  By bilinearity c reverses every product, so c([a, b, d]) =
+    -[c(d), c(b), c(a)], and c maps the left law at (i, j, x) onto the
+    right law at (x, i, j): the check accepts exactly the tables that meet
+    both laws.
+    """
+    try:
+        n = len(table)
+        square = n in (4, 8) and all(len(row) == n for row in table)
+    except TypeError:  # a table or a row without a length
+        square = False
+    if not square:
         raise ConsistencyError("a structure table is square, 4x4 or 8x8")
     units = [(k, s) for k in range(n) for s in (1, -1)]
     for i, row in enumerate(table):
@@ -515,25 +538,19 @@ def _check_table(table):
             if not ok:
                 raise ConsistencyError(f"units {i} and {j} break {what}: {x} and {y}")
 
-    def associators(*triples):  # the sum of (e_p e_q) e_r - e_p (e_q e_r)
-        w = [0] * n
-        for p, q, r in triples:
-            k, s = table[p][q]
-            k, t = table[k][r]
-            w[k] += s * t
-            k, s = table[q][r]
-            k, t = table[p][k]
-            w[k] -= s * t
-        return w
-
-    # the alternative laws, linearized: with [a, b, c] = (ab)c - a(bc),
-    # [e_i, e_j, x] + [e_j, e_i, x] = 0 = [x, e_i, e_j] + [x, e_j, e_i]
+    # the left alternative law, linearized: [e_i, e_j, x] + [e_j, e_i, x] = 0
     for i in range(1, n):
         for j in range(i, n):
             for x in range(n):
-                left = associators((i, j, x), (j, i, x))
-                right = associators((x, i, j), (x, j, i))
-                if any(left) or any(right):
+                w = [0] * n
+                for p, q in ((i, j), (j, i)):  # w += (e_p e_q) x - e_p (e_q x)
+                    k, s = table[p][q]
+                    k, t = table[k][x]
+                    w[k] += s * t
+                    k, s = table[q][x]
+                    k, t = table[p][k]
+                    w[k] -= s * t
+                if any(w):
                     raise ConsistencyError(
                         f"units {i}, {j} and {x} break the alternative laws"
                     )

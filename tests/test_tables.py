@@ -119,14 +119,26 @@ def _unsigned_halves(m):
     return QUATERNION_TABLE
 
 
+def _transposed_kernel(m):
+    # a kernel for e_j e_i in place of e_i e_j builds the opposite algebra
+    kernel = core._kernel
+    m.setattr(
+        core,
+        "_kernel",
+        lambda t, n: kernel(tuple(tuple((s, j, i) for s, i, j in k) for k in t), n),
+    )
+    return QUATERNION_TABLE
+
+
 @pytest.mark.parametrize(
     "fault,message",
     [
         (_doubled_products, "is not a signed basis unit"),
         (lambda m: _flip(QUATERNION_TABLE, (0, 1)), "unit row/column"),
         (_unsigned_halves, "sign convention violated at e2\\*e4"),
+        (_transposed_kernel, "does not extend"),
     ],
-    ids=["unit-products", "unit-row", "sign-convention"],
+    ids=["unit-products", "unit-row", "sign-convention", "extension"],
 )
 def test_doubling_checks_catch_an_injected_fault(monkeypatch, fault, message):
     with monkeypatch.context() as m:
@@ -172,6 +184,8 @@ _MALFORMED = [
         "complex-numbers-2x2": (((0, 1), (1, 1)), ((1, 1), (0, -1))),
         "row-too-long": _Q[:1] + (_Q[1] + ((0, 1),),) + _Q[2:],
         "row-too-short": _Q[:1] + (_Q[1][:3],) + _Q[2:],
+        "not-a-table": None,
+        "rows-are-ints": [1, 2, 3, 4],
         # these meet every other condition but are not alternative
         "quaternion-e2e3-swapped": _swap(_Q, 2, 3),
         "octonion-e2e3-swapped": _swap(O.table, 2, 3),
@@ -206,15 +220,16 @@ def _contract_tables():
 def _multiplicative(table, rng):
     """Whether N(xy) = N(x) N(y) on 30 random integer pairs, with the
     product read off the table."""
-    metric = [1] + [-table[k][k][1] for k in (1, 2, 3)]
+    n = len(table)
+    metric = [1] + [-table[k][k][1] for k in range(1, n)]
 
     def norm(v):
         return sum(g * c * c for g, c in zip(metric, v))
 
     for _ in range(30):
-        x = [rng.randint(-9, 9) for _ in range(4)]
-        y = [rng.randint(-9, 9) for _ in range(4)]
-        xy = [0] * 4
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        y = [rng.randint(-9, 9) for _ in range(n)]
+        xy = [0] * n
         for i, a in enumerate(x):
             for j, b in enumerate(y):
                 k, s = table[i][j]
@@ -222,6 +237,39 @@ def _multiplicative(table, rng):
         if norm(xy) != norm(x) * norm(y):
             return False
     return True
+
+
+def _perturbed(table, rng):
+    """``table`` after one to three random changes that keep the norm-form
+    part of the contract: a flipped square, the product of two distinct
+    imaginary units and its reverse flipped or relabelled, a unit negated,
+    or two imaginary units exchanged; the last two give an isomorphic
+    table."""
+    n = len(table)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(1, n), 2)
+        move = rng.randrange(5)
+        if move == 0:
+            table = _flip(table, (i, i))
+        elif move == 1:
+            table = _swap(table, i, j)
+        elif move == 2:
+            k, s = rng.randrange(n), rng.choice((1, -1))
+            table = _put(table, {(i, j): (k, s), (j, i): (k, -s)})
+        elif move == 3:
+            sign = [-1 if k == i else 1 for k in range(n)]
+            table = tuple(
+                tuple((k, sign[p] * sign[q] * sign[k] * s) for q, (k, s) in enumerate(row))
+                for p, row in enumerate(table)
+            )
+        else:
+            swap = list(range(n))
+            swap[i], swap[j] = j, i
+            table = tuple(
+                tuple((swap[k], s) for k, s in (table[swap[p]][swap[q]] for q in range(n)))
+                for p in range(n)
+            )
+    return table
 
 
 def test_table_check_accepts_exactly_the_composition_tables():
@@ -240,6 +288,23 @@ def test_table_check_accepts_exactly_the_composition_tables():
     assert accepted == composition
     assert len(accepted) == 8
     assert {QUATERNION_TABLE, SPLIT_QUATERNION_TABLE} <= accepted
+
+
+def test_table_check_accepts_exactly_the_perturbed_composition_tables():
+    # the 4x4 and 8x8 equivalence on tables near the four base tables
+    rng = random.Random("perturbed")
+    bases = [QUATERNION_TABLE, SPLIT_QUATERNION_TABLE, O.table, Os.table]
+    accepted = {4: 0, 8: 0}
+    for _ in range(2000):
+        table = _perturbed(rng.choice(bases), rng)
+        try:
+            core._check_table(table)
+            ok = True
+        except ConsistencyError:
+            ok = False
+        assert ok == _multiplicative(table, rng), table
+        accepted[len(table)] += ok
+    assert accepted[8] >= 10, accepted
 
 
 @pytest.mark.parametrize("name", ALL)
