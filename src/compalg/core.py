@@ -17,9 +17,9 @@ table)`` reads the dimension and the primed units off its table, and
 signed unit (k, +-1) with 0 <= k < dim, the unit's row and column the
 identity, each imaginary unit squaring to +-1, distinct imaginary units
 anticommuting, and the linearized left alternative law on the units,
-e_i (e_j x) + e_j (e_i x) = (e_i e_j + e_j e_i) x for imaginary i <= j and
-every unit x, which with the rest implies its mirror, the right law; any
-other table raises ConsistencyError at construction.
+e_i (e_j x) + e_j (e_i x) = (e_i e_j + e_j e_i) x for imaginary i < j and
+every unit x, which with the rest implies it for i = j and its mirror, the
+right law; any other table raises ConsistencyError at construction.
 The witness layer (negator candidates, Cayley extensions) serves only the
 six named algebras and raises PreconditionViolation for any other.  The dim-8
 tables are generated from the dim-4 ones through the doubling product
@@ -460,15 +460,15 @@ def _join_halves(m, n):
 def build_doubled_table(qtable):
     """Generate a dim-8 structure table from a dim-4 one by doubling.
 
-    The dim-4 table is held to ``_check_table``'s contract before a kernel
-    is compiled from it.  The generated table is left to ``Algebra``, which
-    checks every table it is built from; here ConsistencyError is raised if
-    a derived unit product fails to be a signed basis unit, the generated
-    table does not extend the dim-4 one or the doubled-basis sign
-    conventions do not come out, which would signal a slip in the doubling
-    or the packing.
+    The input is held to ``_check_table``'s contract and to dimension 4
+    before a kernel is compiled from it; ``Algebra`` checks the output.
+    ConsistencyError is raised if a derived unit product is not a signed
+    basis unit, the output does not extend the input or the doubled-basis
+    sign conventions do not come out: a slip in the doubling or the packing.
     """
     _check_table(qtable)
+    if len(qtable) != 4:
+        raise ConsistencyError("the doubling takes a 4x4 table")
     mul = _kernel(_terms(qtable), 4)
     units = [_split_halves([int(k == i) for k in range(8)]) for i in range(8)]
     rows = []
@@ -507,17 +507,17 @@ def _check_table(table):
     N(xy) = N(x) N(y), such as the quaternion table with e2 e3 and e3 e2
     swapped.  Every product is read off the table.
 
-    The right law, [x, e_i, e_j] + [x, e_j, e_i] = 0 with [a, b, d] = (ab)d
-    - a(bd), is implied, so it is not checked.  On a table that meets the
-    rest and the left law, conjugation c (e0 -> e0, e_k -> -e_k) reverses
-    every unit product, c(e_i e_j) = c(e_j) c(e_i): at a unit or a square
-    both sides are equal, and for distinct imaginary i and j, e_i e_j =
-    s e_k with k != 0, since k = 0 would make the left law at (i, i, j),
-    e_i^2 e_j = e_i (e_i e_j), read +-e_j = s e_i; so c(e_i e_j) = -s e_k =
-    e_j e_i.  By bilinearity c reverses every product, so c([a, b, d]) =
-    -[c(d), c(b), c(a)], and c maps the left law at (i, j, x) onto the
-    right law at (x, i, j): the check accepts exactly the tables that meet
-    both laws.
+    The rest of the alternative laws is implied, so it is not checked.  With
+    [a, b, d] = (ab)d - a(bd) and e_j e_i = -e_i e_j, the left law for i < j
+    at x = e_i reads e_i (e_i e_j) = e_i^2 e_j (at x = e_j, e_j (e_j e_i) =
+    e_j^2 e_i): the law for i = j at every unit but e0 and e_i, where it
+    holds as e_i^2 is a scalar.  So e_i e_j = s e_k with k != 0, since s e0
+    would make it read s e_i = +-e_j.  Then conjugation c (e0 -> e0, e_k ->
+    -e_k) reverses every unit product, c(e_i e_j) = -s e_k = e_j e_i (at a
+    unit or a square both sides are equal), hence every product, so c([a,
+    b, d]) = -[c(d), c(b), c(a)], and c maps the left law at (i, j, x) onto
+    the right law at (x, i, j): the check accepts exactly the tables that
+    meet both laws for all i <= j.
     """
     try:
         n = len(table)
@@ -540,7 +540,7 @@ def _check_table(table):
 
     # the left alternative law, linearized: [e_i, e_j, x] + [e_j, e_i, x] = 0
     for i in range(1, n):
-        for j in range(i, n):
+        for j in range(i + 1, n):
             for x in range(n):
                 w = [0] * n
                 for p, q in ((i, j), (j, i)):  # w += (e_p e_q) x - e_p (e_q x)

@@ -1,176 +1,47 @@
 """Exact stdout and exit code of every subcommand, text and ``--json``.
 
-Each case's expected stdout is stored verbatim in ``tests/cli_golden/<case>.out``,
-and for the error cases the expected stderr in ``<case>.err``.  The cases
-cover every ladder branch, every case of the single-conjugator theorem, both
-commutant verdicts (including a nullity-6 solution space whose witness needs
-two basis vectors, a full-rank pair the rank test decides and a singular pair
-of odd nullity), and the error paths, one per parse error message, that print
-nothing on stdout.
+The cases live in ``tests/cli_cases.py``, next to the runner that checks
+them with the standard library alone; their expected stdout is stored
+verbatim in ``tests/cli_golden/<case>.out``, and for the error cases the
+expected stderr in ``<case>.err``.  The cases cover every ladder branch,
+every case of the single-conjugator theorem, both commutant verdicts
+(including a nullity-6 solution space whose witness needs two basis vectors,
+a full-rank pair the rank test decides and a singular pair of odd nullity),
+and the error paths, one per parse error message, that print nothing on
+stdout.  Tier-1 also runs every case under three hash seeds, in fresh
+interpreters, so no output may follow the order of a set of strings.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from compalg.cli import main
-
-GOLDEN = Path(__file__).parent / "cli_golden"
-
-OS_NULL_PAIR = ["4e1'+5e2+3e3'-5e4+4e5'+3e7'", "3e2+4e6+5e7'"]
-OC_PAIR_RULE = ["e1+e2+ie6+ie7", "-e1-e2-ie6-ie7"]
-# s = a + b not in F (a - b): the theorem's dependent case with p = 1 + p0
-OS_SCAN_PAIR = ["e2-e7'", "1/2e1'+1/2e4"]
-# b = i a: the theorem's dependent case with p = (1 + c) + (c - 1) h
-OC_MULTIPLE_PAIR = ["e1+ie2", "ie1-e2"]
-
-CASES = {
-    "table-H": (["table", "--algebra", "H"], 0),
-    "table-Os": (["table", "--algebra", "Os"], 0),
-    "table-Os-json": (["table", "--algebra", "Os", "--json"], 0),
-    "mul-H": (["mul", "--algebra", "H", "e1", "e2"], 0),
-    "mul-Oc": (["mul", "--algebra", "Oc", "(1+2i)e1+1/2e2", "e3"], 0),
-    "mul-Oc-json": (["mul", "--algebra", "Oc", "--json", "(1+2i)e1+1/2e2", "e3"], 0),
-    "conj-H": (["conj", "--algebra", "H", "1+e1"], 0),
-    "conj-Hc-json": (["conj", "--algebra", "Hc", "--json", "(1-1i)+2ie3"], 0),
-    "inv-O": (["inv", "--algebra", "O", "1+e1-1/2e5"], 0),
-    "inv-Hc-json": (["inv", "--algebra", "Hc", "--json", "2+ie1"], 0),
-    "norm-Os": (["norm", "--algebra", "Os", OS_NULL_PAIR[0]], 0),
-    "norm-Hc": (["norm", "--algebra", "Hc", "(1+1i)e1+1/2e2"], 0),
-    "norm-O-json": (["norm", "--algebra", "O", "--json", "1/2-e3+2/3e7"], 0),
-    "norm-Oc-json": (["norm", "--algebra", "Oc", "--json", "(1+1i)e1+1/2e2"], 0),
-    "inner-Hs": (["inner", "--algebra", "Hs", "e1'", "e1'"], 0),
-    "inner-Oc": (["inner", "--algebra", "Oc", "(1+1i)e1+e2", "ie1-3e2"], 0),
-    "inner-O-json": (["inner", "--algebra", "O", "--json", "1+2e1", "1/3e1-e4"], 0),
-    "negate-witness-O": (["negate-witness", "--algebra", "O", "e1"], 0),
-    "negate-witness-Hs": (["negate-witness", "--algebra", "Hs", "e2"], 0),
-    "negate-witness-Oc": (["negate-witness", "--algebra", "Oc", "e1+ie2+e3"], 0),
-    "negate-witness-O-json": (["negate-witness", "--algebra", "O", "--json", "e3"], 0),
-    "negate-witness-Os-json": (
-        ["negate-witness", "--algebra", "Os", "--json", "e1'+e2"],
-        0,
-    ),
-    "conjugate-witness-H": (["conjugate-witness", "--algebra", "H", "e1", "e2"], 0),
-    "conjugate-witness-H-json": (
-        ["conjugate-witness", "--algebra", "H", "--json", "e1", "e2"],
-        0,
-    ),
-    "conjugate-witness-O-negate": (
-        ["conjugate-witness", "--algebra", "O", "--", "e1", "-e1"],
-        0,
-    ),
-    "conjugate-witness-Hs-collapse": (
-        ["conjugate-witness", "--algebra", "Hs", "--", "e2", "-e2"],
-        0,
-    ),
-    "conjugate-witness-Os-diff": (
-        ["conjugate-witness", "--algebra", "Os", "--", "e2", "-e2"],
-        0,
-    ),
-    "conjugate-witness-Os-null": (
-        ["conjugate-witness", "--algebra", "Os", *OS_NULL_PAIR],
-        0,
-    ),
-    "conjugate-witness-Os-null-json": (
-        ["conjugate-witness", "--algebra", "Os", "--json", *OS_NULL_PAIR],
-        0,
-    ),
-    "conjugate-witness-Os-minimal": (
-        ["conjugate-witness", "--algebra", "Os", "--minimal", "--", "e2", "-e2"],
-        0,
-    ),
-    "conjugate-witness-Os-minimal-json": (
-        ["conjugate-witness", "--algebra", "Os", "--minimal", "--json"]
-        + ["--", "e2", "-e2"],
-        0,
-    ),
-    "conjugate-witness-Os-minimal-dependent": (
-        ["conjugate-witness", "--algebra", "Os", "--minimal", "e1'+e2", "2e1'+2e2"],
-        0,
-    ),
-    "conjugate-witness-Os-minimal-scan": (
-        ["conjugate-witness", "--algebra", "Os", "--minimal", "--", *OS_SCAN_PAIR],
-        0,
-    ),
-    "conjugate-witness-Os-minimal-scan-json": (
-        ["conjugate-witness", "--algebra", "Os", "--minimal", "--json"]
-        + ["--", *OS_SCAN_PAIR],
-        0,
-    ),
-    "conjugate-witness-Oc-minimal": (
-        ["conjugate-witness", "--algebra", "Oc", "--minimal", "--", *OC_PAIR_RULE],
-        0,
-    ),
-    "conjugate-witness-Os-minimal-none": (
-        ["conjugate-witness", "--algebra", "Os", "--minimal", *OS_NULL_PAIR],
-        0,
-    ),
-    "conjugate-witness-Oc-minimal-multiple": (
-        ["conjugate-witness", "--algebra", "Oc", "--minimal", "--", *OC_MULTIPLE_PAIR],
-        0,
-    ),
-    "commutant-H": (["commutant", "--algebra", "H", "e1", "e2"], 0),
-    "commutant-H-json": (["commutant", "--algebra", "H", "--json", "e1", "e2"], 0),
-    "commutant-H-nullity0": (["commutant", "--algebra", "H", "e1", "2e2"], 0),
-    "commutant-O-nullity6": (["commutant", "--algebra", "O", "--", "3e4", "-3e4"], 0),
-    "commutant-Oc-pair": (["commutant", "--algebra", "Oc", "--", *OC_PAIR_RULE], 0),
-    "commutant-Oc-pair-json": (
-        ["commutant", "--algebra", "Oc", "--json", "--", *OC_PAIR_RULE],
-        0,
-    ),
-    "commutant-Os-none": (["commutant", "--algebra", "Os", *OS_NULL_PAIR], 0),
-    "commutant-Os-none-json": (
-        ["commutant", "--algebra", "Os", "--json", *OS_NULL_PAIR],
-        0,
-    ),
-    "commutant-Os-dependent": (
-        ["commutant", "--algebra", "Os", "--", *OS_SCAN_PAIR],
-        0,
-    ),
-    "commutant-Os-nonpure": (
-        ["commutant", "--algebra", "Os", "--", "1+2e1'", "-2e1'-e3'+2e4+e5'+e6+2e7'"],
-        0,
-    ),
-    "commutant-Oc-nonsingular": (
-        ["commutant", "--algebra", "Oc", "--", "1+e1", "2ie2"],
-        0,
-    ),
-    "commutant-Hc-odd-nullity": (
-        ["commutant", "--algebra", "Hc", "--", "i+e1", "e1+ie2"],
-        0,
-    ),
-    "verify-remark": (["verify-remark"], 0),
-    "verify-remark-json": (["verify-remark", "--json"], 0),
-    "selftest": (["selftest", "--samples", "3"], 0),
-    "selftest-json": (["selftest", "--samples", "3", "--json"], 0),
-    "error-norm-mismatch": (["conjugate-witness", "--algebra", "H", "e1", "2e2"], 2),
-    "error-norm-mismatch-Hc": (
-        ["conjugate-witness", "--algebra", "Hc", "e1", "(1+2i)e2"],
-        2,
-    ),
-    "error-prime": (["norm", "--algebra", "Os", "e1"], 2),
-    "error-not-invertible": (["inv", "--algebra", "Os", "e4+e5'"], 2),
-    "error-parse-character": (["norm", "--algebra", "H", "e1 ? e2"], 2),
-    "error-parse-e-digit": (["norm", "--algebra", "H", "1+e"], 2),
-    "error-parse-term": (["mul", "--algebra", "H", "e1", "e1++e2"], 2),
-    "error-parse-continue": (["norm", "--algebra", "H", "e1 e2"], 2),
-    "error-parse-integer": (["norm", "--algebra", "Hc", "(1+i)e1"], 2),
-    "error-parse-denominator": (["norm", "--algebra", "H", "1/-2e1"], 2),
-    "error-parse-zero-denominator": (["norm", "--algebra", "H", "1/0"], 2),
-    "error-parse-paren-sign": (["norm", "--algebra", "Hc", "(1 2i)"], 2),
-    "error-parse-imaginary-unit": (["norm", "--algebra", "Hc", "(1+2)"], 2),
-    "error-parse-rparen": (["inner", "--algebra", "Hc", "e1", "(1+2i"], 2),
-    "error-index": (["norm", "--algebra", "H", "e5"], 2),
-    "error-imaginary": (["norm", "--algebra", "O", "4i"], 2),
-}
+import compalg
+from cli_cases import CASES, expected, run
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_exact_stdout(case, capsys):
-    argv, code = CASES[case]
-    assert main(argv) == code
-    out, err = capsys.readouterr()
-    assert out == (GOLDEN / f"{case}.out").read_text()
-    expected_err = GOLDEN / f"{case}.err"
-    if expected_err.exists():
-        assert err == expected_err.read_text()
+def test_exact_stdout(case):
+    code, out, err = run(case)
+    want_code, want_out, want_err = expected(case)
+    assert code == want_code
+    assert out == want_out
+    if want_err is not None:
+        assert err == want_err
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "4242"])
+def test_every_case_is_the_same_under_every_hash_seed(seed):
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=seed,
+        PYTHONPATH=str(Path(compalg.__file__).parent.parent),
+    )
+    script = Path(__file__).parent / "cli_cases.py"
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -15,6 +15,7 @@ from compalg import (
     Branch,
     GaussRational,
     H,
+    Hc,
     I,
     O,
     Oc,
@@ -608,6 +609,27 @@ def test_null_multiples_take_the_theorems_single(name):
         assert (w.p, w.q, w.branch) == (p, None, Branch.COMMUTANT_SINGLE)
 
 
+def test_sum_single_of_fractional_operands_is_a_plus_b():
+    # d = 5 and e = 3: the integer form s = (a + b) d e comes back over d e
+    a = parse_element("3/5e1+4/5e2", H)
+    b = parse_element("2/3e1+2/3e2+1/3e3", H)
+    assert (a.den, b.den) == (5, 3)
+    assert _single_conjugator(a, b) == (SingleCase.SUM, a + b)
+
+
+def test_dependent_scan_on_fractional_gaussian_operands():
+    # s not in F (a - b) with d = 3, e = 111, and at k = 3, the last k with
+    # s_k != 0, Gaussian s_k and t_k whose four parts are all nonzero
+    a = parse_element("(-2/3+1/3i)e1", Hc)
+    b = parse_element("(2/3-1/3i)e1+(-59/111-58/111i)e2+(58/111-59/111i)e3", Hc)
+    case, (sr, si), (tr, ti), _ = _single_case(a, b)
+    assert case is SingleCase.DEPENDENT and (a.den, b.den) == (3, 111)
+    assert sr[3] * si[3] * tr[3] * ti[3] != 0
+    p = _single_conjugator(a, b)[1]
+    assert p.norm() == 1 and sandwich(p, a) == b
+    assert p == parse_element("1+ie1+(175/148+9/37i)e2+(15/37-105/148i)e3", Hc)
+
+
 def test_minimal_witnesses_never_search(monkeypatch):
     # the theorem decides every minimal witness: the search is never run,
     # and witnesses imports nothing from commutant
@@ -757,7 +779,14 @@ def _singular_by_design(rng, alg):
     pairs += [(Fraction(1, 3) * alg.one(), alg.zero()), (alg.zero(), alg.zero())]
     texts = {
         "Hc": [("i+e1", "e1+ie2"), ("1+i+e1", "1+e1+ie2"), ("i+e1", "e2+ie3")],
-        "Oc": [("e1", "ie2"), ("1+e1", "2ie2"), ("i+e1", "e1+ie2"), ("e1", "ie4-e1")],
+        "Oc": [
+            ("e1", "ie2"),
+            ("1+e1", "2ie2"),
+            ("i+e1", "e1+ie2"),
+            ("e1", "ie4-e1"),
+            # c^2 = 2i and S = -2i cancel in both parts; the other factor is 8i
+            ("1+i+e2", "(1-1i)e1-e2"),
+        ],
         "Os": [("e1'", "e2+e3'"), ("e2", "e1'"), ("1+e2", "1+2e1'")],
         "Hs": [("e1'", "e2"), ("e1'+e2", "e3'"), ("1+e2", "1+e1'")],
     }.get(alg.name, [])

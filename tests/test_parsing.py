@@ -24,8 +24,8 @@ from compalg import (
     parse_element,
 )
 from compalg.sampling import random_element, random_rational
+from cli_cases import CASES
 from helpers import reference_format, reference_format_scalar, reference_parse
-from test_cli_golden import CASES
 
 GOLDEN_STRINGS = [
     ("Os", "4e1'+5e2+3e3'-5e4+4e5'+3e7'", (0, 4, 5, 3, -5, 4, 0, 3)),

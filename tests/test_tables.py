@@ -137,8 +137,10 @@ def _transposed_kernel(m):
         (lambda m: _flip(QUATERNION_TABLE, (0, 1)), "unit row/column"),
         (_unsigned_halves, "sign convention violated at e2\\*e4"),
         (_transposed_kernel, "does not extend"),
+        # an 8x8 table meets the contract, but the kernel reads 4-vectors
+        (lambda m: O.table, "takes a 4x4 table"),
     ],
-    ids=["unit-products", "unit-row", "sign-convention", "extension"],
+    ids=["unit-products", "unit-row", "sign-convention", "extension", "dimension"],
 )
 def test_doubling_checks_catch_an_injected_fault(monkeypatch, fault, message):
     with monkeypatch.context() as m:
@@ -180,6 +182,7 @@ _MALFORMED = [
         "product-is-2e3": _put(_Q, {(1, 2): (3, 2), (2, 1): (3, -2)}),
         "product-index-7": _put(_Q, {(1, 2): (7, 1), (2, 1): (7, -1)}),
         "unit-times-e1-is-e2": _put(_Q, {(0, 1): (2, 1), (1, 0): (2, 1)}),
+        "product-is-e0": _put(_Q, {(1, 2): (0, 1), (2, 1): (0, -1)}),
         "quaternion-3x3-corner": tuple(row[:3] for row in _Q[:3]),
         "complex-numbers-2x2": (((0, 1), (1, 1)), ((1, 1), (0, -1))),
         "row-too-long": _Q[:1] + (_Q[1] + ((0, 1),),) + _Q[2:],

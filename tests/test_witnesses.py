@@ -81,6 +81,12 @@ def test_negator_skips_nonzero_null_candidate():
     assert p == candidates[1]
 
 
+def test_split_quaternion_candidates_add_e1_only_when_e2_alone_survives():
+    # a1 != 0, a3 = 0: the one pair candidate a3 e1' - a1 e3' is the list
+    assert negator_candidates(Hs.element([0, 1, 2, 0])) == [-Hs.basis(3)]
+    assert negator_candidates(Hs.basis(2)) == [Hs.zero(), Hs.basis(1)]
+
+
 # ---------------------------------------------------------------- separator
 
 def test_separator_disjoint_support_complex():
@@ -97,6 +103,15 @@ def test_separator_common_support_complex():
     p = separator(a, b)
     assert p == Oc.basis(1)
     assert (sandwich(p, a) + b).norm() == GaussRational(0, 4)
+
+
+def test_separator_complex_pair_of_opposite_non_real_norms():
+    # N(a) = 2i and N(b) = -2i: the norms cancel in both parts
+    a = Hc.element([0, 1 + I, 0, 0])
+    b = Hc.element([0, 0, 1 - I, 0])
+    p = separator(a, b)
+    assert p == Hc.basis(1) + Hc.basis(2)
+    assert (sandwich(p, a) + b).norm() == 4
 
 
 def test_separator_split_common_support():
