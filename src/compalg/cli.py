@@ -6,7 +6,8 @@ Handlers return ``(payload, lines)``; ``main`` prints the JSON or the lines.
 
 Exit codes: 0 success; 1 a demanded verification came back negative (the
 payload carries ``"ok": false``: verify-remark, selftest); 2 usage, parse or
-precondition errors; 3 internal consistency failure.
+precondition errors; 3 internal failure: a consistency check failed, or any
+other exception was raised (one ``internal error:`` line).
 """
 
 from __future__ import annotations
@@ -285,6 +286,9 @@ def main(argv=None):
     except CompalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault; KeyboardInterrupt and SystemExit pass
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     try:
         print(json.dumps(payload) if args.json else "\n".join(lines), flush=True)
     except BrokenPipeError:

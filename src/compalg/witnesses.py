@@ -263,7 +263,10 @@ def _single_conjugator(a, b):
     Theorem.  Let s = a + b, t = s a and d = a - b, over the field F, with
     P the pure elements and <x, y> = inner(x, y).  A single conjugator
     exists exactly in these cases:
-    * N(s) != 0: p = s (rung 1 of the ladder).
+    * N(s) != 0: p = s (rung 1 of the ladder, so the one library caller,
+      ``conjugacy_witness(minimal=True)``, reaches this only when N(s) = 0;
+      the case keeps the theorem total: on such a pair the dependent
+      construction gives a p that is in general no conjugator).
     * s = 0, so b = -a: p = negator(a).
     * s != 0 and t = lambda s: the dependent case below.
     * None exists when s, t are independent and N(s) = 0, which occurs

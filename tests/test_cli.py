@@ -15,157 +15,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_mul(capsys):
-    code, out, _ = run(capsys, "mul", "--algebra", "H", "e1", "e2")
-    assert code == 0 and out.strip() == "e3"
+def _raising(exc):
+    def fault(a):
+        raise exc
+
+    return fault
 
 
-def test_mul_json(capsys):
-    code, out, _ = run(capsys, "mul", "--algebra", "Oc", "--json", "ie1", "e2")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload == {
-        "algebra": "Oc",
-        "coeffs": [["0", "0"], ["0", "0"], ["0", "0"], ["0", "1"]] + [["0", "0"]] * 4,
-    }
+def test_any_other_exception_exits_3_with_one_line(monkeypatch, capsys):
+    monkeypatch.setattr(compalg.cli, "negator", _raising(ZeroDivisionError("no")))
+    code, out, err = run(capsys, "negate-witness", "--algebra", "O", "e1")
+    assert (code, out, err) == (3, "", "internal error: ZeroDivisionError: no\n")
 
 
-def test_conj_inv_norm_inner(capsys):
-    code, out, _ = run(capsys, "conj", "--algebra", "H", "1+e1")
-    assert code == 0 and out.strip() == "1-e1"
-    code, out, _ = run(capsys, "inv", "--algebra", "H", "e2")
-    assert code == 0 and out.strip() == "-e2"
-    code, out, _ = run(capsys, "norm", "--algebra", "Os", "4e1'+5e2+3e3'-5e4+4e5'+3e7'")
-    assert code == 0 and out.strip() == "0"
-    code, out, _ = run(capsys, "inner", "--algebra", "Hs", "e1'", "e1'")
-    assert code == 0 and out.strip() == "-1"
-    code, out, _ = run(capsys, "norm", "--algebra", "Oc", "--json", "3e2+4e6+5ie7")
-    assert json.loads(out) == {"algebra": "Oc", "value": ["0", "0"]}
-
-
-def test_table(capsys):
-    code, out, _ = run(capsys, "table", "--algebra", "H")
-    assert code == 0
-    assert "-e2" in out and "e3" in out
-    code, out, _ = run(capsys, "table", "--algebra", "Os", "--json")
-    payload = json.loads(out)
-    assert payload["dim"] == 8
-    assert payload["labels"][1] == "e1'"
-    assert payload["table"][2][4] == [6, -1]
-
-
-def test_negate_witness(capsys):
-    code, out, _ = run(capsys, "negate-witness", "--algebra", "O", "e1")
-    assert code == 0
-    assert "p = -e2" in out
-    assert out.count(": ok") == 3
-
-
-def test_conjugate_witness_single(capsys):
-    code, out, _ = run(capsys, "conjugate-witness", "--algebra", "H", "e1", "e2")
-    assert code == 0
-    assert "kind: single" in out
-    assert "branch: SumInvertible" in out
-    assert "p = e1+e2" in out
-
-
-def test_conjugate_witness_json(capsys):
-    code, out, _ = run(
-        capsys,
-        "conjugate-witness",
-        "--algebra",
-        "Os",
-        "--json",
-        "4e1'+5e2+3e3'-5e4+4e5'+3e7'",
-        "3e2+4e6+5e7'",
-    )
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["kind"] == "double"
-    assert payload["branch"] == "NullPair"
-    assert payload["verified"] is True
-    assert payload["p"]["algebra"] == "Os"
-    assert "q" in payload
-
-
-def test_conjugate_witness_quaternions_collapse(capsys):
-    # "--" keeps argparse from reading the leading minus as an option
-    code, out, _ = run(
-        capsys, "conjugate-witness", "--algebra", "Hs", "--", "e2", "-e2"
-    )
-    assert code == 0
-    assert "kind: single" in out
-    assert "branch: AssociativeCollapse" in out
-
-
-def test_conjugate_witness_minimal(capsys):
-    code, out, _ = run(
-        capsys, "conjugate-witness", "--algebra", "Os", "--minimal", "--", "e2", "-e2"
-    )
-    assert code == 0
-    assert "kind: single" in out
-    assert "branch: CommutantSingle" in out
-
-
-def test_commutant(capsys):
-    code, out, _ = run(
-        capsys,
-        "commutant",
-        "--algebra",
-        "Os",
-        "4e1'+5e2+3e3'-5e4+4e5'+3e7'",
-        "3e2+4e6+5e7'",
-    )
-    assert code == 0
-    assert "dimension 2" in out
-    assert "no single conjugator" in out
-    code, out, _ = run(capsys, "commutant", "--algebra", "H", "--json", "e1", "e2")
-    payload = json.loads(out)
-    assert payload["verdict"] == "SingleExists"
-    assert payload["single"] is not None
-    assert payload["nullity"] == 2
-
-
-def test_verify_remark(capsys):
-    code, out, _ = run(capsys, "verify-remark")
-    assert code == 0
-    assert out.count("no single conjugator: ok") == 2
-    assert "all checks passed" in out
-
-
-def test_verify_remark_json(capsys):
-    code, out, _ = run(capsys, "verify-remark", "--json")
-    payload = json.loads(out)
-    assert code == 0 and payload["ok"] is True
-    assert len(payload["instances"]) == 2
-
-
-def test_selftest_deterministic(capsys):
-    code1, out1, _ = run(capsys, "selftest", "--samples", "5", "--seed", "7")
-    code2, out2, _ = run(capsys, "selftest", "--samples", "5", "--seed", "7")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert "all properties hold" in out1
-
-
-def test_parse_error_exit_code(capsys):
-    code, _, err = run(capsys, "norm", "--algebra", "Os", "e1")
-    assert code == 2
-    assert "e1'" in err
-
-
-def test_precondition_error_exit_code(capsys):
-    code, _, err = run(capsys, "conjugate-witness", "--algebra", "H", "e1", "2e2")
-    assert code == 2
-    assert "norm" in err
-    code, _, err = run(capsys, "inv", "--algebra", "Os", "e4+e5'")
-    assert code == 2
-
-
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["mul", "--algebra", "Q", "e1", "e2"])
-    assert exc.value.code == 2
+def test_keyboard_interrupt_passes_through(monkeypatch):
+    monkeypatch.setattr(compalg.cli, "negator", _raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["negate-witness", "--algebra", "O", "e1"])
 
 
 def test_run_exits_with_the_code_of_main(monkeypatch, capsys):

@@ -7,9 +7,12 @@ expected stderr in ``<case>.err``.  The cases cover every ladder branch,
 every case of the single-conjugator theorem, both commutant verdicts
 (including a nullity-6 solution space whose witness needs two basis vectors,
 a full-rank pair the rank test decides and a singular pair of odd nullity),
-and the error paths, one per parse error message, that print nothing on
-stdout.  Tier-1 also runs every case under three hash seeds, in fresh
-interpreters, so no output may follow the order of a set of strings.
+and the error paths, one per parse error message and an argparse usage
+error, that print nothing on stdout.  Tier-1 also runs every case under
+three hash seeds, in fresh interpreters, so no output may follow the order of
+a set of strings.  ``tests/test_cli.py`` keeps only the checks a golden cannot
+express: the console entry point's exit, JSON read back for its meaning, and
+the parser's table of arguments.
 """
 
 import os

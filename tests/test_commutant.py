@@ -580,6 +580,14 @@ def test_nullity_is_two_exactly_when_s_and_t_are_independent(monkeypatch, name):
         assert (SingleCase.NONE in cases) == (alg.dim == 8)
 
 
+def test_null_samplers_refuse_a_division_algebra():
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        random_null_pure(rng, H)
+    with pytest.raises(ValueError):
+        random_orthogonal_null_pair(rng, O)
+
+
 def _null_multiples(rng, alg, count):
     """(a, c a) for null pure a and c outside {0, 1, -1}, rational or
     (over Q(i)) Gaussian."""

@@ -26,6 +26,9 @@ def test_construction_validates():
     with pytest.raises(TypeError):
         H.element([GaussRational(1, 1), 0, 0, 0])
     Oc.element([GaussRational(1, 1), 0, Fraction(1, 2), 0, 0, 0, 0, 1])
+    for alg, k in ((H, 4), (H, -1), (O, 8)):
+        with pytest.raises(ValueError):
+            alg.basis(k)
 
 
 def test_construction_rejects_bool():
@@ -154,8 +157,10 @@ def test_classify():
     a = Os.basis(4) + Os.basis(5)
     c = classify(a)
     assert c.pure and c.nonzero and not c.invertible
+    assert c.in_pure and c.in_pure_nonzero
     z = classify(H.zero())
     assert z.pure and not z.nonzero and not z.invertible
+    assert z.in_pure and not z.in_pure_nonzero
     u = classify(H.one() + H.basis(1))
     assert not u.pure and u.nonzero and u.invertible
     assert u.in_invertible and not u.in_pure_invertible
@@ -186,3 +191,4 @@ def test_str_and_repr():
     a = Os.element([0, 4, 5, 3, -5, 4, 0, 3])
     assert str(a) == "4e1'+5e2+3e3'-5e4+4e5'+3e7'"
     assert "Os" in repr(a)
+    assert repr(H) == "<algebra H>"

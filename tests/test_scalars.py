@@ -71,6 +71,7 @@ def test_zero_and_sign():
     assert not GaussRational(0, 0)
     assert GaussRational(0, 1)
     assert -GaussRational(1, -2) == GaussRational(-1, 2)
+    assert +GaussRational(1, 2) == GaussRational(1, 2)
 
 
 def test_str_forms():
