@@ -53,6 +53,16 @@ included, and ``Algebra.dot`` every inner product and norm; a real side costs
 one more call, and two sides with imaginary parts one call of the Gaussian
 twin (``Algebra.gauss_mul``, ``gauss_dot``, from ``_gaussian_kernel``), three
 real products, not four, compiled on first use: importing compiles neither.
+Each slot is certified where it is set, ``mul`` and ``dot`` in ``Algebra``,
+the twins in ``_gaussian_kernels``: ``_wrong`` runs ``_product`` or ``_dot``
+once on each real/imaginary branch the algebra's elements can reach, on
+operands weighted so that the one value spells out every coefficient of the
+bilinear map, and compares it with the table (the metric) read entry by
+entry; ``_conj`` is held to u -> 2 u0 - u once at import.  A kernel that
+fails is replaced by a stub that raises ConsistencyError when called
+(``_certified``), so the command that needs it exits 3.  So ``sandwich``
+takes two products and no re-check: with the alternative laws of
+``_check_table``, its two association orders agree by flexibility.
 The commutant's matrix of p -> p a - b p reads the same terms.
 Inverse and sandwich fold the norm into the common denominator.  Sums,
 negation and conjugation are integer vector operations; a field scalar
@@ -228,14 +238,79 @@ def _product(alg, u, v):
 
 
 def _gaussian_kernels(alg):
-    """``(alg.gauss_mul, alg.gauss_dot)``, those still unset compiled on
-    the first use of either: only Hc and Oc use them, and importing the
-    package compiles neither."""
+    """``(alg.gauss_mul, alg.gauss_dot)``, those still unset compiled and
+    certified on the first use of either: only Hc and Oc use them, and
+    importing the package compiles neither."""
     if alg.gauss_mul is None:
         alg.gauss_mul = _gaussian_kernel(alg.terms, alg.dim)
+        alg.gauss_mul = _certified(alg.gauss_mul, _wrong(alg, _product, _GAUSSIAN))
     if alg.gauss_dot is None:
         alg.gauss_dot = _gaussian_kernel(_dot_terms(alg.metric), alg.dim)
+        alg.gauss_dot = _certified(alg.gauss_dot, _wrong(alg, _dot, _GAUSSIAN))
     return alg.gauss_mul, alg.gauss_dot
+
+
+# the branches of _product and _dot, as (u has an imaginary part, v has one)
+_REAL, _MIXED, _GAUSSIAN = ((0, 0),), ((1, 0), (0, 1)), ((1, 1),)
+
+
+def _wrong(alg, fn, branches):
+    """Why ``fn``, ``_product`` or ``_dot``, computes something other than
+    ``alg``'s table product or metric dot on one of ``branches``, or None.
+
+    One call per branch decides it.  A branch is bilinear code: each output
+    is sum(c u_a v_b) over the 2 dim parts of each operand (re, then im),
+    with integer coefficients c, sums of term signs, |c| <= 3 (a Gaussian
+    twin's im is three signed sums).  The call weighs the parts with powers
+    of B = 2^d > 2 dim, u_a = B^(2 dim a) and v_b = B^b, so the pair (a, b)
+    owns the digit 2 dim a + b.  A base-B expansion with digits of size
+    < B / 2 is unique, so if the branch's value at this one point is the
+    table's, the branch has the table's coefficients and is right on every
+    operand.  With U = (B^(2 dim i)) and V = (B^j), u = U (1 + x i) and v =
+    V (1 + y i) for x = B^(2 dim^2) or 0 and y = B^dim or 0, and the
+    table's value is its value t at U, V times (1 - x y) + (x + y) i.
+    """
+    n = alg.dim
+    d = (2 * n).bit_length()
+    sx, sy = 2 * d * n * n, d * n  # x = B^(2 dim^2), y = B^dim
+    u, v = [1 << 2 * d * n * i for i in range(n)], [1 << d * j for j in range(n)]
+    if fn is _product:
+        t = [0] * n
+        for i, row in enumerate(alg.table):
+            for e, (k, s) in enumerate(row, 2 * n * i):
+                t[k] += s << d * e
+        t, scale = (t, None), _scaled
+    else:
+        t = sum(g << d * (2 * n + 1) * k for k, g in enumerate(alg.metric))
+        t, scale = (t, 0), _gmul
+    for ui, vi in branches:
+        x, y = ui << sx, vi << sy
+        want = scale(t, (1 - x * y, x + y))
+        xu = [c << sx for c in u] if ui else None
+        yv = [c << sy for c in v] if vi else None
+        try:
+            if fn(alg, (u, xu), (v, yv)) == want:
+                continue
+            why = ""
+        except Exception as exc:  # a kernel that cannot run is wrong too
+            why = f" ({type(exc).__name__}: {exc})"
+        kinds = " x ".join(("real", "complex")[f] for f in (ui, vi))
+        what = "table product" if fn is _product else "metric dot"
+        return f"{alg.name} {what} is wrong on {kinds} operands{why}"
+    return None
+
+
+def _certified(kernel, wrong):
+    """``kernel``, or a stub that raises ConsistencyError(``wrong``) when it
+    is called if ``wrong`` says why the kernel failed: a fault found at
+    import then fails the command that needs the kernel, with exit 3."""
+    if wrong is None:
+        return kernel
+
+    def refused(*args):
+        raise ConsistencyError(wrong)
+
+    return refused
 
 
 def _lincomb(x, u, y, v):
@@ -349,6 +424,29 @@ def _shifted(u, z):
         im = im or [0] * len(re)
         im[0] += z[1]
     return re, im
+
+
+def _conjugation_wrong():
+    """Why ``_conj`` is not u -> 2 u0 - u, which ``sandwich`` rests on, or
+    None.  ``_conj`` is linear, each output a signed part of u, so one call
+    per length and kind decides it: the parts are distinct powers of 4, and
+    a value has one base-4 expansion with digits of size < 2."""
+    for n in (4, 8):
+        re, im = [1 << 2 * k for k in range(n)], [1 << 2 * (n + k) for k in range(n)]
+        for u in ((re, None), (re, im)):
+            z = (2 * re[0], 2 * im[0] if u[1] else 0)
+            try:
+                if _conj(u) == _shifted(_scaled(u, (-1, 0)), z):
+                    continue
+            except Exception:  # a conjugation that cannot run is wrong too
+                pass
+            kind = "complex" if u[1] else "real"
+            return f"conjugation is not u -> 2 u0 - u on {kind} {n}-vectors"
+    return None
+
+
+# checked once, at import; a conjugation that fails is replaced by a stub
+_conj = _certified(_conj, _conjugation_wrong())
 
 
 def _divided(algebra, u, m, den):
@@ -589,6 +687,10 @@ class Algebra:
         self.mul = _kernel(self.terms, dim)
         self.dot = _kernel(_dot_terms(self.metric), dim)
         self.gauss_mul = self.gauss_dot = None  # see _gaussian_kernels
+        # each branch an element of this algebra can reach, checked before use
+        branches = _REAL + _MIXED if complex_field else _REAL
+        self.mul = _certified(self.mul, _wrong(self, _product, branches))
+        self.dot = _certified(self.dot, _wrong(self, _dot, branches))
 
     @property
     def is_division(self):
@@ -789,8 +891,12 @@ def sandwich(p, a):
 
     With p = u / d, a = v / e and N(p) = m / d^2 the result is
     (u v conj(u)) / (e m): d cancels and each coefficient is divided once.
-    Equality with p*(a*p^-1) holds by alternativity; it is re-checked on
-    the integer numerators and a failure raises ConsistencyError.
+    It equals p*(a*p^-1) with no re-check: conj(u) = 2 u0 - u with u0 a
+    central scalar, so (u v) conj(u) = u (v conj(u)) reads (u v) u = u (v
+    u), flexibility, which the alternative laws imply (their associator is
+    alternating, so [u, v, u] = 0).  ``_check_table`` holds each table to
+    those laws, ``Algebra`` each kernel to its table, and the import checks
+    ``_conj`` against 2 u0 - u.
     """
     Element._check_same(p, a)
     alg = p.algebra
@@ -798,11 +904,7 @@ def sandwich(p, a):
     m = _dot(alg, u, u)
     if m == (0, 0):
         raise NotInvertible(f"sandwich by {p!s}, which has zero norm")
-    uc = _conj(u)
-    left = _product(alg, _product(alg, u, v), uc)
-    if left != _product(alg, u, _product(alg, v, uc)):
-        raise ConsistencyError("sandwich product is not well defined")
-    return _divided(alg, left, m, e)
+    return _divided(alg, _product(alg, _product(alg, u, v), _conj(u)), m, e)
 
 
 class Classification(namedtuple("Classification", "pure nonzero invertible")):

@@ -6,7 +6,10 @@ sum on raw int vectors.  The Gaussian twins ``gauss_mul`` and
 ``gauss_dot`` of Hc and Oc, which the twin generator compiles from the
 same terms, must equal the three-real-product formula written with
 ``mul`` and ``dot``, and a fresh ``import compalg`` must have compiled
-neither.  Products, inner products, norms, inverses and sandwiches on
+neither.  The certificate must refuse, where each slot is compiled, every
+one-term sign flip of the four kernels and every real/imaginary slip in
+the dispatch of ``_product`` and ``_dot``, and a sandwich must take two
+products.  Products, inner products, norms, inverses and sandwiches on
 all six algebras must equal the component-formula oracles and the
 per-scalar table loop exactly, and come back in normal form; so must the
 linear operations against coefficient-wise scalar arithmetic.
@@ -17,18 +20,24 @@ same term list, and the basis and Gram matrix of
 products.
 """
 
+import ast
+import inspect
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import compalg
+import compalg.core as core
 from compalg import (
     ALGEBRAS,
+    Algebra,
+    ConsistencyError,
     GaussRational,
     H,
     Hc,
@@ -235,6 +244,139 @@ def test_import_compiles_no_gaussian_kernel():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout == "0 None None\n2 True True\n"
+
+
+def _sign_flips(terms):
+    """Every term list that differs from ``terms`` in the sign of one term."""
+    for k, out in enumerate(terms):
+        for t, (s, i, j) in enumerate(out):
+            yield terms[:k] + (out[:t] + ((-s, i, j),) + out[t + 1 :],) + terms[k + 1 :]
+
+
+def _compiling(generator, target, bad):
+    """``generator``, ``_kernel`` or ``_gaussian_kernel``, except that it
+    compiles ``bad``, past its cache, when it is asked for ``target``."""
+
+    def patched(terms, n):
+        return generator.__wrapped__(bad, n) if terms == target else generator(terms, n)
+
+    return patched
+
+
+# each kernel slot with the number of int vectors it takes
+SLOTS = {"mul": 2, "dot": 2, "gauss_mul": 4, "gauss_dot": 4}
+
+
+def _refused(alg):
+    """The slots of ``alg`` that hold the certificate's stub, which raises
+    ConsistencyError on any call; a compiled kernel runs on zeros."""
+    out = []
+    for slot, parts in SLOTS.items():
+        kernel = getattr(alg, slot)
+        try:
+            if kernel is not None:
+                kernel(*[(0,) * alg.dim] * parts)
+        except ConsistencyError:
+            out.append(slot)
+    return out
+
+
+def test_certificate_rejects_every_sign_flip(monkeypatch):
+    # each one-term sign flip of a compiled kernel: mul and dot of the six
+    # algebras, gauss_mul and gauss_dot of Hc and Oc, compiled on the path
+    # that installs the slot, Algebra or _gaussian_kernels, and refused there
+    faults = 0
+    for alg in ALGEBRAS.values():
+        dot = _dot_terms(alg.metric)
+        slots = [("mul", alg.terms), ("dot", dot)]
+        if alg.complex_field:
+            slots += [("gauss_mul", alg.terms), ("gauss_dot", dot)]
+        for slot, target in slots:
+            generator = "_gaussian_kernel" if slot.startswith("gauss") else "_kernel"
+            for bad in _sign_flips(target):
+                with monkeypatch.context() as m:
+                    patched = _compiling(getattr(core, generator), target, bad)
+                    m.setattr(core, generator, patched)
+                    fresh = Algebra(alg.name, alg.complex_field, alg.table)
+                    if alg.complex_field:
+                        _gaussian_kernels(fresh)
+                assert _refused(fresh) == [slot], (alg.name, slot, bad)
+                faults += 1
+    assert faults == 368
+
+
+# an operand part and the other part of the same operand
+OTHER_PART = {"ur": "ui", "ui": "ur", "vr": "vi", "vi": "vr"}
+
+
+def _kernel_calls(tree):
+    """The calls in ``tree`` whose arguments are all operand parts."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and node.args
+        and all(getattr(a, "id", None) in OTHER_PART for a in node.args)
+    ]
+
+
+def _dispatch_faults():
+    """``(name, fault)`` for each kernel call in ``_product`` and ``_dot``:
+    the call with one operand's real part read for its imaginary part or
+    back, and in ``_product`` with the u and v operands exchanged (the dot
+    is symmetric, so there the exchange is no fault)."""
+    for name in ("_product", "_dot"):
+        source = textwrap.dedent(inspect.getsource(getattr(core, name)))
+        for c, call in enumerate(_kernel_calls(ast.parse(source))):
+            edits = list(range(len(call.args)))
+            if name == "_product":
+                edits.append("swap")
+            for edit in edits:
+                tree = ast.parse(source)
+                args = _kernel_calls(tree)[c].args
+                if edit == "swap":
+                    half = len(args) // 2
+                    args[:] = args[half:] + args[:half]
+                else:
+                    args[edit].id = OTHER_PART[args[edit].id]
+                namespace = dict(vars(core))
+                exec(compile(tree, name, "exec"), namespace)
+                yield f"{name} call {c} {edit}", namespace[name]
+
+
+def test_certificate_rejects_every_dispatch_fault(monkeypatch):
+    # the certificate runs through _product and _dot, so a slip in their
+    # real/imaginary dispatch is refused with the kernel it feeds
+    faults = list(_dispatch_faults())
+    assert len(faults) == 34
+    for fault, fn in faults:
+        name = fault.split()[0]
+        with monkeypatch.context() as m:
+            m.setattr(core, name, fn)
+            fresh = Algebra("Hc", True, Hc.table)
+            _gaussian_kernels(fresh)
+        slots = ("mul", "gauss_mul") if name == "_product" else ("dot", "gauss_dot")
+        assert _refused(fresh) in ([slots[0]], [slots[1]]), fault
+
+
+def test_sandwich_takes_two_products(monkeypatch):
+    # no per-call re-check: (u v) conj(u) is two products, and flexibility
+    # makes it u (v conj(u))
+    calls = []
+    product = core._product
+    monkeypatch.setattr(core, "_product", lambda *a: calls.append(a) or product(*a))
+    checked = 0
+    for name in ALL:
+        alg, pairs = _operands(name)
+        for p, a in pairs[-6:]:
+            if oracle_norm(name, p.coeffs) == 0:
+                continue
+            want = scalar_sandwich(alg, p.coeffs, a.coeffs)
+            calls.clear()
+            assert sandwich(p, a).coeffs == want
+            assert len(calls) == 2
+            checked += 1
+    assert checked >= 30
 
 
 def _scalars(alg, b):

@@ -61,7 +61,13 @@ from compalg import (
     verify_witness,
 )
 from compalg.cli import main
-from compalg.core import _gaussian_kernel, _gaussian_kernels, _kernel, _terms
+from compalg.core import (
+    _dot_terms,
+    _gaussian_kernel,
+    _gaussian_kernels,
+    _kernel,
+    _terms,
+)
 from compalg.sampling import random_orthogonal_null_pair
 from compalg.selftest import RemarkReport, SelftestRecord, SelftestResult
 
@@ -513,56 +519,166 @@ def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):
     assert answered == [True, True]
 
 
-@pytest.mark.parametrize("alg", [H, O], ids=lambda alg: alg.name)
-def test_sandwich_recheck_catches_a_corrupted_table(monkeypatch, capsys, alg):
-    # sandwich's always-on check: the two association orders of p a conj(p)
-    # disagree under a table with one sign flipped
-    good = alg.mul
+def _flipped_terms(alg):
+    """The term list of ``alg``'s table with the sign of e1 e2 flipped."""
     table = [list(row) for row in alg.table]
     k, s = table[1][2]
     table[1][2] = (k, -s)
-    bad = _kernel(_terms(table), alg.dim)
-    assert bad is not good
+    return _terms(table)
+
+
+def _compiled_with(m, alg, **patches):
+    """``alg`` built again with the given functions of ``core`` patched and
+    registered under its name, as an import under the fault would leave it."""
+    for name, fn in patches.items():
+        m.setattr(compalg.core, name, fn)
+    bad = Algebra(alg.name, alg.complex_field, alg.table)
+    m.setitem(ALGEBRAS, alg.name, bad)
+    return bad
+
+
+@pytest.mark.parametrize("alg", [H, O], ids=lambda alg: alg.name)
+def test_certificate_catches_a_corrupted_table(monkeypatch, capsys, alg):
+    # the kernel certificate: a term list with one sign flipped compiles to
+    # a kernel that Algebra refuses where it compiles it
+    good, bad_terms = alg.mul, _flipped_terms(alg)
+    message = f"{alg.name} table product is wrong on real x real operands"
     p, a = alg.element([1, 2, 3] + [0] * (alg.dim - 3)), alg.basis(1)
     with monkeypatch.context() as m:
-        m.setattr(alg, "mul", bad)
-        with pytest.raises(ConsistencyError, match="not well defined"):
-            sandwich(p, a)
+        bad = _compiled_with(m, alg, _terms=lambda table: bad_terms)
+        assert bad.terms == bad_terms and bad.dot is alg.dot
+        with pytest.raises(ConsistencyError, match=message):
+            sandwich(bad.element(p.coeffs), bad.element(a.coeffs))
         assert main(["conjugate-witness", "--algebra", alg.name, "e1", "e2"]) == 3
     err = capsys.readouterr().err
-    assert err == "internal consistency failure: sandwich product is not well defined\n"
-    # the corrupted table is its own cache entry: the good kernel is intact
+    assert err == f"internal consistency failure: {message}\n"
+    # the corrupted terms are their own cache entry: the good kernel is intact
+    assert ALGEBRAS[alg.name] is alg
     assert alg.mul is good is _kernel(alg.terms, alg.dim)
     assert alg.basis(1) * alg.basis(2) == alg.basis(3)
     assert sandwich(p, a) == p * a * p.inverse()
 
 
 @pytest.mark.parametrize("alg", [Hc, Oc], ids=lambda alg: alg.name)
-def test_sandwich_recheck_catches_a_corrupted_gaussian_kernel(monkeypatch, capsys, alg):
-    # the same check on the Gaussian kernel, which only a product of two
-    # operands with imaginary parts calls
-    good = _gaussian_kernels(alg)[0]
-    table = [list(row) for row in alg.table]
-    k, s = table[1][2]
-    table[1][2] = (k, -s)
-    bad = _gaussian_kernel(_terms(table), alg.dim)
-    assert bad is not good
+def test_certificate_catches_a_corrupted_gaussian_kernel(monkeypatch, capsys, alg):
+    # the same fault in the Gaussian twin, which only a product of two
+    # operands with imaginary parts calls, refused where it is compiled on
+    # first use
+    good, bad_terms = _gaussian_kernels(alg)[0], _flipped_terms(alg)
+    message = f"{alg.name} table product is wrong on complex x complex operands"
     i, pad = GaussRational(0, 1), [0] * (alg.dim - 3)
-    p, a = alg.element([1, 2 * i, 3] + pad), alg.element([0, i, 1] + pad)
     with monkeypatch.context() as m:
-        m.setattr(alg, "gauss_mul", bad)
-        with pytest.raises(ConsistencyError, match="not well defined"):
-            sandwich(p, a)
+        bad = _compiled_with(m, alg, _terms=lambda table: bad_terms)
+        assert bad.gauss_mul is None
+        p, a = bad.element([1, 2 * i, 3] + pad), bad.element([0, i, 1] + pad)
+        with pytest.raises(ConsistencyError, match=message):
+            p * a
+        assert bad.gauss_mul is not _gaussian_kernel(bad_terms, alg.dim)
         argv = ["conjugate-witness", "--algebra", alg.name, "--", "ie1+e2", "e1+ie2"]
         assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err == "internal consistency failure: sandwich product is not well defined\n"
-    # the corrupted table is its own cache entry: the good kernel is intact
+    assert err.startswith("internal consistency failure: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # the corrupted terms are their own cache entry: the good kernel is intact
     assert alg.gauss_mul is good is _gaussian_kernel(alg.terms, alg.dim)
+    p, a = alg.element([1, 2 * i, 3] + pad), alg.element([0, i, 1] + pad)
     ie1, ie2 = alg.element([0, i, 0] + pad), alg.element([0, 0, i] + pad)
     assert ie1 * ie2 == -alg.basis(3)
     assert sandwich(p, a) == p * a * p.inverse()
     assert main(argv) == 0
+
+
+def _identity(u):
+    # a conjugation that forgets to negate the imaginary parts
+    return list(u[0]), u[1] and list(u[1])
+
+
+def _conj_fault(m, alg):
+    m.setattr(compalg.core, "_conj", _identity)
+    wrong = compalg.core._conjugation_wrong()
+    m.setattr(compalg.core, "_conj", compalg.core._certified(_identity, wrong))
+    return "conjugation is not u -> 2 u0 - u on real 4-vectors"
+
+
+def _product_fault(m, alg):
+    bad_terms = _flipped_terms(alg)
+    _compiled_with(m, alg, _terms=lambda table: bad_terms)
+    return "H table product is wrong on real x real operands"
+
+
+def _dot_fault(m, alg):
+    bad_terms = ((-1, 0, 0),) + _dot_terms(alg.metric)[0][1:]
+    _compiled_with(m, alg, _dot_terms=lambda metric: (bad_terms,))
+    return "H metric dot is wrong on real x real operands"
+
+
+# the commands with no check of their own, each with the fault it meets
+UNCHECKED = [
+    (["mul", "e1", "e2"], _product_fault),
+    (["norm", "e1"], _dot_fault),
+    (["inner", "e1", "e1"], _dot_fault),
+    (["inv", "e2"], _dot_fault),
+    (["conj", "1+e1"], _conj_fault),
+]
+
+
+@pytest.mark.parametrize("argv, fault", UNCHECKED, ids=[a[0] for a, _ in UNCHECKED])
+@pytest.mark.parametrize("json", [[], ["--json"]], ids=["text", "json"])
+def test_unchecked_commands_exit_3_under_a_compiled_fault(
+    monkeypatch, capsys, argv, fault, json
+):
+    # mul, norm, inner, inv and conj check nothing themselves: the fault is
+    # refused where it is compiled, and the command that meets it exits 3
+    command, *operands = argv
+    with monkeypatch.context() as m:
+        message = fault(m, H)
+        assert main([command, "--algebra", "H", *json, *operands]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"internal consistency failure: {message}\n")
+    assert main([command, "--algebra", "H", *json, *operands]) == 0
+
+
+SLOT_NAMES = ("mul", "dot", "gauss_mul", "gauss_dot")
+
+
+def _slot_assignments(tree):
+    """``(function, slot, value)`` for each assignment to a kernel slot in
+    a module ``tree``, the function a method's qualified name or None at
+    module level; a ``setattr`` call counts as one, whatever it sets."""
+    owner = {}
+    for stmt in tree.body:
+        methods = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for fn in methods:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{stmt.name}.{fn.name}" if fn is not stmt else fn.name
+                owner.update((node, name) for node in ast.walk(fn))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+            yield owner.get(node), "setattr", node
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            for target in getattr(node, "targets", None) or [node.target]:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Attribute) and leaf.attr in SLOT_NAMES:
+                        yield owner.get(node), leaf.attr, node.value
+
+
+def test_kernel_slots_are_set_only_where_certified():
+    """``mul``, ``dot``, ``gauss_mul`` and ``gauss_dot`` are assigned only in
+    ``Algebra.__init__`` and ``_gaussian_kernels``, and there each slot's
+    last value is its certificate's: no route installs a kernel unchecked."""
+    last = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, slot, value in _slot_assignments(ast.parse(path.read_text())):
+            last[path.name, fn, slot] = value
+    owners = {(module, fn) for module, fn, _ in last}
+    assert owners == {("core.py", "Algebra.__init__"), ("core.py", "_gaussian_kernels")}
+    assert {slot for _, fn, slot in last if fn == "Algebra.__init__"} == set(SLOT_NAMES)
+    for (_, fn, slot), value in last.items():
+        if fn == "Algebra.__init__" and slot.startswith("gauss"):
+            # compiled on first use, in _gaussian_kernels
+            assert isinstance(value, ast.Constant) and value.value is None
+        else:
+            assert getattr(value.func, "id", None) == "_certified", (fn, slot)
 
 
 def _failing_report(*args):
