@@ -1,18 +1,24 @@
 """Command-line front end.
 
-The element operations (mul, conj, inv, norm, inner) are one table of
-``Element`` methods served by one handler; every other command has its own.
-Handlers return ``(payload, lines)``; ``main`` prints the JSON or the lines.
+``_COMMANDS`` declares each subcommand once, in ``compalg -h`` order, and
+``build_parser`` registers them in one loop; the element operations share
+one handler over ``_OPERATIONS``.  ``main`` is the one dispatcher: it parses
+the operands, ``a`` then ``b``, calls ``handler(args, *elements)`` for its
+``(payload, lines)`` and prints the JSON or the lines.
 
 Exit codes: 0 success; 1 a demanded verification came back negative (the
 payload carries ``"ok": false``: verify-remark, selftest); 2 usage, parse or
 precondition errors; 3 internal failure: a consistency check failed, or any
-other exception was raised (one ``internal error:`` line).
+other exception was raised (one ``internal error:`` line).  ``main`` maps
+every failure to them in one place: a result whose pipe's reader has gone
+keeps its code, any other failed write of it exits 3, and an error line
+that stderr cannot take is dropped, the code kept.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -65,10 +71,6 @@ def _check_lines(report, indent=""):
     return [f"{indent}{n}: {'ok' if ok else 'FAILED'}" for n, ok in report.checks]
 
 
-def _parse(args, text):
-    return parse_element(text, ALGEBRAS[args.algebra])
-
-
 def _cmd_table(args):
     alg = ALGEBRAS[args.algebra]
     labels = alg.labels()
@@ -88,18 +90,16 @@ def _cmd_table(args):
 
 
 _OPERATIONS = {
-    "mul": (Element.__mul__, 2, "multiply two elements"),
-    "conj": (Element.conjugate, 1, "conjugate an element"),
-    "inv": (Element.inverse, 1, "invert an element"),
-    "norm": (Element.norm, 1, "norm of an element"),
-    "inner": (Element.inner, 2, "inner product of two elements"),
+    "mul": Element.__mul__,
+    "conj": Element.conjugate,
+    "inv": Element.inverse,
+    "norm": Element.norm,
+    "inner": Element.inner,
 }
 
 
-def _cmd_operation(args):
-    method, count, _ = _OPERATIONS[args.command]
-    operands = [_parse(args, getattr(args, k)) for k in "ab"[:count]]
-    r = method(*operands)
+def _cmd_operation(args, *operands):
+    r = _OPERATIONS[args.command](*operands)
     if isinstance(r, Element):
         return _element_json(r), [format_element(r)]
     alg = operands[0].algebra
@@ -107,8 +107,7 @@ def _cmd_operation(args):
     return payload, [format_scalar(r)]
 
 
-def _cmd_negate_witness(args):
-    a = _parse(args, args.a)
+def _cmd_negate_witness(args, a):
     p = negator(a)
     report = verify_negator(a, p)
     payload = {
@@ -125,8 +124,7 @@ def _cmd_negate_witness(args):
     return payload, lines + _check_lines(report)
 
 
-def _cmd_conjugate_witness(args):
-    a, b = _parse(args, args.a), _parse(args, args.b)
+def _cmd_conjugate_witness(args, a, b):
     w = conjugacy_witness(a, b, minimal=args.minimal)
     if a.algebra.dim == 4:
         w = collapse_quaternion(w)
@@ -143,8 +141,7 @@ def _cmd_conjugate_witness(args):
     return _witness_json(w, report.ok), lines + _check_lines(report)
 
 
-def _cmd_commutant(args):
-    a, b = _parse(args, args.a), _parse(args, args.b)
+def _cmd_commutant(args, a, b):
     report = single_conjugator_search(a, b)
     gram = report.norm_gram
     payload = {
@@ -215,6 +212,37 @@ def _cmd_selftest(args):
     return payload, lines
 
 
+_OPERANDS = (
+    ("a", "element expression (put -- before a leading '-')"),
+    ("b", "element expression"),
+)
+_ALGEBRA = dict(required=True, choices=sorted(ALGEBRAS), help="algebra name")
+_MINIMAL = dict(
+    action="store_true", help="return a single witness whenever one exists"
+)
+_SAMPLES = dict(type=int, default=100, help="samples per property")
+_SEED = dict(type=int, default=0, help="generator seed")
+# name, element operands, takes --algebra, other flags, handler; then its help
+_COMMANDS = (
+    ("table", 0, True, {}, _cmd_table, "print the full multiplication table"),
+    ("mul", 2, True, {}, _cmd_operation, "multiply two elements"),
+    ("conj", 1, True, {}, _cmd_operation, "conjugate an element"),
+    ("inv", 1, True, {}, _cmd_operation, "invert an element"),
+    ("norm", 1, True, {}, _cmd_operation, "norm of an element"),
+    ("inner", 2, True, {}, _cmd_operation, "inner product of two elements"),
+    ("negate-witness", 1, True, {}, _cmd_negate_witness,
+     "pure invertible p with p a p^-1 = -a, with verification transcript"),
+    ("conjugate-witness", 2, True, {"--minimal": _MINIMAL}, _cmd_conjugate_witness,
+     "witness conjugating a onto b (single, or double where required)"),
+    ("commutant", 2, True, {}, _cmd_commutant,
+     "solution space of p a = b p, its norm form and the verdict"),
+    ("verify-remark", 0, False, {}, _cmd_verify_remark,
+     "verify both built-in no-single-conjugator instances"),
+    ("selftest", 0, False, {"--samples": _SAMPLES, "--seed": _SEED}, _cmd_selftest,
+     "randomized property suite"),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="compalg",
@@ -222,79 +250,50 @@ def build_parser():
         "rational composition algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, help, elements=0, algebra=True):
+    for name, elements, algebra, flags, handler, help in _COMMANDS:
         p = sub.add_parser(name, help=help)
         if algebra:
-            p.add_argument(
-                "--algebra", required=True, choices=sorted(ALGEBRAS), help="algebra name"
-            )
-        if elements >= 1:
-            p.add_argument("a", help="element expression (put -- before a leading '-')")
-        if elements >= 2:
-            p.add_argument("b", help="element expression")
+            p.add_argument("--algebra", **_ALGEBRA)
+        for dest, text in _OPERANDS[:elements]:
+            p.add_argument(dest, help=text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(fn=fn)
-        return p
-
-    command("table", _cmd_table, "print the full multiplication table")
-    for name, (_, count, help) in _OPERATIONS.items():
-        command(name, _cmd_operation, help, elements=count)
-    command(
-        "negate-witness",
-        _cmd_negate_witness,
-        "pure invertible p with p a p^-1 = -a, with verification transcript",
-        elements=1,
-    )
-    cw = command(
-        "conjugate-witness",
-        _cmd_conjugate_witness,
-        "witness conjugating a onto b (single, or double where required)",
-        elements=2,
-    )
-    cw.add_argument(
-        "--minimal",
-        action="store_true",
-        help="return a single witness whenever one exists",
-    )
-    command(
-        "commutant",
-        _cmd_commutant,
-        "solution space of p a = b p, its norm form and the verdict",
-        elements=2,
-    )
-    command(
-        "verify-remark",
-        _cmd_verify_remark,
-        "verify both built-in no-single-conjugator instances",
-        algebra=False,
-    )
-    st = command("selftest", _cmd_selftest, "randomized property suite", algebra=False)
-    st.add_argument("--samples", type=int, default=100, help="samples per property")
-    st.add_argument("--seed", type=int, default=0, help="generator seed")
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler, elements=elements)
     return parser
 
 
+def _print(stream, text):
+    """Print ``text``; a failed write nulls the descriptor, so the final flush
+    is quiet, and re-raises unless the pipe's reader has gone."""
+    if stream is None:  # its descriptor was closed at start
+        return
+    try:
+        print(text, file=stream, flush=True)
+    except OSError as exc:
+        with contextlib.suppress(OSError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), stream.fileno())  # OSError: no descriptor
+        if not isinstance(exc, BrokenPipeError):
+            raise
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        payload, lines = args.fn(args)
+        texts = [getattr(args, dest) for dest, _ in _OPERANDS[: args.elements]]
+        elements = [parse_element(t, ALGEBRAS[args.algebra]) for t in texts]
+        payload, lines = args.handler(args, *elements)
+        _print(sys.stdout, json.dumps(payload) if args.json else "\n".join(lines))
+        return 0 if payload.get("ok", True) else 1
     except ConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"internal consistency failure: {exc}"
     except CompalgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except Exception as exc:  # a fault; KeyboardInterrupt and SystemExit pass
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    try:
-        print(json.dumps(payload) if args.json else "\n".join(lines), flush=True)
-    except BrokenPipeError:
-        # the reader left: quiet the interpreter's final flush, keep the code
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if payload.get("ok", True) else 1
+        code, line = 3, f"internal error: {type(exc).__name__}: {exc}"
+    with contextlib.suppress(OSError):  # a line stderr cannot take is dropped
+        _print(sys.stderr, line)
+    return code
 
 
 def run():

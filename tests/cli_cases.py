@@ -217,6 +217,8 @@ CASES = {
     "error-parse-imaginary-unit": (["norm", "--algebra", "Hc", "(1+2)"], 2),
     "error-parse-rparen": (["inner", "--algebra", "Hc", "e1", "(1+2i"], 2),
     "error-index": (["norm", "--algebra", "H", "e5"], 2),
+    # only b has a lexical error: a is parsed, and refused, first
+    "error-first-operand": (["commutant", "--algebra", "H", "e9", "e1 ? e2"], 2),
     "error-imaginary": (["norm", "--algebra", "O", "4i"], 2),
     "error-usage-algebra": (["mul", "--algebra", "Q", "e1", "e2"], 2),
 }

@@ -3,6 +3,8 @@ exit-code contract on hostile input, and errors contained where a report
 is the promised output."""
 
 import ast
+import errno
+import io
 import os
 from fractions import Fraction
 import random
@@ -74,7 +76,9 @@ from compalg.selftest import RemarkReport, SelftestRecord, SelftestResult
 PACKAGE = Path(compalg.__file__).parent
 
 
-def run_cli(*argv, optimize=False, stdout=subprocess.PIPE):
+def run_cli(
+    *argv, optimize=False, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen
+):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -83,10 +87,11 @@ def run_cli(*argv, optimize=False, stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, *flags, "-m", "compalg.cli", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         text=True,
         env=env,
         timeout=120,
+        **popen,
     )
 
 
@@ -292,6 +297,84 @@ def test_closed_stdout_keeps_the_exit_code(argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _closed_pipe(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return run_cli(*argv, stderr=write)
+    finally:
+        os.close(write)
+
+
+def _closed_fd2(argv):
+    return run_cli(*argv, stderr=None, preexec_fn=lambda: os.close(2))
+
+
+ERRORS_ON_STDERR = {
+    "parse": ("norm", "--algebra", "H", "e9"),
+    "precondition": ("conjugate-witness", "--algebra", "H", "e1", "2e2"),
+}
+
+
+@pytest.mark.parametrize("argv", ERRORS_ON_STDERR.values(), ids=ERRORS_ON_STDERR.keys())
+@pytest.mark.parametrize("stderr", [_closed_pipe, _closed_fd2], ids=["pipe", "fd2"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, stderr):
+    # stderr's reader is gone, or fd 2 was closed before start: the error
+    # line is dropped, the code is kept and stdout stays empty
+    proc = stderr(argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+class _Unwritable(io.StringIO):
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+# a consistency failure (the compiled product fault below) and a stray error
+EXIT_3 = {"consistency": ("mul", "e1", "e2"), "stray": ("negate-witness", "e1")}
+
+
+@pytest.mark.parametrize("case", EXIT_3)
+@pytest.mark.parametrize(
+    "exc",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "full")],
+    ids=["broken-pipe", "full"],
+)
+def test_unwritable_stderr_keeps_exit_3(monkeypatch, capsys, case, exc):
+    # the exit-3 path with a stderr whose every write raises
+    command, *operands = EXIT_3[case]
+    with monkeypatch.context() as m:
+        if case == "consistency":
+            _product_fault(m, H)
+        else:
+            m.setattr(compalg.cli, "negator", lambda a: 1 / 0)
+        m.setattr(sys, "stderr", _Unwritable(exc))
+        assert main([command, "--algebra", "H", *operands]) == 3
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [("norm", "--algebra", "H", "e1"), *CLOSED_STDOUT.values()],
+    ids=["norm", *CLOSED_STDOUT.keys()],
+)
+def test_full_stdout_exits_3_with_one_line(argv):
+    # any failed write of the result but a broken pipe is a fault: one
+    # line, exit 3, and no note from the interpreter's final flush
+    full = os.open("/dev/full", os.O_WRONLY)
+    try:
+        proc = run_cli(*argv, stdout=full)
+    finally:
+        os.close(full)
+    error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert (proc.returncode, proc.stderr) == (3, f"internal error: OSError: {error}\n")
 
 
 HOSTILE_LITERALS = {
