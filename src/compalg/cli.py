@@ -264,17 +264,13 @@ def build_parser():
 
 
 def _print(stream, text):
-    """Print ``text``; a failed write nulls the descriptor, so the final flush
-    is quiet, and re-raises unless the pipe's reader has gone."""
+    """Print ``text``; a failed write raises unless the pipe's reader went."""
     if stream is None:  # its descriptor was closed at start
         return
     try:
         print(text, file=stream, flush=True)
-    except OSError as exc:
-        with contextlib.suppress(OSError), open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), stream.fileno())  # OSError: no descriptor
-        if not isinstance(exc, BrokenPipeError):
-            raise
+    except BrokenPipeError:
+        pass
 
 
 def main(argv=None):
@@ -297,7 +293,16 @@ def main(argv=None):
 
 
 def run():
-    raise SystemExit(main())
+    """The console script: a stream that cannot flush what a failed write
+    left is pointed at the null device, so the final flush is quiet."""
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:
+            with contextlib.suppress(OSError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), stream.fileno())  # OSError: no descriptor
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -59,6 +59,7 @@ from math import gcd, lcm
 from .core import (
     Element,
     _coefficients,
+    _conjugates,
     _divided,
     _dot,
     _echelon,
@@ -70,7 +71,6 @@ from .core import (
     _reduce_above,
     _same_norm,
     integer_form,
-    sandwich,
 )
 from .errors import ConsistencyError
 from .witnesses import SingleCase, _single_case
@@ -341,7 +341,7 @@ def single_conjugator_search(a, b):
         rows = _matrix_form(a, b)[1]
         basis = tuple(_normal(alg, u, den) for den, u in _nullspace_form(rows, alg.dim))
     single = next(filter(_invertible, _grid(basis)), None)
-    if single is not None and sandwich(single, a) != b:
+    if single is not None and not _conjugates(single, a, b):
         raise ConsistencyError(
             "invertible commutant solution fails to conjugate a onto b"
         )

@@ -61,8 +61,9 @@ bilinear map, and compares it with the table (the metric) read entry by
 entry; ``_conj`` is held to u -> 2 u0 - u once at import.  A kernel that
 fails is replaced by a stub that raises ConsistencyError when called
 (``_certified``), so the command that needs it exits 3.  So ``sandwich``
-takes two products and no re-check: with the alternative laws of
-``_check_table``, its two association orders agree by flexibility.
+takes one product and no re-check: with the right alternative law of
+``_check_table``, u v conj(u) is 2 u0 w - 2 w0 u + N(u) conj(v) for w = u
+v, and ``_conjugates`` decides sandwich(p, a) == b by cross-multiplying.
 The commutant's matrix of p -> p a - b p reads the same terms.
 Inverse and sandwich fold the norm into the common denominator.  Sums,
 negation and conjugation are integer vector operations; a field scalar
@@ -427,10 +428,11 @@ def _shifted(u, z):
 
 
 def _conjugation_wrong():
-    """Why ``_conj`` is not u -> 2 u0 - u, which ``sandwich`` rests on, or
-    None.  ``_conj`` is linear, each output a signed part of u, so one call
-    per length and kind decides it: the parts are distinct powers of 4, and
-    a value has one base-4 expansion with digits of size < 2."""
+    """Why ``_conj`` is not u -> 2 u0 - u, which ``conjugate`` and
+    ``inverse`` rest on, or None.  ``_conj`` is linear, each output a signed
+    part of u, so one call per length and kind decides it: the parts are
+    distinct powers of 4, and a value has one base-4 expansion with digits
+    of size < 2."""
     for n in (4, 8):
         re, im = [1 << 2 * k for k in range(n)], [1 << 2 * (n + k) for k in range(n)]
         for u in ((re, None), (re, im)):
@@ -886,25 +888,57 @@ class Element:
         return f"<{self.algebra.name} {self}>"
 
 
+def _sandwiched(p, a):
+    """``(X, m)``: X = u v conj(u) and m = N(u), a Gaussian integer, for p =
+    u / d and a = v / e, as ``sandwich`` derives them."""
+    Element._check_same(p, a)
+    alg, u, v = p.algebra, p.num, a.num
+    m = mr, mi = _dot(alg, u, u)
+    if m == (0, 0):
+        raise NotInvertible(f"sandwich by {p!s}, which has zero norm")
+    (ur, ui), (vr, vi) = u, v
+    wr, wi = _product(alg, u, v)
+    sr, tr = 2 * ur[0], 2 * wr[0]  # 2 u0 and 2 w0, real parts
+    if ui is None and vi is None:  # then m and w are real too
+        X = [mr * vr[0]]
+        X += [sr * x - tr * y - mr * z for x, y, z in zip(wr[1:], ur[1:], vr[1:])]
+        return (X, None), m
+    zero = (0,) * alg.dim
+    ui, vi, wi = ui or zero, vi or zero, wi or zero
+    si, ti = 2 * ui[0], 2 * wi[0]
+    re, im = [mr * vr[0] - mi * vi[0]], [mr * vi[0] + mi * vr[0]]
+    for k in range(1, alg.dim):
+        x, xi, y, yi, z, zi = wr[k], wi[k], ur[k], ui[k], vr[k], vi[k]
+        re.append(sr * x - si * xi - tr * y + ti * yi - mr * z + mi * zi)
+        im.append(sr * xi + si * x - tr * yi - ti * y - mr * zi - mi * z)
+    return (re, im), m
+
+
 def sandwich(p, a):
     """Conjugation (p*a)*p^-1 = (p*a*conj(p)) / N(p); requires invertible p.
 
-    With p = u / d, a = v / e and N(p) = m / d^2 the result is
-    (u v conj(u)) / (e m): d cancels and each coefficient is divided once.
-    It equals p*(a*p^-1) with no re-check: conj(u) = 2 u0 - u with u0 a
-    central scalar, so (u v) conj(u) = u (v conj(u)) reads (u v) u = u (v
-    u), flexibility, which the alternative laws imply (their associator is
-    alternating, so [u, v, u] = 0).  ``_check_table`` holds each table to
-    those laws, ``Algebra`` each kernel to its table, and the import checks
-    ``_conj`` against 2 u0 - u.
+    With p = u / d, a = v / e and N(p) = m / d^2 the result is X / (e m)
+    for X = u v conj(u) = 2 u0 w - 2 w0 u + m conj(v), w = u v: one product.
+    Since conj(u) = 2 u0 - u with u0 a central scalar, X = 2 u0 w - (u v)
+    u.  Put y -> conj(y) in x conj(y) + y conj(x) = 2 <x, y> and
+    right-multiply by x: (conj(y) conj(x)) x = N(x) conj(y), as
+    [conj(y), conj(x), x] = -[conj(y), x, x] = 0 by the right alternative
+    law, so (x y) x = 2 <x, conj(y)> x - N(x) conj(y), and <u, conj(v)> =
+    Re(u v) = w0.  ``_check_table`` gives those laws and the metric dot as
+    the inner product, and ``Algebra`` holds each kernel to its table.
     """
-    Element._check_same(p, a)
-    alg = p.algebra
-    u, e, v = p.num, a.den, a.num
-    m = _dot(alg, u, u)
-    if m == (0, 0):
-        raise NotInvertible(f"sandwich by {p!s}, which has zero norm")
-    return _divided(alg, _product(alg, _product(alg, u, v), _conj(u)), m, e)
+    X, m = _sandwiched(p, a)
+    return _divided(p.algebra, X, m, a.den)
+
+
+def _conjugates(p, a, b):
+    """``sandwich(p, a) == b`` without the image: for b = B / f, f X == e m
+    B, exact as e, f, m != 0; NotInvertible for N(p) == 0, as there."""
+    X, (mr, mi) = _sandwiched(p, a)
+    xr, xi = _scaled(X, (b.den, 0))
+    yr, yi = _scaled(b.num, (a.den * mr, a.den * mi))
+    zero = [0] * len(xr)
+    return b.algebra is p.algebra and xr == yr and (xi or zero) == (yi or zero)
 
 
 class Classification(namedtuple("Classification", "pure nonzero invertible")):

@@ -39,6 +39,7 @@ from enum import Enum
 from .core import (
     Element,
     Hs,
+    _conjugates,
     _divided,
     _dot,
     _echelon,
@@ -439,14 +440,15 @@ def verify_witness(a, b, w):
     ok = _invertible(w.p)
     checks = [("norm(p) != 0", ok)]
     if w.is_single:
-        label = "p a p^-1 == b"
+        label, p, x = "p a p^-1 == b", w.p, a
     else:
         ok_q = _invertible(w.q)
         checks.append(("norm(q) != 0", ok_q))
         checks.append(("p is pure", w.p.is_pure))
         checks.append(("q is pure", w.q.is_pure))
-        ok, label = ok and ok_q, "q (p a p^-1) q^-1 == b"
-    checks.append((label, ok and w.apply(a) == b))  # no sandwich by a zero norm
+        ok, label, p = ok and ok_q, "q (p a p^-1) q^-1 == b", w.q
+        x = ok and sandwich(w.p, a)
+    checks.append((label, ok and _conjugates(p, x, b)))  # no sandwich by a zero norm
     return CheckReport(name, tuple(checks))
 
 
@@ -460,6 +462,6 @@ def verify_negator(a, p):
         (
             ("norm(p) != 0", ok_p),
             ("p a == -(a p)", p * a == -(a * p)),
-            ("p a p^-1 == -a", ok_p and sandwich(p, a) == -a),
+            ("p a p^-1 == -a", ok_p and _conjugates(p, a, -a)),
         ),
     )

@@ -8,8 +8,10 @@ same terms, must equal the three-real-product formula written with
 ``mul`` and ``dot``, and a fresh ``import compalg`` must have compiled
 neither.  The certificate must refuse, where each slot is compiled, every
 one-term sign flip of the four kernels and every real/imaginary slip in
-the dispatch of ``_product`` and ``_dot``, and a sandwich must take two
-products.  Products, inner products, norms, inverses and sandwiches on
+the dispatch of ``_product`` and ``_dot``, and a sandwich and its
+cross-multiplied check ``_conjugates`` must take one product each and no
+conjugation, and ``_conjugates(p, a, b)`` must be ``sandwich(p, a) ==
+b`` on the image and on four near misses.  Products, inner products, norms, inverses and sandwiches on
 all six algebras must equal the component-formula oracles and the
 per-scalar table loop exactly, and come back in normal form; so must the
 linear operations against coefficient-wise scalar arithmetic.
@@ -43,6 +45,7 @@ from compalg import (
     Hc,
     I,
     O,
+    NotInvertible,
     Oc,
     embed_in_cayley,
     nullspace,
@@ -51,6 +54,7 @@ from compalg import (
     twisted_commutant_matrix,
 )
 from compalg.core import (
+    _conjugates,
     _dot_terms,
     _echelon,
     _entry,
@@ -156,6 +160,51 @@ def test_inverse_and_sandwich_match_oracles(name):
         assert all(is_normal(c) for c in inv + got)
         checked += 1
     assert checked > len(pairs) // 2
+
+
+def _scalar(rng, alg):
+    """A nonzero field scalar: Gaussian over Q(i), else rational."""
+    re = Fraction(rng.randint(1, 99), rng.randint(1, 9))
+    return GaussRational(re, rng.randint(-9, 9)) if alg.complex_field else re
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_conjugates_is_the_image_check(name):
+    # the cross-multiplied check against sandwich(p, a) == b on the true
+    # image and four near misses: +1 at one index, twice the denominator,
+    # the negated image and another pair's image
+    alg, pairs = _operands(name)
+    images = [(p, a, sandwich(p, a)) for p, a in pairs if oracle_norm(name, p.coeffs)]
+    verdicts = set()
+    for n, (p, a, image) in enumerate(images):
+        other = images[n - 1][2]
+        plus_one = image + alg.basis(n % alg.dim)
+        for b in (image, plus_one, image * Fraction(1, 2), -image, other):
+            verdict = _conjugates(p, a, b)
+            assert verdict == (sandwich(p, a) == b), (p, a, b)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    with pytest.raises(NotInvertible):
+        sandwich(alg.zero(), alg.one())
+    with pytest.raises(NotInvertible):
+        _conjugates(alg.zero(), alg.one(), alg.one())
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_sandwich_terms_match_oracles(name):
+    # the terms 2 u0 w, 2 w0 u and N(u) conj(v) each carry weight: a with a
+    # field scalar part, p pure and p a field scalar
+    alg, pairs = _operands(name)
+    rng = random.Random(f"sandwich-terms:{name}")
+    checked = 0
+    for p, a in pairs:
+        s = _scalar(rng, alg)
+        for p, a in ((p, a + s), (p.pure_part(), a + s), (alg.one() * s, a)):
+            if oracle_norm(name, p.coeffs) == 0:
+                continue
+            assert sandwich(p, a).coeffs == scalar_sandwich(alg, p.coeffs, a.coeffs)
+            checked += 1
+    assert checked > len(pairs)
 
 
 def _int_vectors(rng, dim):
@@ -359,12 +408,13 @@ def test_certificate_rejects_every_dispatch_fault(monkeypatch):
         assert _refused(fresh) in ([slots[0]], [slots[1]]), fault
 
 
-def test_sandwich_takes_two_products(monkeypatch):
-    # no per-call re-check: (u v) conj(u) is two products, and flexibility
-    # makes it u (v conj(u))
-    calls = []
+def test_sandwich_and_conjugates_take_one_product(monkeypatch):
+    # no per-call re-check and no conjugation: u v conj(u) is read off the
+    # one product w = u v as 2 u0 w - 2 w0 u + N(u) conj(v)
+    calls, conjs = [], []
     product = core._product
     monkeypatch.setattr(core, "_product", lambda *a: calls.append(a) or product(*a))
+    monkeypatch.setattr(core, "_conj", lambda u: conjs.append(u))
     checked = 0
     for name in ALL:
         alg, pairs = _operands(name)
@@ -373,10 +423,12 @@ def test_sandwich_takes_two_products(monkeypatch):
                 continue
             want = scalar_sandwich(alg, p.coeffs, a.coeffs)
             calls.clear()
-            assert sandwich(p, a).coeffs == want
-            assert len(calls) == 2
+            got = sandwich(p, a)
+            assert got.coeffs == want and len(calls) == 1
+            calls.clear()
+            assert _conjugates(p, a, got) and len(calls) == 1
             checked += 1
-    assert checked >= 30
+    assert checked >= 30 and conjs == []
 
 
 def _scalars(alg, b):

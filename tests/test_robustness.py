@@ -80,6 +80,7 @@ def run_cli(
     *argv, optimize=False, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen
 ):
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as a console script runs
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
@@ -377,6 +378,33 @@ def test_full_stdout_exits_3_with_one_line(argv):
     assert (proc.returncode, proc.stderr) == (3, f"internal error: OSError: {error}\n")
 
 
+class _FullOnce:
+    """A file whose first write fails as on a full disk."""
+
+    def __init__(self, file):
+        self.file, self.full = file, True
+
+    def write(self, text):
+        if self.full:
+            self.full = False
+            raise OSError(errno.ENOSPC, "full")
+        return self.file.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+
+def test_failed_write_leaves_stdout_to_the_next_call(monkeypatch, capsys, tmp_path):
+    # in-process: a result that cannot be written exits 3 and leaves the
+    # descriptor alone, so the next result on the same stdout is written
+    norm = ["norm", "--algebra", "H", "e1"]
+    with open(tmp_path / "out", "w") as file:
+        monkeypatch.setattr(sys, "stdout", _FullOnce(file))
+        assert [main(norm), main(norm)] == [3, 0]
+    assert (tmp_path / "out").read_text() == "1\n"
+    assert capsys.readouterr().err == "internal error: OSError: [Errno 28] full\n"
+
+
 HOSTILE_LITERALS = {
     "superscript-digit": "2²e1",
     "superscript-index": "e²",
@@ -591,7 +619,7 @@ def test_commutant_check_catches_a_wrong_conjugator(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(compalg.commutant, "_single_case", spy)
-    monkeypatch.setattr(compalg.commutant, "sandwich", lambda p, x: x)
+    monkeypatch.setattr(compalg.commutant, "_conjugates", lambda p, x, b: False)
     with pytest.raises(ConsistencyError, match="fails to conjugate a onto b"):
         single_conjugator_search(a, b)
 
@@ -804,6 +832,18 @@ def _witness_check_fails(m):
     return conjugacy_witness, (H.basis(1), H.basis(2)), "witness failed checks"
 
 
+def _witness_image_check_fails(m):
+    # verify_witness's last check, p a p^-1 == b, says no
+    m.setattr(compalg.witnesses, "_conjugates", lambda p, x, b: False)
+    return conjugacy_witness, (H.basis(1), H.basis(2)), "witness failed checks"
+
+
+def _negator_image_check_fails(m):
+    # verify_negator's last check, p a p^-1 == -a, says no
+    m.setattr(compalg.witnesses, "_conjugates", lambda p, x, b: False)
+    return negator, (H.basis(1),), "negator candidate -e2 fails for e1"
+
+
 @pytest.mark.parametrize(
     "fault",
     [
@@ -813,6 +853,8 @@ def _witness_check_fails(m):
         _separator_sandwich_fails,
         _definite_norm_claimed,
         _witness_check_fails,
+        _witness_image_check_fails,
+        _negator_image_check_fails,
     ],
     ids=lambda fault: fault.__name__.strip("_"),
 )
@@ -828,7 +870,7 @@ def test_witness_checks_catch_an_injected_fault(monkeypatch, capsys, fault):
         assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal consistency failure: ")
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     fn(*args)
 
 
