@@ -14,7 +14,6 @@ from .commutant import (
 from .core import (
     ALGEBRAS,
     Algebra,
-    Classification,
     Element,
     H,
     Hc,
@@ -22,8 +21,6 @@ from .core import (
     O,
     Oc,
     Os,
-    classify,
-    embed_in_cayley,
     sandwich,
 )
 from .errors import (
@@ -73,7 +70,6 @@ __all__ = [
     "AlgebraMismatch",
     "Branch",
     "CheckReport",
-    "Classification",
     "CommutantReport",
     "CompalgError",
     "ConjugacyWitness",
@@ -97,11 +93,9 @@ __all__ = [
     "PrimeMismatch",
     "ZeroElement",
     "check_counterexample",
-    "classify",
     "collapse_quaternion",
     "conjugacy_witness",
     "counterexample_instances",
-    "embed_in_cayley",
     "exact_div",
     "format_element",
     "format_scalar",

@@ -41,7 +41,7 @@ and every other pair takes the rank test, or else the elimination.
 The verdict walks the grid {0, 1, 2}^d of combinations of the basis and
 keeps its first point of nonzero norm, decided on the integers by
 ``core._invertible``; the search builds no exact scalar.  The Gram matrix
-of the norm form on the basis is derived on access, like the matrix.
+of the norm form on the basis is derived on access.
 
 For a pure nonzero pair of equal norm the single-conjugator theorem in
 ``witnesses`` says in closed form whether a single conjugator exists;
@@ -249,11 +249,6 @@ class CommutantReport(namedtuple("CommutantReport", "a b nullspace_basis single"
     an invertible solution, or None when there is none."""
 
     __slots__ = ()
-
-    @property
-    def matrix(self):
-        """The matrix of p -> p*a - b*p, derived on access."""
-        return twisted_commutant_matrix(self.a, self.b)
 
     @property
     def norm_gram(self):

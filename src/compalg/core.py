@@ -20,9 +20,9 @@ anticommuting, and the linearized left alternative law on the units,
 e_i (e_j x) + e_j (e_i x) = (e_i e_j + e_j e_i) x for imaginary i < j and
 every unit x, which with the rest implies it for i = j and its mirror, the
 right law; any other table raises ConsistencyError at construction.
-The witness layer (negator candidates, Cayley extensions) serves only the
-six named algebras and raises PreconditionViolation for any other.  The dim-8
-tables are generated from the dim-4 ones through the doubling product
+The witness layer (negator candidates) serves only the six named algebras
+and raises PreconditionViolation for any other.  The dim-8 tables are
+generated from the dim-4 ones through the doubling product
 
     (m1 + n1*e4)(m2 + n2*e4) = (m1*m2 - conj(n2)*n1) + (n1*conj(m2) + n2*m1)*e4
 
@@ -80,7 +80,6 @@ cached.  It is in normal form: an ``int`` when integral, else a reduced
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
@@ -941,34 +940,6 @@ def _conjugates(p, a, b):
     return b.algebra is p.algebra and xr == yr and (xi or zero) == (yi or zero)
 
 
-class Classification(namedtuple("Classification", "pure nonzero invertible")):
-    """Membership flags of an element: pure (zero scalar part), nonzero, and
-    invertible (nonzero norm); the four classical subsets derive from them."""
-
-    __slots__ = ()
-
-    @property
-    def in_pure(self):
-        return self.pure
-
-    @property
-    def in_pure_nonzero(self):
-        return self.pure and self.nonzero
-
-    @property
-    def in_invertible(self):
-        return self.invertible
-
-    @property
-    def in_pure_invertible(self):
-        return self.pure and self.invertible
-
-
-def classify(a):
-    Element._check_same(a, a)
-    return Classification(a.is_pure, not a.is_zero, _invertible(a))
-
-
 H = Algebra("H", False, QUATERNION_TABLE)
 Hs = Algebra("Hs", False, SPLIT_QUATERNION_TABLE)
 Hc = Algebra("Hc", True, QUATERNION_TABLE)
@@ -978,21 +949,9 @@ Oc = Algebra("Oc", True, O.table)
 
 ALGEBRAS = {alg.name: alg for alg in (H, Hs, Hc, O, Os, Oc)}
 
-CAYLEY_EXTENSION = {H: O, Hs: Os, Hc: Oc}
-
 
 def _one_of_six(alg):
     """Raise PreconditionViolation unless ``alg`` is one of the six named
-    algebras, the only ones with Cayley extensions and negator candidates."""
+    algebras, the only ones with negator candidates."""
     if ALGEBRAS.get(alg.name) is not alg:
         raise PreconditionViolation(f"{alg.name} is not one of the six algebras")
-
-
-def embed_in_cayley(a):
-    """Embed a dim-4 element into its dim-8 extension (identity on dim 8)."""
-    Element._check_same(a, a)
-    _one_of_six(a.algebra)
-    if a.algebra.dim == 8:
-        return a
-    (re, im), pad = a.num, (0,) * a.algebra.dim
-    return _normal(CAYLEY_EXTENSION[a.algebra], (re + pad, im and im + pad), a.den)

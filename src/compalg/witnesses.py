@@ -95,13 +95,6 @@ class ConjugacyWitness(namedtuple("ConjugacyWitness", "p q branch")):
     def is_single(self):
         return self.q is None
 
-    def apply(self, a):
-        """Transport a through the witness: p a p^-1, then q ... q^-1."""
-        out = sandwich(self.p, a)
-        if self.q is not None:
-            out = sandwich(self.q, out)
-        return out
-
 
 # Candidate scan lists: (i, j) stands for the element a_j e_i - a_i e_j.
 # If every candidate in a list has zero norm the coefficients it touches all

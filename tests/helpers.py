@@ -9,9 +9,11 @@ between these and the library is what the structural tests assert.
 ``scalar_mul``, ``scalar_inverse``, ``scalar_sandwich`` and
 ``rref_nullspace`` are the per-scalar ``Fraction``/``GaussRational``
 routes the library took before its fraction-free integer kernel; the
-kernel must agree with them exactly.  ``product_commutant_matrix`` builds
-the twisted-commutant matrix from element products, column by column, as
-the library did before it read the matrix off the structure table.
+kernel must agree with them exactly.  ``transport`` carries an element
+through a witness's one or two sandwiches on the same route.
+``product_commutant_matrix`` builds the twisted-commutant matrix from
+element products, column by column, as the library did before it read the
+matrix off the structure table.
 ``table_bilinear`` is the interpreted table loop the library ran before it
 compiled one straight-line product per structure table; each algebra's
 ``mul`` must give the same list on every pair of int vectors.
@@ -159,6 +161,15 @@ def scalar_sandwich(algebra, p, a):
     n = oracle_norm(algebra.name, p)
     left = scalar_mul(algebra, scalar_mul(algebra, p, a), _conj(p))
     return tuple(exact_div(c, n) for c in left)
+
+
+def transport(w, a):
+    """a's coefficients carried through the witness w: p a p^-1, then
+    q ... q^-1 for a pair, each through ``scalar_sandwich``."""
+    out = scalar_sandwich(a.algebra, w.p.coeffs, a.coeffs)
+    if w.q is not None:
+        out = scalar_sandwich(a.algebra, w.q.coeffs, out)
+    return out
 
 
 def rref_nullspace(matrix):

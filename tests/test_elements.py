@@ -12,8 +12,6 @@ from compalg import (
     O,
     Oc,
     Os,
-    classify,
-    embed_in_cayley,
     sandwich,
 )
 
@@ -151,31 +149,6 @@ def test_sandwich_requires_invertible():
     a = Os.basis(4) + Os.basis(5)
     with pytest.raises(NotInvertible):
         sandwich(a, Os.basis(2))
-
-
-def test_classify():
-    a = Os.basis(4) + Os.basis(5)
-    c = classify(a)
-    assert c.pure and c.nonzero and not c.invertible
-    assert c.in_pure and c.in_pure_nonzero
-    z = classify(H.zero())
-    assert z.pure and not z.nonzero and not z.invertible
-    assert z.in_pure and not z.in_pure_nonzero
-    u = classify(H.one() + H.basis(1))
-    assert not u.pure and u.nonzero and u.invertible
-    assert u.in_invertible and not u.in_pure_invertible
-    assert classify(Os.basis(1)).in_pure_invertible
-
-
-def test_embed_in_cayley():
-    a = Hs.element([1, 2, 3, 4])
-    b = embed_in_cayley(a)
-    assert b.algebra is Os
-    assert b.coeffs == (1, 2, 3, 4, 0, 0, 0, 0)
-    # embedding is multiplicative
-    c = Hs.element([0, 1, -1, 2])
-    assert embed_in_cayley(a * c) == embed_in_cayley(a) * embed_in_cayley(c)
-    assert embed_in_cayley(b) is b
 
 
 def test_pure_part_and_flags():

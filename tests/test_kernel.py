@@ -47,7 +47,6 @@ from compalg import (
     O,
     NotInvertible,
     Oc,
-    embed_in_cayley,
     nullspace,
     sandwich,
     single_conjugator_search,
@@ -451,7 +450,6 @@ def test_linear_operations_match_scalar_arithmetic(name):
             (-a, [-p for p in x]),
             (a.conjugate(), [x[0]] + [-p for p in x[1:]]),
             (a.pure_part(), [0] + list(x[1:])),
-            (embed_in_cayley(a), list(x) + [0] * (8 - alg.dim)),
         ]
         for s in _scalars(alg, b):
             cases += [
@@ -649,7 +647,6 @@ def test_commutant_matches_product_oracle(name):
         assert got == m
         assert all(is_normal(x) for row in got for x in row)
         report = single_conjugator_search(a, b)
-        assert report.matrix == got
         assert report.nullspace_basis == tuple(alg.element(v) for v in rref_nullspace(m))
         basis = report.nullspace_basis
         assert report.norm_gram == tuple(tuple(u.inner(v) for v in basis) for u in basis)

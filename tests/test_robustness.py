@@ -4,17 +4,20 @@ is the promised output."""
 
 import ast
 import errno
+import importlib
 import io
 import os
 from fractions import Fraction
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_cases
 import compalg
 import compalg.cli
 import compalg.commutant
@@ -27,7 +30,6 @@ from compalg import (
     AlgebraMismatch,
     Branch,
     CheckReport,
-    Classification,
     CommutantReport,
     ConjugacyWitness,
     ConsistencyError,
@@ -41,11 +43,9 @@ from compalg import (
     Os,
     ParseError,
     PreconditionViolation,
-    classify,
     collapse_quaternion,
     conjugacy_witness,
     counterexample_instances,
-    embed_in_cayley,
     exact_div,
     format_element,
     format_scalar,
@@ -147,6 +147,60 @@ def test_library_has_no_dead_helpers():
     assert dead == []
 
 
+# The public functions no CLI command reaches, each with the caller outside
+# the package that keeps it public.
+KEPT = {
+    "exact_div": "README and the oracles of tests/helpers.py",
+    "nullspace": "benchmarks/layers.py",
+    "separator": "README and benchmarks/layers.py",
+    "twisted_commutant_matrix": "benchmarks/layers.py",
+}
+
+
+def test_public_functions_are_reached_or_kept():
+    """Every public function is entered by some CLI golden case, run in
+    this process under a call profile, or is named in ``KEPT``."""
+    public = {
+        obj.__code__: name
+        for name in compalg.__all__
+        if isinstance(obj := getattr(compalg, name), types.FunctionType)
+    }
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for case in cli_cases.CASES:
+            cli_cases.run(case)
+    finally:
+        sys.setprofile(None)
+    unreached = sorted(name for code, name in public.items() if code not in entered)
+    assert unreached == sorted(KEPT)
+
+
+def test_benchmark_imports_resolve():
+    """Every name the benchmark scripts import from the package exists on
+    it, read from their source without running them."""
+    found = [
+        (path.name, node.module, alias.name)
+        for path in sorted((PACKAGE.parents[1] / "benchmarks").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "compalg"
+        for alias in node.names
+    ]
+    assert found
+    missing = [
+        f"{script}: from {module} import {name}"
+        for script, module, name in found
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []
+
+
 def test_library_imports_at_module_level():
     """Imports sit at the top of each module; the one exception is
     ``Element.__str__``'s import of the formatter, which would otherwise
@@ -180,7 +234,6 @@ def test_import_loads_no_dataclass_machinery():
 
 # Each record with its field names, in order, and one value per field.
 RECORDS = {
-    "Classification": (Classification, "pure nonzero invertible", (True, True, False)),
     "ConjugacyWitness": (
         ConjugacyWitness, "p q branch", (H.basis(1), None, Branch.SUM_INVERTIBLE)
     ),
@@ -531,9 +584,7 @@ def test_witnesses_reject_non_elements(fn, args):
         fn(*args)
 
 
-@pytest.mark.parametrize(
-    "fn", [classify, embed_in_cayley, negator_candidates, format_element]
-)
+@pytest.mark.parametrize("fn", [negator_candidates, format_element])
 def test_element_views_reject_non_elements(fn):
     with pytest.raises(AlgebraMismatch, match="expected two elements, got int"):
         fn(5)

@@ -22,7 +22,6 @@ from compalg import (
     ZeroElement,
     collapse_quaternion,
     conjugacy_witness,
-    embed_in_cayley,
     negator,
     negator_candidates,
     sandwich,
@@ -31,6 +30,8 @@ from compalg import (
 )
 from compalg.core import QUATERNION_TABLE
 from compalg.sampling import random_invertible, random_orthogonal_null_pair
+
+from helpers import transport
 
 
 def _check_negator(a):
@@ -241,7 +242,7 @@ def test_witness_diff_branch():
     assert not w.is_single and w.branch is Branch.DIFF_INVERTIBLE
     assert w.p == 2 * a
     assert w.q == Os.basis(4)
-    assert w.apply(a) == -a
+    assert transport(w, a) == (-a).coeffs
 
 
 def test_witness_null_pair_branch():
@@ -297,12 +298,12 @@ def test_witness_minimal_mode():
 
 @pytest.mark.parametrize(
     "call",
-    [negator, lambda a: conjugacy_witness(a, -a), embed_in_cayley],
-    ids=["negator", "conjugacy_witness", "embed_in_cayley"],
+    [negator, lambda a: conjugacy_witness(a, -a)],
+    ids=["negator", "conjugacy_witness"],
 )
 def test_witness_layer_names_an_algebra_outside_the_six(call):
-    # a valid table, but no negator candidates or Cayley extension are
-    # tabulated for it, so each call raises a typed error naming it
+    # a valid table, but no negator candidates are tabulated for it, so
+    # each call raises a typed error naming it
     q2 = Algebra("Q2", False, QUATERNION_TABLE)
     with pytest.raises(PreconditionViolation, match="Q2 is not one of the six"):
         call(q2.basis(1))
